@@ -14,7 +14,6 @@ from .grid import (
     Grid2D,
     MelabError,
     ParameterError,
-    ScalarField,
     VectorField2,
     divergence,
     inner,
@@ -194,13 +193,6 @@ def bessel_j1(x: float) -> float:
         return _j1_series(x)
     val = _bessel_miller(ax, 1)[1]
     return -val if x < 0 else val
-
-
-def _bessel_j(x: float, orders: int) -> np.ndarray:
-    """J_0..J_orders at x >= 0, series-checked at small argument."""
-    if x <= _SERIES_CUTOFF and orders <= 3:
-        return _bessel_miller(x, orders) if x > 0 else _bessel_miller(0.0, orders)
-    return _bessel_miller(x, orders)
 
 
 def bessel_j1_zero(m: int) -> float:
@@ -403,17 +395,16 @@ def property_p_scan(grid: Grid2D, params: MaterialParams, m_modes: int) -> dict:
 
 def lasalle_report(traj) -> dict:
     """Finite-horizon trends of an unforced, mechanically undamped run:
-    h-norms, velocity divergence, and total energy, with fitted rates.
-    Descriptive only; no infinite-time claim is asserted."""
+    h-norms, velocity divergence, and total energy (from the energy log),
+    with fitted rates.  Descriptive only; no infinite-time claim is asserted."""
     samples = traj.samples
     if len(samples) < 2:
         raise ParameterError("trajectory too short")
-    params = traj.params
     ts = np.array([s.t for s in samples])
     h_l2 = np.array([norm_l2(s.h) for s in samples])
-    grad_h = np.array([np.sqrt(energy_mod.grad_h_squared(s.h)) for s in samples])
+    grad_h = np.array([np.sqrt(rec.grad_h_sq) for rec in traj.energy_log])
     div_ut = np.array([norm_l2(divergence(s.ut)) for s in samples])
-    e = np.array([energy_mod.energy_total(s, params) for s in samples])
+    e = np.array([rec.e_total for rec in traj.energy_log])
     e_increase = float(np.max(np.diff(e), initial=0.0))
     monotone = bool(e_increase <= 1e-9 * max(e[0], 1.0))
     out = {

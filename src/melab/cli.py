@@ -11,6 +11,7 @@ under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -26,8 +27,6 @@ from .grid import (
     Grid2D,
     MelabError,
     ParameterError,
-    ScalarField,
-    VectorField2,
     load_scalar_csv,
     load_vector_csv,
     save_scalar_csv,
@@ -37,7 +36,6 @@ from .model import (
     DissipationSpec,
     DivergedStateError,
     Forcing,
-    GalerkinBasis,
     MaterialParams,
     State,
     build_galerkin_basis,
@@ -146,6 +144,8 @@ def _initial_state(config: dict, grid: Grid2D, params: MaterialParams) -> State:
 # artifact writing
 
 def _energy_rows(traj: Trajectory) -> list[list[float]]:
+    """energy.csv rows: the trajectory's energy log with the Lyapunov
+    functional g and the energy-balance residual filled in."""
     params = traj.params
     spec = traj.dissipation
     alpha = spec.alpha if spec.kind in ("linear", "power") else 0.0
@@ -153,23 +153,14 @@ def _energy_rows(traj: Trajectory) -> list[list[float]]:
     if alpha > 0:
         c_omega = energy_mod.poincare_constant(traj.samples[0].grid, params)
         eps = energy_mod.admissible_shift(alpha, params.nu1, c_omega)
-    rows = []
     res = None
     if len(traj.samples) >= 3:
         res = energy_mod.energy_identity_residual(traj, params)
-    for k, s in enumerate(traj.samples):
-        g_val = energy_mod.lyapunov_g(s, eps, alpha, params) if eps else 0.0
-        sample = energy_mod.EnergySample(
-            t=s.t,
-            e_total=energy_mod.energy_total(s, params),
-            e1=energy_mod.energy_e1(s, params),
-            e_p=0.0,
-            g_eps=g_val,
-            grad_h_sq=energy_mod.grad_h_squared(s.h),
-            lh_tilde_sq=energy_mod.lh_tilde_squared(s.h),
-        )
+    rows = []
+    for k, (s, rec) in enumerate(zip(traj.samples, traj.energy_log)):
+        g_val = energy_mod.lyapunov_g(s, eps, alpha, params, e_total=rec.e_total) if eps else 0.0
         r = float(res["residual"][k - 1]) if (res is not None and k >= 1) else 0.0
-        rows.append(sample.row(residual=r))
+        rows.append(dataclasses.replace(rec, g_eps=g_val).row(residual=r))
     return rows
 
 
@@ -320,7 +311,7 @@ def _exp_perturb(config, outdir, strict):
     except DivergedStateError:
         return EXIT_DIVERGED
     ep0 = float(run.ep_series[0])
-    c_e = max(energy_mod.energy_e1(s, params) for s in run.base_traj.samples)
+    c_e = max(rec.e1 for rec in run.base_traj.energy_log)
     consts = energy_mod.assemble_constants(
         grid, params, spec.alpha, c_e=c_e, c_h=run.c_h, ep0=ep0
     )

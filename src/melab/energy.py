@@ -25,7 +25,6 @@ from .grid import (
     inner,
     lame_apply,
     laplacian_neumann,
-    norm_l2,
 )
 from .model import (
     DissipationSpec,
@@ -134,16 +133,17 @@ def lyapunov_g(
     alpha: float,
     params: MaterialParams,
     kind: str = "total",
+    e_total: float | None = None,
 ) -> float:
     """Shifted energy functional E + eps*(u', u) + (alpha*eps/2)|u|^2.
 
-    kind 'total' uses the full energy of the state; kind 'perturbation'
-    reads the state fields as a perturbation triple (v, v', b).
+    kind 'total' uses the full energy of the state, or e_total if given;
+    kind 'perturbation' reads the state fields as a triple (v, v', b).
     """
     if eps_or_eta <= 0:
         raise ParameterError("eps/eta must be positive")
     if kind == "total":
-        base = energy_total(state, params)
+        base = energy_total(state, params) if e_total is None else e_total
     elif kind == "perturbation":
         base = energy_perturbation(state.u, state.ut, state.h, params)
     else:
@@ -189,6 +189,20 @@ def lh_tilde_squared(h: ScalarField) -> float:
     return inner(lap, lap)
 
 
+def energy_sample(
+    state: State, params: MaterialParams, e_total: float | None = None
+) -> EnergySample:
+    """The per-state diagnostics of a trajectory's energy log; ``e_total``
+    is the state's energy when the caller has already computed it."""
+    return EnergySample(
+        t=state.t,
+        e_total=energy_total(state, params) if e_total is None else e_total,
+        e1=energy_e1(state, params),
+        grad_h_sq=grad_h_squared(state.h),
+        lh_tilde_sq=lh_tilde_squared(state.h),
+    )
+
+
 def energy_identity_residual(
     traj,
     params: MaterialParams,
@@ -200,20 +214,21 @@ def energy_identity_residual(
         dE/dt + (rho(u'), u') + mu0*nu1*|grad h|^2
             = (f2, u') + mu0*(f1, h)
 
-    with midpoint (state-average) sampling between consecutive samples.
-    Returns the residual series and its max absolute value.
+    with midpoint (state-average) sampling between consecutive samples and
+    E from the energy log.  Returns the residual series and its max abs.
     """
+    if params != traj.params:
+        raise ParameterError("params differ from the trajectory's energy log")
     spec = spec if spec is not None else traj.dissipation
     forcing = forcing if forcing is not None else traj.forcing
     samples = traj.samples
     if len(samples) < 3:
         raise ParameterError("need at least 3 trajectory samples")
     g = samples[0].grid
+    energies = [rec.e_total for rec in traj.energy_log]
     t_mid, res = [], []
-    for a, b in zip(samples[:-1], samples[1:]):
+    for a, b, ea, eb in zip(samples[:-1], samples[1:], energies[:-1], energies[1:]):
         dt = b.t - a.t
-        ea = energy_total(a, params)
-        eb = energy_total(b, params)
         mid_ut = VectorField2(
             g, 0.5 * (a.ut.ux + b.ut.ux), 0.5 * (a.ut.uy + b.ut.uy), bc="dirichlet_zero"
         )
@@ -236,10 +251,10 @@ def energy_identity_residual(
 
 
 def accumulate_ch(traj, params: MaterialParams) -> float:
-    """Supremum over the sampled horizon of int_0^t |Lap h|^2 ds
-    (time trapezoid); nondecreasing in the horizon."""
-    ts = np.array([s.t for s in traj.samples])
-    vals = np.array([lh_tilde_squared(s.h) for s in traj.samples])
+    """Supremum over the sampled horizon of int_0^t |Lap h|^2 ds (time
+    trapezoid over the energy log); nondecreasing in the horizon."""
+    ts = np.array([rec.t for rec in traj.energy_log])
+    vals = np.array([rec.lh_tilde_sq for rec in traj.energy_log])
     if len(ts) < 2:
         return 0.0
     partial = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts))])

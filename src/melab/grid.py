@@ -15,7 +15,7 @@ energy balance of the model into a machine-checkable identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

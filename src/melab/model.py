@@ -30,7 +30,6 @@ from .grid import (
     VectorField2,
     divergence,
     gradient,
-    inner,
     interior_mask,
     lame_apply,
     lame_operator_matrix,

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
-    Grid2D,
     MelabError,
     ParameterError,
     ScalarField,
     VectorField2,
-    inner,
     mean,
 )
 from .model import (
@@ -31,7 +29,7 @@ from .model import (
     State,
     random_state,
 )
-from .stepping import StepperConfig, Trajectory, integrate, step
+from .stepping import StepperConfig, Trajectory, integrate
 from . import energy as energy_mod
 
 
@@ -288,15 +286,10 @@ def run_perturbation(
     pert_traj = integrate(zp, t_end, params, spec, forcing, config)
     if len(base_traj.samples) != len(pert_traj.samples):
         raise MelabError("base and perturbed trajectories sampled differently")
-    times, eps = [], []
-    for sb, sp in zip(base_traj.samples, pert_traj.samples):
-        d = difference_state(sp, sb)
-        times.append(sb.t)
-        eps.append(energy_mod.energy_perturbation(d.u, d.ut, d.h, params))
+    diffs = [difference_state(sp, sb) for sb, sp in zip(base_traj.samples, pert_traj.samples)]
+    eps = [energy_mod.energy_perturbation(d.u, d.ut, d.h, params) for d in diffs]
     c_h = energy_mod.accumulate_ch(base_traj, params)
-    return PerturbationRun(
-        orbit, np.asarray(times), np.asarray(eps), base_traj, pert_traj, c_h
-    )
+    return PerturbationRun(orbit, base_traj.times, np.asarray(eps), base_traj, pert_traj, c_h)
 
 
 def check_decay_bound(

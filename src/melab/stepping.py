@@ -24,7 +24,6 @@ from .grid import (
     VectorField2,
     interior_mask,
     lame_operator_matrix,
-    laplacian_neumann,
     neumann_laplacian_matrix,
     pack_interior,
     pin_boundary,
@@ -37,7 +36,6 @@ from .model import (
     GalerkinBasis,
     MaterialParams,
     State,
-    dissipation_eval,
     induction_term,
     lorentz_force,
     project,
@@ -83,6 +81,9 @@ class Termination:
 
 @dataclass
 class Trajectory:
+    """Sampled states and their energy log, the only store of per-state
+    diagnostics; built from bare samples, it fills the log itself."""
+
     samples: list = field(default_factory=list)
     energy_log: list = field(default_factory=list)
     config: StepperConfig | None = None
@@ -90,6 +91,17 @@ class Trajectory:
     dissipation: DissipationSpec | None = None
     forcing: Forcing | None = None
     termination: Termination | None = None
+
+    def __post_init__(self):
+        if self.samples and not self.energy_log:
+            if self.params is None:
+                raise ParameterError("a trajectory with samples needs params for its energy log")
+            self.energy_log = [energy_mod.energy_sample(s, self.params) for s in self.samples]
+
+    def record(self, state: State, e_total: float) -> None:
+        """Append a sample and its log entry; e_total is the state's energy."""
+        self.samples.append(state.copy())
+        self.energy_log.append(energy_mod.energy_sample(state, self.params, e_total))
 
     @property
     def times(self) -> np.ndarray:
@@ -129,7 +141,7 @@ def _power_extra(spec: DissipationSpec, w: VectorField2) -> VectorField2:
     )
 
 
-def _explicit_forces(state_u_t, v: VectorField2, h: ScalarField, t: float,
+def _explicit_forces(v: VectorField2, h: ScalarField, t: float,
                      params, spec, forcing, grid):
     """Coupling + forcing + superlinear dissipation, as (vector, scalar)."""
     lor = lorentz_force(h, params)
@@ -148,18 +160,11 @@ def step(
     forcing: Forcing,
     config: StepperConfig,
 ) -> State:
-    """Advance one step; boundary tags and mean(h) are preserved."""
+    """Advance one step; boundary tags and mean(h) are preserved.  The
+    energy blow-up guard is ``integrate``'s, which has both energies."""
     if config.scheme == "explicit_rk4":
-        new = _step_rk4(state, params, spec, forcing, config.dt)
-    else:
-        new = _step_imex(state, params, spec, forcing, config.dt)
-    e_old = energy_mod.energy_total(state, params)
-    e_new = energy_mod.energy_total(new, params)
-    if not np.isfinite(e_new):
-        raise DivergedStateError("state", new.t)
-    if e_new > ENERGY_BLOWUP_FACTOR * (e_old + 1.0):
-        raise DivergedStateError("energy_blowup", new.t)
-    return new
+        return _step_rk4(state, params, spec, forcing, config.dt)
+    return _step_imex(state, params, spec, forcing, config.dt)
 
 
 def _step_imex(state, params, spec, forcing, dt):
@@ -173,24 +178,23 @@ def _step_imex(state, params, spec, forcing, dt):
     h_n = state.h.values.ravel()
 
     # midpoint predictor (explicit half step)
-    fu_x0, fu_y0, fh0 = _explicit_forces(
-        None, state.ut, state.h, state.t, params, spec, forcing, g
-    )
+    fu_x0, fu_y0, fh0 = _explicit_forces(state.ut, state.h, state.t, params, spec, forcing, g)
     fu0 = np.concatenate([fu_x0[interior_mask(g)], fu_y0[interior_mask(g)]])
-    lu_n = (-(a_el @ u_n) - alpha * v_n) / params.rho_m
+    el_n = -(a_el @ u_n)
+    lu_n = (el_n - alpha * v_n) / params.rho_m
     lh_n = params.nu1 * (lap @ h_n)
     u_hat = unpack_interior(g, u_n + a * v_n)
     v_hat = unpack_interior(g, v_n + a * (lu_n + fu0))
     h_hat = ScalarField(g, (h_n + a * (lh_n + fh0)).reshape(g.shape), bc="neumann")
 
     t_mid = state.t + a
-    fu_x, fu_y, fh = _explicit_forces(None, v_hat, h_hat, t_mid, params, spec, forcing, g)
+    fu_x, fu_y, fh = _explicit_forces(v_hat, h_hat, t_mid, params, spec, forcing, g)
     fu = np.concatenate([fu_x[interior_mask(g)], fu_y[interior_mask(g)]])
 
     # implicit midpoint solves
     rhs_h = h_n + a * lh_n + dt * fh
     h_new = scipy.linalg.lu_solve(lu_h, rhs_h)
-    rhs_u = 2.0 * params.rho_m * v_n + dt * (-(a_el @ u_n) + params.rho_m * fu)
+    rhs_u = 2.0 * params.rho_m * v_n + dt * (el_n + params.rho_m * fu)
     v_mid = scipy.linalg.lu_solve(lu_u, rhs_u)
     u_new = u_n + dt * v_mid
     v_new = 2.0 * v_mid - v_n
@@ -241,19 +245,16 @@ def _step_rk4(state, params, spec, forcing, dt):
     )
 
 
-def _sample(traj: Trajectory, state: State, params, alpha_for_g=None):
-    traj.samples.append(state.copy())
-    e = energy_mod.energy_total(state, params)
-    e1 = energy_mod.energy_e1(state, params)
-    traj.energy_log.append(
-        energy_mod.EnergySample(
-            t=state.t,
-            e_total=e,
-            e1=e1,
-            grad_h_sq=energy_mod.grad_h_squared(state.h),
-            lh_tilde_sq=energy_mod.lh_tilde_squared(state.h),
+def _step_count(t0: float, t_end: float, dt: float) -> int:
+    """Number of steps from t0 to t_end; refuses a horizon that is not a
+    whole number of steps rather than stopping short of or past t_end."""
+    ratio = (t_end - t0) / dt
+    n_steps = int(round(ratio))
+    if abs(ratio - n_steps) > 1e-9 * max(ratio, 1.0):
+        raise ParameterError(
+            f"t_end - t0 = {t_end:g} - {t0:g} is not a whole number of steps dt = {dt:g}"
         )
-    )
+    return n_steps
 
 
 def integrate(
@@ -265,20 +266,27 @@ def integrate(
     config: StepperConfig,
 ) -> Trajectory:
     """Repeatedly step until t_end, sampling every config.sample_every
-    steps (initial and final states always included)."""
+    steps (initial and final states always included).  Each state's energy
+    is computed once, for the blow-up guard and the energy log."""
     if t_end < state0.t:
         raise ParameterError("t_end must be >= initial time")
+    n_steps = _step_count(state0.t, t_end, config.dt)
     traj = Trajectory(
         config=config, params=params, dissipation=spec, forcing=forcing
     )
-    _sample(traj, state0, params)
-    n_steps = int(round((t_end - state0.t) / config.dt))
     state = state0
+    e = energy_mod.energy_total(state, params)
+    traj.record(state, e)
     try:
         for k in range(n_steps):
             state = step(state, params, spec, forcing, config)
+            e_old, e = e, energy_mod.energy_total(state, params)
+            if not np.isfinite(e):
+                raise DivergedStateError("state", state.t)
+            if e > ENERGY_BLOWUP_FACTOR * (e_old + 1.0):
+                raise DivergedStateError("energy_blowup", state.t)
             if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
-                _sample(traj, state, params)
+                traj.record(state, e)
     except DivergedStateError as err:
         traj.termination = Termination("diverged", err.t if err.t is not None else state.t)
         err.trajectory = traj
@@ -350,7 +358,7 @@ def integrate_galerkin(
     def forces(cd, cth, t):
         v = reconstruct(basis, cd, "elastic")
         h = reconstruct(basis, cth, "magnetic")
-        fu_x, fu_y, fh = _explicit_forces(None, v, h, t, params, spec, forcing, g)
+        fu_x, fu_y, fh = _explicit_forces(v, h, t, params, spec, forcing, g)
         fv = VectorField2(g, fu_x, fu_y, bc="dirichlet_zero")
         fu = project(basis, fv)
         fhc = project(basis, ScalarField(g, fh.reshape(g.shape), bc="neumann"))
@@ -364,8 +372,8 @@ def integrate_galerkin(
         traj.coeffs.append((c.copy(), cdot.copy(), ct.copy()))
         traj.energy_log.append(coeff_energy(basis, c, cdot, ct, params))
 
+    n_steps = _step_count(0.0, t_end, dt)
     log()
-    n_steps = int(round(t_end / dt))
     for k in range(n_steps):
         fu0, fh0 = forces(cdot, ct, t)
         lu0 = (-(lam_el * c) - alpha * cdot) / params.rho_m

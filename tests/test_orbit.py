@@ -48,6 +48,13 @@ def test_preconditions(grid, cfg):
         orbit.poincare_map(z, PARAMS, DissipationSpec(kind="none"), small_forcing(), cfg)
 
 
+def test_map_refuses_period_not_whole_steps(grid):
+    """T / dt = 1 / 0.3 is not integral: the map would flow over 0.9."""
+    cfg = stepping.StepperConfig(dt=0.3)
+    with pytest.raises(ParameterError, match="whole number of steps"):
+        orbit.poincare_map(State.zero(grid), PARAMS, LIN, small_forcing(period=1.0), cfg)
+
+
 def test_map_fixes_zero_unforced(grid, cfg):
     z = State.zero(grid)
     img = orbit.poincare_map(z, PARAMS, LIN, Forcing.zero(), cfg)

@@ -147,3 +147,70 @@ def test_coeff_dimension_checked(grid, basis):
         stepping.integrate_galerkin(
             (np.zeros(3), np.zeros(3), np.zeros(3)), basis, 0.1, PARAMS, NONE, ZERO_F, cfg
         )
+
+
+# ---------------------------------------------------------------------------
+# exact time grid
+
+def test_integrate_refuses_partial_last_step(grid):
+    cfg = stepping.StepperConfig(dt=0.3, sample_every=1)
+    with pytest.raises(ParameterError, match="whole number of steps"):
+        stepping.integrate(State.zero(grid), 1.0, PARAMS, NONE, ZERO_F, cfg)
+
+
+def test_integrate_lands_on_t_end_from_nonzero_t0(grid):
+    cfg = stepping.StepperConfig(dt=0.3, sample_every=1)
+    traj = stepping.integrate(State.zero(grid, t=0.1), 1.0, PARAMS, NONE, ZERO_F, cfg)
+    assert len(traj.samples) == 4
+    assert traj.final().t == pytest.approx(1.0, abs=1e-12)
+
+
+def test_integrate_galerkin_refuses_partial_last_step(grid, basis):
+    c0 = (np.zeros(basis.m), np.zeros(basis.m), np.zeros(basis.m_magnetic))
+    cfg = stepping.StepperConfig(dt=0.3)
+    with pytest.raises(ParameterError, match="whole number of steps"):
+        stepping.integrate_galerkin(c0, basis, 1.0, PARAMS, NONE, ZERO_F, cfg)
+
+
+# ---------------------------------------------------------------------------
+# one diagnostics path
+
+def test_one_energy_total_per_state(grid, basis, monkeypatch):
+    """n steps sampled every k compute the energy of each of the n + 1
+    states once: the blow-up guard and the energy log share it."""
+    calls = []
+    original = energy.energy_total
+
+    def counting(state, params):
+        calls.append(state.t)
+        return original(state, params)
+
+    monkeypatch.setattr(energy, "energy_total", counting)
+    st = random_state(grid, basis, seed=9, amplitude=0.05)
+    n, k = 20, 5
+    cfg = stepping.StepperConfig(dt=1e-2, sample_every=k)
+    traj = stepping.integrate(st, n * 1e-2, PARAMS, NONE, ZERO_F, cfg)
+    assert len(traj.energy_log) == n // k + 1
+    assert len(calls) == n + 1
+
+
+def test_energy_log_of_bare_samples_matches_integrate(grid, basis):
+    """A trajectory rebuilt from bare samples, as replay does, fills the
+    same energy log as the integrator, bit for bit."""
+    st = random_state(grid, basis, seed=10, amplitude=0.05)
+    spec = DissipationSpec(kind="linear", alpha=0.5)
+    forcing = Forcing(period=0.2, terms=[
+        {"target": "f1", "g": {"a0": 0.0, "cos": [], "sin": [1.0]},
+         "shape": {"jx": 1, "jy": 1, "amplitude": 0.2}},
+    ])
+    cfg = stepping.StepperConfig(dt=1e-2, sample_every=3)
+    traj = stepping.integrate(st, 0.2, PARAMS, spec, forcing, cfg)
+    rebuilt = stepping.Trajectory(samples=list(traj.samples), params=PARAMS)
+    assert len(rebuilt.energy_log) == len(traj.energy_log) == len(traj.samples)
+    for got, want in zip(rebuilt.energy_log, traj.energy_log):
+        assert vars(got) == vars(want)
+
+
+def test_bare_samples_need_params(grid):
+    with pytest.raises(ParameterError):
+        stepping.Trajectory(samples=[State.zero(grid)])
