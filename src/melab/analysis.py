@@ -14,12 +14,12 @@ from .grid import (
     Grid2D,
     MelabError,
     ParameterError,
-    VectorField2,
     divergence,
     inner,
     norm_l2,
+    unpack_interior,
 )
-from .model import MaterialParams
+from .model import MAX_DENSE_DOF, MaterialParams
 from . import energy as energy_mod
 
 
@@ -310,29 +310,6 @@ def disk_mode_residual(spec: DiskModeSpec, params: MaterialParams) -> dict:
 # ---------------------------------------------------------------------------
 # property P on rectangles: divergence-ratio floor of Dirichlet eigenmodes
 
-def _dirichlet_scalar_matrix(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 5-point Dirichlet Laplacian on interior scalar nodes, with the
-    interior node index map."""
-    nx, ny = grid.nx, grid.ny
-    idx = -np.ones(grid.shape, dtype=int)
-    count = 0
-    for i in range(1, nx):
-        for j in range(1, ny):
-            idx[i, j] = count
-            count += 1
-    dx, dy = grid.lx / nx, grid.ly / ny
-    mat = np.zeros((count, count))
-    for i in range(1, nx):
-        for j in range(1, ny):
-            k = idx[i, j]
-            mat[k, k] = 2.0 / dx**2 + 2.0 / dy**2
-            for di, dj, w in ((1, 0, dx), (-1, 0, dx), (0, 1, dy), (0, -1, dy)):
-                kk = idx[i + di, j + dj]
-                if kk >= 0:
-                    mat[k, kk] = -1.0 / w**2
-    return mat, idx
-
-
 def property_p_scan(grid: Grid2D, params: MaterialParams, m_modes: int) -> dict:
     """Divergence content of componentwise Dirichlet Laplacian eigenmodes.
 
@@ -343,18 +320,15 @@ def property_p_scan(grid: Grid2D, params: MaterialParams, m_modes: int) -> dict:
     property P."""
     if m_modes < 1:
         raise ParameterError("need at least one mode")
-    mat, idx = _dirichlet_scalar_matrix(grid)
-    if mat.shape[0] > 5000:
-        raise ParameterError("grid too large for the dense eigenscan")
-    vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, min(m_modes, mat.shape[0]) - 1])
+    if grid.n_interior > MAX_DENSE_DOF:
+        raise ParameterError(f"grid too large for the dense eigenscan (limit {MAX_DENSE_DOF} DOF)")
+    mat = (-grid.lap_dirichlet).toarray()
+    vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, min(m_modes, grid.n_interior) - 1])
     diam = float(np.hypot(grid.lx, grid.ly))
 
     def to_field(vec, component):
-        comp = np.zeros(grid.shape)
-        comp[idx >= 0] = vec
-        zero = np.zeros(grid.shape)
-        parts = (comp, zero) if component == 0 else (zero, comp)
-        return VectorField2(grid, parts[0], parts[1], bc="dirichlet_zero")
+        zero = np.zeros_like(vec)
+        return unpack_interior(grid, np.concatenate((vec, zero) if component == 0 else (zero, vec)))
 
     # group eigenvalues, then min generalized eigenvalue of the div Gram
     groups = []

@@ -6,11 +6,17 @@ integration-by-parts identity under the trapezoid quadrature:
     (grad h, w) + (h, div w) = 0
 
 exactly (to round-off) whenever w vanishes on the boundary.  The Neumann
-Laplacian and the elastic operator are assembled from flux differences of
-edge-centered gradients, which makes them self-adjoint in the quadrature
-inner product and pairs them exactly with the edge-based energy forms in
-:mod:`melab.energy`.  That compatibility is what turns the continuous
-energy balance of the model into a machine-checkable identity.
+Laplacian is the flux difference of edge-centered gradients, which makes it
+self-adjoint in the quadrature inner product and pairs it exactly with the
+edge-based energy forms in :mod:`melab.energy`; the elastic operator pairs
+the Dirichlet Laplacian with the quadrature adjoint of the divergence in the
+same way.  That compatibility is what turns the continuous energy balance of
+the model into a machine-checkable identity.
+
+Each operator has one definition: a sparse matrix assembled once per grid
+from 1D stencils by Kronecker products (``Grid2D.lap_neumann``,
+``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``).  Applying an operator is a
+matrix-vector product with it; implicit solves and eigenproblems densify it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 
 class MelabError(Exception):
@@ -35,6 +42,10 @@ class ContractViolationError(MelabError):
 
 class ParameterError(MelabError):
     """A physical or numerical parameter violated its constraints."""
+
+
+class NonFiniteValueError(ParameterError):
+    """A field was given non-finite values (divergence if a step made them)."""
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,38 @@ class Grid2D:
     def dmat_y(self) -> np.ndarray:
         return _sbp_derivative(self.ny + 1, self.dy)
 
+    @cached_property
+    def lap_neumann(self) -> sparse.csr_array:
+        """Flux Laplacian with zero normal flux over all nodes (row-major):
+        per direction H^{-1}(-E^T E/h) with E the forward difference, so
+        (lap h, g) = -grad_edge_inner(h, g) and lap h integrates to zero."""
+        return _kron_sum(_flux_1d(self.wx, self.dx), _flux_1d(self.wy, self.dy))
+
+    @cached_property
+    def lap_dirichlet(self) -> sparse.csr_array:
+        """Five-point Laplacian on interior nodes (row-major), acting on
+        fields with zero boundary values."""
+        return _kron_sum(
+            _second_difference(self.nx - 1, self.dx),
+            _second_difference(self.ny - 1, self.dy),
+        )
+
+    @cached_property
+    def grad_div(self) -> sparse.csr_array:
+        """W^{-1} D^T W D on packed interior vector DOFs (ux, then uy), with
+        D the collocated divergence and W the trapezoid weights: the
+        quadrature adjoint of the divergence applied to it, i.e.
+        -grad(div u) on the clamped subspace."""
+        px = sparse.eye_array(self.nx + 1, format="csr")[:, 1:-1]
+        py = sparse.eye_array(self.ny + 1, format="csr")[:, 1:-1]
+        d = sparse.hstack([
+            sparse.kron(self.dmat_x[:, 1:-1], py),
+            sparse.kron(px, self.dmat_y[:, 1:-1]),
+        ]).tocsr()
+        w = sparse.diags_array(self.weights.ravel())
+        w_int = np.tile(self.weights[1:-1, 1:-1].ravel(), 2)
+        return (sparse.diags_array(1.0 / w_int) @ (d.T @ w @ d)).tocsr()
+
     @property
     def measure(self) -> float:
         return self.lx * self.ly
@@ -129,9 +172,28 @@ def _sbp_derivative(n: int, h: float) -> np.ndarray:
     return d
 
 
+def _flux_1d(w: np.ndarray, h: float) -> sparse.csr_array:
+    """1D zero-flux Laplacian diag(1/w) (-E^T E / h) on len(w) nodes."""
+    n = len(w)
+    e = sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n - 1, n))
+    return sparse.diags_array(1.0 / w) @ (-(e.T @ e) / h)
+
+
+def _second_difference(n: int, h: float) -> sparse.csr_array:
+    """1D three-point second difference on n interior nodes, zero ends."""
+    return sparse.diags_array([1.0, -2.0, 1.0], offsets=[-1, 0, 1], shape=(n, n)) / h**2
+
+
+def _kron_sum(ax, ay) -> sparse.csr_array:
+    """ax along the first (x) index plus ay along the second (y) index of
+    row-major node arrays."""
+    eye = sparse.eye_array
+    return (sparse.kron(ax, eye(ay.shape[0])) + sparse.kron(eye(ax.shape[0]), ay)).tocsr()
+
+
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
-        raise ParameterError(f"{what} contains non-finite values")
+        raise NonFiniteValueError(f"{what} contains non-finite values")
 
 
 @dataclass
@@ -275,57 +337,30 @@ def grad_edge_inner(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> float:
     return sx + sy
 
 
-def _flux_laplacian(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    """Flux differences of edge gradients with zero-flux closure; equals
-    -H^{-1} d/da [grad_edge_inner(a, a)/2], the ghost-reflection stencil."""
-    ex = _edge_diff_x(grid, a)
-    ey = _edge_diff_y(grid, a)
-    # node k collects (ex[k] - ex[k-1]) / wx[k]; edge quadrature dx cancels
-    # against the 1/dx of the difference, same along y
-    outx = np.zeros(grid.shape)
-    outx[:-1, :] += ex
-    outx[1:, :] -= ex
-    outy = np.zeros(grid.shape)
-    outy[:, :-1] += ey
-    outy[:, 1:] -= ey
-    return outx / grid.wx[:, None] + outy / grid.wy[None, :]
-
-
 def laplacian_neumann(h: ScalarField) -> ScalarField:
-    """Five-point Laplacian with ghost-node reflection (zero normal flux).
-
-    Identical to the flux-difference form of the edge gradient under
-    trapezoid weights; the output integrates to zero exactly.
+    """Five-point Laplacian with ghost-node reflection (zero normal flux):
+    the grid's ``lap_neumann``, the flux-difference form of the edge
+    gradient under trapezoid weights; the output integrates to zero.
     """
     if h.bc != "neumann":
         raise ContractViolationError("laplacian_neumann requires bc='neumann'")
-    return ScalarField(h.grid, _flux_laplacian(h.grid, h.values), bc="none")
-
-
-def _dirichlet_laplacian(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    """Standard 3-point-per-direction Laplacian on interior nodes, boundary
-    rows zeroed (acts on the zero-boundary subspace)."""
-    out = np.zeros(grid.shape)
-    out[1:-1, :] += (a[2:, :] - 2.0 * a[1:-1, :] + a[:-2, :]) / grid.dx**2
-    out[:, 1:-1] += (a[:, 2:] - 2.0 * a[:, 1:-1] + a[:, :-2]) / grid.dy**2
-    return pin_boundary(out)
+    g = h.grid
+    return ScalarField(g, (g.lap_neumann @ h.values.ravel()).reshape(g.shape), bc="none")
 
 
 def lame_apply(u: VectorField2, mu: float, lam: float) -> VectorField2:
-    """Elastic operator  -mu*Lap(u) - (lam+mu)*grad(div u)  with Dirichlet
-    stencils; symmetric positive definite on the zero-boundary subspace.
+    """Elastic operator  -mu*Lap(u) - (lam+mu)*grad(div u)  from the grid's
+    ``lap_dirichlet`` and ``grad_div``; symmetric positive definite on the
+    zero-boundary subspace.
     """
     if u.bc != "dirichlet_zero":
         raise ContractViolationError("lame_apply requires bc='dirichlet_zero'")
     if mu <= 0 or lam <= 0:
         raise ParameterError("Lame constants must satisfy mu > 0, lambda > 0")
     g = u.grid
-    out_x = -mu * _dirichlet_laplacian(g, u.ux)
-    out_y = -mu * _dirichlet_laplacian(g, u.uy)
-    q = (_dx(g, u.ux) + _dy(g, u.uy)) * g.weights
-    out_x += (lam + mu) * pin_boundary(g.dmat_x.T @ q) / g.weights
-    out_y += (lam + mu) * pin_boundary(q @ g.dmat_y) / g.weights
-    return VectorField2(g, pin_boundary(out_x), pin_boundary(out_y), bc="dirichlet_zero")
+    v = pack_interior(u)
+    lap_v = (g.lap_dirichlet @ v.reshape(2, g.n_interior).T).T.ravel()
+    return unpack_interior(g, (lam + mu) * (g.grad_div @ v) - mu * lap_v)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +415,7 @@ def bilinear_a2(u: VectorField2, w: VectorField2, mu: float, lam: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# dense operator assembly (desk-scale eigenproblems and implicit solves)
+# operator matrices and interior packing
 
 def interior_mask(grid: Grid2D) -> np.ndarray:
     m = np.zeros(grid.shape, dtype=bool)
@@ -388,37 +423,19 @@ def interior_mask(grid: Grid2D) -> np.ndarray:
     return m
 
 
-def neumann_laplacian_matrix(grid: Grid2D) -> np.ndarray:
-    """Dense matrix of laplacian_neumann over all nodes (row-major)."""
-    n = grid.n_nodes
-    out = np.empty((n, n))
-    eye = np.zeros(grid.shape)
-    idx = 0
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            eye[i, j] = 1.0
-            out[:, idx] = _flux_laplacian(grid, eye).ravel()
-            eye[i, j] = 0.0
-            idx += 1
-    return out
+def neumann_laplacian_matrix(grid: Grid2D) -> sparse.csr_array:
+    """Sparse matrix of laplacian_neumann over all nodes (row-major); the
+    grid's own ``lap_neumann``, not a copy."""
+    return grid.lap_neumann
 
 
-def lame_operator_matrix(grid: Grid2D, mu: float, lam: float) -> np.ndarray:
-    """Dense matrix of lame_apply on interior vector DOFs, ordered
+def lame_operator_matrix(grid: Grid2D, mu: float, lam: float) -> sparse.csr_array:
+    """Sparse matrix of lame_apply on interior vector DOFs, ordered
     (ux interior row-major, then uy interior)."""
-    mask = interior_mask(grid)
-    ni = grid.n_interior
-    out = np.empty((2 * ni, 2 * ni))
-    for k in range(2 * ni):
-        ux = np.zeros(grid.shape)
-        uy = np.zeros(grid.shape)
-        comp, flat = divmod(k, ni)
-        target = ux if comp == 0 else uy
-        target[mask] = np.eye(1, ni, flat).ravel()
-        w = lame_apply(VectorField2(grid, ux, uy, bc="dirichlet_zero"), mu, lam)
-        out[:ni, k] = w.ux[mask]
-        out[ni:, k] = w.uy[mask]
-    return out
+    if mu <= 0 or lam <= 0:
+        raise ParameterError("Lame constants must satisfy mu > 0, lambda > 0")
+    lap = grid.lap_dirichlet
+    return ((lam + mu) * grid.grad_div - mu * sparse.block_diag((lap, lap))).tocsr()
 
 
 def pack_interior(u: VectorField2) -> np.ndarray:

@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .grid import (
     Grid2D,
+    NonFiniteValueError,
     ParameterError,
     ScalarField,
     VectorField2,
@@ -113,14 +114,15 @@ class Trajectory:
 
 @lru_cache(maxsize=8)
 def _implicit_ops(grid: Grid2D, dt: float, params: MaterialParams, alpha: float):
-    """Prefactored implicit matrices for the IMEX midpoint step."""
+    """The sparse explicit operators and the dense LU factors of the
+    implicit matrices for the IMEX midpoint step."""
     a = 0.5 * dt
     lap = neumann_laplacian_matrix(grid)
-    m_h = np.eye(grid.n_nodes) - a * params.nu1 * lap
+    m_h = np.eye(grid.n_nodes) - a * params.nu1 * lap.toarray()
     lu_h = scipy.linalg.lu_factor(m_h)
     a_el = lame_operator_matrix(grid, params.mu, params.lam)
     ni2 = 2 * grid.n_interior
-    m_u = (2.0 * params.rho_m + dt * alpha) * np.eye(ni2) + (dt * a) * a_el
+    m_u = (2.0 * params.rho_m + dt * alpha) * np.eye(ni2) + (dt * a) * a_el.toarray()
     lu_u = scipy.linalg.lu_factor(m_u)
     return lap, a_el, lu_h, lu_u
 
@@ -145,11 +147,14 @@ def _explicit_forces(v: VectorField2, h: ScalarField, t: float,
                      params, spec, forcing, grid):
     """Coupling + forcing + superlinear dissipation, as (vector, scalar)."""
     lor = lorentz_force(h, params)
-    f2 = forcing.f2(grid, t)
+    f2x = f2y = f1 = 0.0    # no forcing terms: adds bit for bit as a zero field
+    if not forcing.is_zero:
+        f2 = forcing.f2(grid, t)
+        f2x, f2y, f1 = f2.ux, f2.uy, forcing.f1(grid, t).values
     pw = _power_extra(spec, v)
-    fu_x = pin_boundary((lor.ux + f2.ux - pw.ux) / params.rho_m)
-    fu_y = pin_boundary((lor.uy + f2.uy - pw.uy) / params.rho_m)
-    fh = induction_term(v, h, params).values + forcing.f1(grid, t).values
+    fu_x = pin_boundary((lor.ux + f2x - pw.ux) / params.rho_m)
+    fu_y = pin_boundary((lor.uy + f2y - pw.uy) / params.rho_m)
+    fh = induction_term(v, h, params).values + f1
     return fu_x, fu_y, fh.ravel()
 
 
@@ -267,7 +272,9 @@ def integrate(
 ) -> Trajectory:
     """Repeatedly step until t_end, sampling every config.sample_every
     steps (initial and final states always included).  Each state's energy
-    is computed once, for the blow-up guard and the energy log."""
+    is computed once, for the blow-up guard and the energy log.  A step
+    whose fields stop being finite raises DivergedStateError, with the
+    trajectory so far attached."""
     if t_end < state0.t:
         raise ParameterError("t_end must be >= initial time")
     n_steps = _step_count(state0.t, t_end, config.dt)
@@ -279,7 +286,10 @@ def integrate(
     traj.record(state, e)
     try:
         for k in range(n_steps):
-            state = step(state, params, spec, forcing, config)
+            try:
+                state = step(state, params, spec, forcing, config)
+            except NonFiniteValueError as err:
+                raise DivergedStateError("state", state.t + config.dt) from err
             e_old, e = e, energy_mod.energy_total(state, params)
             if not np.isfinite(e):
                 raise DivergedStateError("state", state.t)

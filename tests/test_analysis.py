@@ -207,6 +207,15 @@ def test_property_p_swap_symmetry():
     assert a["min_div_ratio"] == pytest.approx(b["min_div_ratio"], rel=1e-9)
 
 
+def test_property_p_refuses_large_grid_before_assembly():
+    """79^2 interior nodes exceed the dense limit: refused before any
+    operator is assembled or densified."""
+    g = Grid2D(80, 80, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="too large"):
+        analysis.property_p_scan(g, PARAMS, 4)
+    assert "lap_dirichlet" not in vars(g)
+
+
 def test_property_p_refinement_stability():
     a = analysis.property_p_scan(Grid2D(32, 32, 1.0, 1.0), PARAMS, 12)
     b = analysis.property_p_scan(Grid2D(48, 48, 1.0, 1.0), PARAMS, 12)

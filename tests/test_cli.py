@@ -83,6 +83,23 @@ def test_validation_exit_code(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
 
+def test_overflow_exits_diverged(tmp_path):
+    """Fields that overflow during a step are divergence (exit 3) with the
+    run so far archived, not a validation error."""
+    doc = dict(SIM_CONFIG)
+    doc["grid"] = {"nx": 8, "ny": 8}
+    doc["stepper"] = {"dt": 0.5, "scheme": "explicit_rk4", "sample_every": 1}
+    doc["initial"] = {"kind": "random", "amplitude": 1e150, "n_modes": 4}
+    doc["t_end"] = 5.0
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 3
+    run = json.loads((out / "run.json").read_text())
+    assert run["termination"] == {"kind": "diverged", "t": 0.5}
+    assert len((out / "energy.csv").read_text().splitlines()) == 2
+
+
 def test_unreadable_config():
     assert run_cli(["simulate", "--config", "/nonexistent.json"]) == 2
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melab.grid import (
     ContractViolationError,
@@ -16,11 +17,13 @@ from melab.grid import (
     gradient,
     inner,
     lame_apply,
+    lame_operator_matrix,
     laplacian_neumann,
     load_scalar_csv,
     load_vector_csv,
     mean,
     norm_l2,
+    pack_interior,
     pin_boundary,
     save_scalar_csv,
     save_vector_csv,
@@ -42,6 +45,20 @@ def grid():
     return Grid2D(17, 13, 1.3, 0.9)
 
 
+# The identity tests run over random grids and aspect ratios: with each
+# operator assembled once as a sparse matrix, these independent quadrature
+# forms are what pin the matrices.
+random_grids = st.builds(
+    Grid2D,
+    st.integers(4, 24),
+    st.integers(4, 24),
+    st.floats(0.2, 5.0),
+    st.floats(0.2, 5.0),
+)
+seeds = st.integers(0, 2**32 - 1)
+identity_settings = settings(max_examples=40, deadline=None, derandomize=True)
+
+
 def test_grid_validation():
     with pytest.raises(ParameterError):
         Grid2D(3, 8, 1.0, 1.0)
@@ -55,10 +72,12 @@ def test_weights_integrate_constants(grid):
     assert mean(one) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_gradient_divergence_adjointness(grid):
+@identity_settings
+@given(grid=random_grids, seed=seeds)
+def test_gradient_divergence_adjointness(grid, seed):
     """(grad h, w) = -(h, div w) for boundary-zero vector fields."""
-    rng = np.random.default_rng(11)
-    for _ in range(20):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
         h = random_scalar(grid, rng, bc="none")
         w = random_vector(grid, rng)
         lhs = inner(gradient(h), w)
@@ -67,11 +86,13 @@ def test_gradient_divergence_adjointness(grid):
         assert abs(lhs - rhs) <= 1e-13 * scale
 
 
-def test_neumann_laplacian_pairs_with_edge_form(grid):
+@identity_settings
+@given(grid=random_grids, seed=seeds)
+def test_neumann_laplacian_pairs_with_edge_form(grid, seed):
     """(lap h, g) = -grad_edge_inner(h, g): the flux Laplacian is the
     operator of the edge-difference quadrature."""
-    rng = np.random.default_rng(4)
-    for _ in range(10):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
         h = random_scalar(grid, rng)
         g = random_scalar(grid, rng)
         lhs = inner(laplacian_neumann(h), g)
@@ -84,6 +105,18 @@ def test_neumann_laplacian_conserves_mass(grid):
     h = random_scalar(grid, rng)
     lap = laplacian_neumann(h)
     assert abs(float(np.sum(lap.values * grid.weights))) <= 1e-12
+
+
+@identity_settings
+@given(grid=random_grids, seed=seeds)
+def test_neumann_laplacian_conserves_mass_on_random_grids(grid, seed):
+    """The integral of lap h is round-off of the integrand's size: at cell
+    aspect ratios near 120:1 that size is about 3e4, and the sum exceeds
+    the fixed grid's absolute 1e-12 with the stencil and the matrix alike."""
+    h = random_scalar(grid, np.random.default_rng(seed))
+    integrand = laplacian_neumann(h).values * grid.weights
+    scale = float(np.sum(np.abs(integrand)))
+    assert abs(float(np.sum(integrand))) <= 1e-12 * max(1.0, scale)
 
 
 def test_laplacian_requires_neumann_tag(grid):
@@ -106,9 +139,11 @@ def test_neumann_eigenmode_convergence():
     assert errs[1] / errs[2] > 3.5
 
 
-def test_lame_symmetry_and_a2_consistency(grid):
-    rng = np.random.default_rng(7)
-    for _ in range(10):
+@identity_settings
+@given(grid=random_grids, seed=seeds)
+def test_lame_symmetry_and_a2_consistency(grid, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
         u = random_vector(grid, rng)
         w = random_vector(grid, rng)
         luw = inner(lame_apply(u, 1.0, 0.7), w)
@@ -116,6 +151,16 @@ def test_lame_symmetry_and_a2_consistency(grid):
         assert abs(luw - lwu) <= 1e-12 * max(1.0, abs(luw))
         a2 = bilinear_a2(u, w, 1.0, 0.7)
         assert abs(luw - a2) <= 1e-12 * max(1.0, abs(a2))
+
+
+@identity_settings
+@given(grid=random_grids, seed=seeds)
+def test_lame_operator_matrix_matches_apply(grid, seed):
+    """The assembled matrix on packed interior DOFs is lame_apply."""
+    u = random_vector(grid, np.random.default_rng(seed))
+    ref = pack_interior(lame_apply(u, 1.0, 0.7))
+    out = lame_operator_matrix(grid, 1.0, 0.7) @ pack_interior(u)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_a2_coercive(grid):

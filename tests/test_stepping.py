@@ -117,6 +117,24 @@ def test_divergence_detected(grid, basis):
     assert traj is not None and traj.termination.kind == "diverged"
 
 
+def test_overflowing_step_is_divergence():
+    """A step whose fields overflow ends the run as divergence at that
+    step's time, with the trajectory so far attached; non-finite input
+    stays a validation error."""
+    g = Grid2D(8, 8, 1.0, 1.0)
+    basis = build_galerkin_basis(g, PARAMS, m=4, m_magnetic=4)
+    st = random_state(g, basis, seed=7, amplitude=1e150, n_modes=4)
+    cfg = stepping.StepperConfig(dt=0.5, scheme="explicit_rk4", sample_every=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedStateError) as err:
+        stepping.integrate(st, 5.0, PARAMS, NONE, ZERO_F, cfg)
+    assert err.value.term == "state" and err.value.t == 0.5
+    traj = err.value.trajectory
+    assert traj.termination.kind == "diverged" and traj.termination.t == 0.5
+    assert [s.t for s in traj.samples] == [0.0]
+    with pytest.raises(ParameterError):
+        ScalarField(g, np.full(g.shape, np.inf), bc="neumann")
+
+
 def test_galerkin_full_rank_equivalence():
     g = Grid2D(8, 8, 1.0, 1.0)
     basis = build_galerkin_basis(g, PARAMS, m=2 * g.n_interior, m_magnetic=g.n_nodes)
@@ -214,3 +232,32 @@ def test_energy_log_of_bare_samples_matches_integrate(grid, basis):
 def test_bare_samples_need_params(grid):
     with pytest.raises(ParameterError):
         stepping.Trajectory(samples=[State.zero(grid)])
+
+
+def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
+    """Without forcing terms no forcing field is built, and the states are
+    bit for bit those of a forcing whose only term is zero."""
+    calls = []
+    for name in ("f1", "f2"):
+        original = getattr(Forcing, name)
+
+        def counting(self, g, t, _original=original):
+            calls.append(t)
+            return _original(self, g, t)
+
+        monkeypatch.setattr(Forcing, name, counting)
+    st = random_state(grid, basis, seed=11, amplitude=0.05)
+    cfg = stepping.StepperConfig(dt=1e-2, sample_every=5)
+    spec = DissipationSpec(kind="linear", alpha=0.5)
+    unforced = stepping.integrate(st, 0.1, PARAMS, spec, ZERO_F, cfg)
+    assert calls == []
+    zero_term = Forcing(period=1.0, terms=[
+        {"target": "f1", "g": {"a0": 0.0}, "shape": {"amplitude": -1.0}},
+        {"target": "f2", "g": {"a0": 0.0}, "shape": {"amplitude": -1.0}},
+    ])
+    zero_forced = stepping.integrate(st, 0.1, PARAMS, spec, zero_term, cfg)
+    assert len(calls) == 4 * 10
+    for a, b in zip(unforced.samples, zero_forced.samples):
+        for x, y in ((a.u.ux, b.u.ux), (a.u.uy, b.u.uy), (a.ut.ux, b.ut.ux),
+                     (a.ut.uy, b.ut.uy), (a.h.values, b.h.values)):
+            assert x.tobytes() == y.tobytes()
