@@ -2,8 +2,9 @@
 
     melab <experiment> --config <file> [--output <dir>] [--strict] [--jobs N]
 
-Each run writes a self-describing artifact directory: run.json (full config
-echo plus versions), energy.csv, snapshots/, reports/*.json.  Exit codes:
+Each run writes a self-describing artifact directory: run.json (the config
+as parsed, every default filled in, plus versions), energy.csv, snapshots/,
+reports/*.json.  Exit codes:
 0 completed, 2 validation error, 3 divergence, 4 failed condition check
 under --strict.
 """
@@ -11,19 +12,19 @@ under --strict.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .grid import (
-    ContractViolationError,
     Grid2D,
     MelabError,
     ParameterError,
@@ -31,6 +32,7 @@ from .grid import (
     load_vector_csv,
     save_scalar_csv,
     save_vector_csv,
+    parse_section,
 )
 from .model import (
     DissipationSpec,
@@ -44,17 +46,6 @@ from .model import (
 from .stepping import StepperConfig, Trajectory, integrate
 from . import analysis, energy as energy_mod, orbit as orbit_mod
 
-EXPERIMENTS = (
-    "simulate",
-    "find-periodic",
-    "perturb",
-    "lasalle",
-    "check-conditions",
-    "disk-mode",
-    "eigenbasis",
-    "botsenyuk",
-)
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGED = 3
@@ -64,80 +55,95 @@ EXIT_CONDITION = 4
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+# The config schema beyond the parameter types, whose sections (grid,
+# material, dissipation, forcing, stepper) their from_dict parses: key ->
+# (type name, default) of every other section and of the top level.  MISSING
+# marks a required key, a None default an optional one that may be null.
+_SECTIONS = {
+    "initial": {"kind": ("str", "zero"), "amplitude": ("float", 0.05), "n_modes": ("int", 6)},
+    "basis": {"m": ("int", 8), "m_magnetic": ("int", 8)},
+    # the perturbation seed defaults to the top-level seed
+    "perturbation": {"seed": ("int", None), "amplitude": ("float", 1e-3)},
+    "conditions": {"c_mu": ("float", 1.0), "e1_0": ("float", 0.0), "c_e": ("float", 0.0),
+                   "c_omega": ("float", 1.0), "c_small": ("float", 1.0)},
+    "disk_mode": {"m": ("int", 1), "radial_points": ("int", 2000), "table_max": ("int", 10)},
+    "botsenyuk": {"t": ("tuple", MISSING), "x": ("tuple", MISSING),
+                  "gamma": ("tuple", MISSING), "a": ("float", MISSING)},
+    "r_critical_consts": {"C1": ("float", 0.5), "C2": ("float", 0.02), "C3": ("float", 0.1),
+                          "eps": ("float", 1.0)},
+}
+_TOP = {
+    "experiment": ("str", None), "output_dir": ("str", None), "sweep": ("list", None),
+    "seed": ("int", 0), "tol": ("float", 1e-8), "max_iter": ("int", 60),
+    # None: the experiment's horizon, 1 for simulate, 50 for lasalle, 5 periods for perturb
+    "t_end": ("float", None),
+    "grid": ("dict", {}), "material": ("dict", {}), "dissipation": ("dict", {}),
+    "forcing": ("dict", None), "stepper": ("dict", {}),
+    **{name: ("dict", {}) for name in _SECTIONS}, "botsenyuk": ("dict", None),
+}
+_STEPPING = ("simulate", "find-periodic", "perturb", "lasalle")
 
 
-def _resolve_output(args, config: dict) -> Path:
+@dataclass
+class _Run:
+    """A config with its keys checked and every default filled in (what
+    run.json records) and the parameter objects built from it."""
+
+    config: dict
+    grid: Grid2D
+    params: MaterialParams
+    spec: DissipationSpec
+    forcing: Forcing
+    stepper: StepperConfig | None
+
+
+def _parse_config(raw: dict, experiment: str | None = None) -> _Run:
+    cfg = parse_section(raw, _TOP, "config")
+    if experiment and cfg["experiment"] not in (None, experiment):
+        raise ParameterError("config experiment does not match the command")
+    experiment = cfg["experiment"] = experiment or cfg["experiment"]
+    grid = Grid2D.from_dict(cfg["grid"])
+    params = MaterialParams.from_dict(cfg["material"])
+    spec = DissipationSpec.from_dict(cfg["dissipation"])
+    forcing = Forcing.from_dict(cfg["forcing"]) if cfg["forcing"] is not None else Forcing.zero()
+    stepper = None
+    if cfg["stepper"] or experiment in _STEPPING:
+        stepper = StepperConfig.from_dict(cfg["stepper"])
+    cfg.update(grid=grid.to_dict(), material=params.to_dict(), dissipation=spec.to_dict(),
+               forcing=forcing.to_dict(), stepper=stepper.to_dict() if stepper else {})
+    for name, keys in _SECTIONS.items():
+        if cfg[name] is not None:
+            cfg[name] = parse_section(cfg[name], keys, name)
+    if cfg["perturbation"]["seed"] is None:
+        cfg["perturbation"]["seed"] = cfg["seed"]
+    if cfg["t_end"] is None:
+        cfg["t_end"] = {"simulate": 1.0, "lasalle": 50.0, "perturb": 5.0 * forcing.period}.get(
+            experiment)
+    return _Run(cfg, grid, params, spec, forcing, stepper)
+
+
+def _resolve_output(args, output_dir: str | None) -> Path:
     if args.output:
         return Path(args.output)
     env = os.environ.get("MELAB_OUTPUT")
     if env:
         return Path(env) / args.experiment
-    if "output_dir" in config:
-        return Path(config["output_dir"])
-    return Path("melab-runs") / args.experiment
+    return Path(output_dir) if output_dir is not None else Path("melab-runs") / args.experiment
 
 
-def _build_grid(config: dict) -> Grid2D:
-    g = config.get("grid", {})
-    return Grid2D(
-        nx=int(g.get("nx", 32)),
-        ny=int(g.get("ny", 32)),
-        lx=float(g.get("lx", 1.0)),
-        ly=float(g.get("ly", 1.0)),
-    )
+def _basis(run: _Run):
+    b = run.config["basis"]
+    return build_galerkin_basis(run.grid, run.params, m=b["m"], m_magnetic=b["m_magnetic"])
 
 
-def _build_physics(config: dict):
-    mat = config.get("material", {})
-    material = MaterialParams(
-        rho_m=float(mat.get("rho_m", 1.0)),
-        mu=float(mat.get("mu", 1.0)),
-        lam=float(mat.get("lambda", mat.get("lam", 0.5))),
-        nu1=float(mat.get("nu1", 0.1)),
-        mu0=float(mat.get("mu0", 1.0)),
-        b0=float(mat.get("b0", 1.0)),
-    )
-    dis = dict(config.get("dissipation", {"kind": "none"}))
-    dissipation = DissipationSpec(
-        kind=dis.get("kind", "none"),
-        alpha=float(dis.get("alpha", 0.0)),
-        k0=float(dis.get("k0", 0.0)),
-        k1=float(dis.get("k1", 0.0)),
-        p=float(dis.get("p", 3.0)),
-        r_rho=float(dis.get("r_rho", 1.0)),
-        k_c=float(dis.get("k_c", 1.0)),
-    )
-    forcing = Forcing.from_dict(config["forcing"]) if config.get("forcing") else Forcing.zero()
-    return material, dissipation, forcing
-
-
-def _build_stepper(config: dict) -> StepperConfig:
-    s = config.get("stepper", {})
-    return StepperConfig(
-        dt=float(s.get("dt", 1e-3)),
-        scheme=s.get("scheme", "imex_midpoint"),
-        sample_every=int(s.get("sample_every", 10)),
-    )
-
-
-def _initial_state(config: dict, grid: Grid2D, params: MaterialParams) -> State:
-    init = config.get("initial", {"kind": "zero"})
-    if init.get("kind", "random") == "zero":
-        return State.zero(grid)
-    b = config.get("basis", {})
-    basis = build_galerkin_basis(
-        grid, params, m=int(b.get("m", 8)), m_magnetic=int(b.get("m_magnetic", 8))
-    )
-    return random_state(
-        grid,
-        basis,
-        seed=int(config.get("seed", 0)),
-        amplitude=float(init.get("amplitude", 0.05)),
-        n_modes=int(init.get("n_modes", 6)),
-    )
+def _initial_state(run: _Run) -> State:
+    init = run.config["initial"]
+    if init["kind"] not in ("zero", "random"):
+        raise ParameterError("initial.kind must be 'zero' or 'random'")
+    if init["kind"] == "zero":
+        return State.zero(run.grid)
+    return random_state(run.grid, _basis(run), seed=run.config["seed"],
+                        amplitude=init["amplitude"], n_modes=init["n_modes"])
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +166,7 @@ def _energy_rows(traj: Trajectory) -> list[list[float]]:
     for k, (s, rec) in enumerate(zip(traj.samples, traj.energy_log)):
         g_val = energy_mod.lyapunov_g(s, eps, alpha, params, e_total=rec.e_total) if eps else 0.0
         r = float(res["residual"][k - 1]) if (res is not None and k >= 1) else 0.0
-        rows.append(dataclasses.replace(rec, g_eps=g_val).row(residual=r))
+        rows.append(replace(rec, g_eps=g_val).row(residual=r))
     return rows
 
 
@@ -187,6 +193,7 @@ def _write_run_json(outdir: Path, config: dict, extra: dict | None = None) -> No
             "melab": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     }
     if extra:
@@ -224,38 +231,29 @@ def _archive_trajectory(outdir: Path, config: dict, traj: Trajectory, extra=None
 # ---------------------------------------------------------------------------
 # experiments
 
-def _exp_simulate(config, outdir, strict):
-    grid = _build_grid(config)
-    params, spec, forcing = _build_physics(config)
-    stepper = _build_stepper(config)
-    state0 = _initial_state(config, grid, params)
-    t_end = float(config.get("t_end", 1.0))
+def _exp_simulate(run, outdir, strict):
+    state0 = _initial_state(run)
     try:
-        traj = integrate(state0, t_end, params, spec, forcing, stepper)
+        traj = integrate(
+            state0, run.config["t_end"], run.params, run.spec, run.forcing, run.stepper)
     except DivergedStateError as err:
         if err.trajectory is not None:
-            _archive_trajectory(outdir, config, err.trajectory)
+            _archive_trajectory(outdir, run.config, err.trajectory)
         return EXIT_DIVERGED
-    _archive_trajectory(outdir, config, traj)
+    _archive_trajectory(outdir, run.config, traj)
     return EXIT_OK
 
 
-def _r_critical_from_config(config, grid, params, spec, forcing):
-    consts = config.get(
-        "r_critical_consts", {"C1": 0.5, "C2": 0.02, "C3": 0.1, "eps": 1.0}
-    )
+def _r_critical_from_config(run):
     return orbit_mod.r_critical(
-        forcing.l1_l2_norm(grid), spec.alpha, params.nu1,
-        forcing.period if forcing.period > 0 else 1.0, consts,
+        run.forcing.l1_l2_norm(run.grid), run.spec.alpha, run.params.nu1,
+        run.forcing.period, run.config["r_critical_consts"],
     )
 
 
-def _exp_find_periodic(config, outdir, strict):
-    grid = _build_grid(config)
-    params, spec, forcing = _build_physics(config)
-    stepper = _build_stepper(config)
+def _exp_find_periodic(run, outdir, strict):
     if strict:
-        rc = _r_critical_from_config(config, grid, params, spec, forcing)
+        rc = _r_critical_from_config(run)
         if not rc.admissible:
             _write_report(outdir, "r_critical", {
                 "value": rc.value, "denominator": rc.denominator,
@@ -263,16 +261,15 @@ def _exp_find_periodic(config, outdir, strict):
             })
             print(f"refusing under --strict: {rc.diagnostic}", file=sys.stderr)
             return EXIT_CONDITION
-    z0 = _initial_state(config, grid, params)
+    z0 = _initial_state(run)
     try:
         po = orbit_mod.find_periodic(
-            z0, params, spec, forcing, stepper,
-            tol=float(config.get("tol", 1e-8)),
-            max_iter=int(config.get("max_iter", 60)),
+            z0, run.params, run.spec, run.forcing, run.stepper,
+            tol=run.config["tol"], max_iter=run.config["max_iter"],
         )
     except DivergedStateError:
         return EXIT_DIVERGED
-    _archive_trajectory(outdir, config, po.trajectory, extra={"orbit": po.to_report()})
+    _archive_trajectory(outdir, run.config, po.trajectory, extra={"orbit": po.to_report()})
     with open(outdir / "orbit.json", "w") as fh:
         json.dump(po.to_report(), fh, indent=2, sort_keys=True)
     save_vector_csv(outdir / "zstar_u.csv", po.z_star.u)
@@ -281,90 +278,71 @@ def _exp_find_periodic(config, outdir, strict):
     return EXIT_OK
 
 
-def _exp_perturb(config, outdir, strict):
-    grid = _build_grid(config)
-    params, spec, forcing = _build_physics(config)
-    stepper = _build_stepper(config)
-    z0 = State.zero(grid)
+def _exp_perturb(run, outdir, strict):
+    grid, params, spec, forcing = run.grid, run.params, run.spec, run.forcing
+    pconf = run.config["perturbation"]
     try:
         po = orbit_mod.find_periodic(
-            z0, params, spec, forcing, stepper,
-            tol=float(config.get("tol", 1e-8)),
-            max_iter=int(config.get("max_iter", 60)),
+            State.zero(grid), params, spec, forcing, run.stepper,
+            tol=run.config["tol"], max_iter=run.config["max_iter"],
         )
-        b = config.get("basis", {})
-        basis = build_galerkin_basis(
-            grid, params, m=int(b.get("m", 6)), m_magnetic=int(b.get("m_magnetic", 6))
-        )
-        pconf = config.get("perturbation", {})
         seed_state = random_state(
-            grid, basis,
-            seed=int(pconf.get("seed", config.get("seed", 0))),
-            amplitude=float(pconf.get("amplitude", 1e-3)),
-            mean_zero_h=True,
+            grid, _basis(run), seed=pconf["seed"], amplitude=pconf["amplitude"], mean_zero_h=True,
         )
-        run = orbit_mod.run_perturbation(
-            po, seed_state.u, seed_state.ut, seed_state.h,
-            float(config.get("t_end", 5.0 * forcing.period)),
-            params, spec, forcing, stepper,
+        pert = orbit_mod.run_perturbation(
+            po, seed_state.u, seed_state.ut, seed_state.h, run.config["t_end"],
+            params, spec, forcing, run.stepper,
         )
     except DivergedStateError:
         return EXIT_DIVERGED
-    ep0 = float(run.ep_series[0])
-    c_e = max(rec.e1 for rec in run.base_traj.energy_log)
+    ep0 = float(pert.ep_series[0])
+    c_e = max(rec.e1 for rec in pert.base_traj.energy_log)
     consts = energy_mod.assemble_constants(
-        grid, params, spec.alpha, c_e=c_e, c_h=run.c_h, ep0=ep0
+        grid, params, spec.alpha, c_e=c_e, c_h=pert.c_h, ep0=ep0
     )
-    report = orbit_mod.check_decay_bound(run, consts, spec.alpha, params.nu1)
+    report = orbit_mod.check_decay_bound(pert, consts, spec.alpha, params.nu1)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_run_json(outdir, config, {"orbit": po.to_report()})
+    _write_run_json(outdir, run.config, {"orbit": po.to_report()})
     _write_report(outdir, "decay", report)
     with open(outdir / "constants.json", "w") as fh:
         fh.write(consts.to_json())
     with open(outdir / "ep_series.csv", "w") as fh:
         fh.write("t,e_p\n")
-        for t, v in zip(run.times, run.ep_series):
+        for t, v in zip(pert.times, pert.ep_series):
             fh.write(f"{t:.17g},{v:.17g}\n")
     return EXIT_OK if (not strict or not report["violations"]) else EXIT_CONDITION
 
 
-def _exp_lasalle(config, outdir, strict):
-    grid = _build_grid(config)
-    params, spec, forcing = _build_physics(config)
-    if spec.kind != "none" or not forcing.is_zero:
+def _exp_lasalle(run, outdir, strict):
+    if run.spec.kind != "none" or not run.forcing.is_zero:
         raise ParameterError("the limit-set experiment needs no forcing and no mechanical damping")
-    stepper = _build_stepper(config)
-    state0 = _initial_state(config, grid, params)
+    state0 = _initial_state(run)
     try:
-        traj = integrate(state0, float(config.get("t_end", 50.0)), params, spec, forcing, stepper)
+        traj = integrate(
+            state0, run.config["t_end"], run.params, run.spec, run.forcing, run.stepper)
     except DivergedStateError:
         return EXIT_DIVERGED
     report = analysis.lasalle_report(traj)
-    _archive_trajectory(outdir, config, traj)
+    _archive_trajectory(outdir, run.config, traj)
     _write_report(outdir, "lasalle", report)
     return EXIT_OK
 
 
-def _exp_check_conditions(config, outdir, strict):
-    grid = _build_grid(config)
-    params, spec, forcing = _build_physics(config)
-    cond = config.get("conditions", {})
-    c_mu = float(cond.get("c_mu", 1.0))
-    e1_0 = float(cond.get("e1_0", 0.0))
-    reg = analysis.condition_regularity(e1_0, forcing.l1_h1_norm(grid), params.nu1, c_mu)
-    c_e = float(cond.get("c_e", 0.0))
-    c_omega = float(cond.get("c_omega", 1.0))
-    c_small = float(cond.get("c_small", 1.0))
-    stab = analysis.condition_stability(params.nu1, c_e, c_omega, c_small)
+def _exp_check_conditions(run, outdir, strict):
+    params, spec, forcing = run.params, run.spec, run.forcing
+    cond = run.config["conditions"]
+    reg = analysis.condition_regularity(
+        cond["e1_0"], forcing.l1_h1_norm(run.grid), params.nu1, cond["c_mu"])
+    stab = analysis.condition_stability(params.nu1, cond["c_e"], cond["c_omega"], cond["c_small"])
     doc = {"regularity": reg, "stability": stab}
-    if spec.kind == "linear" and spec.alpha > 0 and forcing.period > 0:
-        rc = _r_critical_from_config(config, grid, params, spec, forcing)
+    if spec.kind == "linear" and spec.alpha > 0:
+        rc = _r_critical_from_config(run)
         doc["r_critical"] = {
             "value": rc.value, "denominator": rc.denominator,
             "admissible": rc.admissible, "diagnostic": rc.diagnostic,
         }
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_run_json(outdir, config)
+    _write_run_json(outdir, run.config)
     _write_report(outdir, "conditions", doc)
     all_ok = reg["satisfied"] and stab["satisfied"] and doc.get(
         "r_critical", {"admissible": True}
@@ -372,17 +350,14 @@ def _exp_check_conditions(config, outdir, strict):
     return EXIT_OK if (all_ok or not strict) else EXIT_CONDITION
 
 
-def _exp_disk_mode(config, outdir, strict):
-    params, _, _ = _build_physics(config)
-    d = config.get("disk_mode", {})
-    spec = analysis.DiskModeSpec.build(
-        m=int(d.get("m", 1)), radial_points=int(d.get("radial_points", 2000))
-    )
-    report = analysis.disk_mode_residual(spec, params)
+def _exp_disk_mode(run, outdir, strict):
+    d = run.config["disk_mode"]
+    spec = analysis.DiskModeSpec.build(m=d["m"], radial_points=d["radial_points"])
+    report = analysis.disk_mode_residual(spec, run.params)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_run_json(outdir, config)
+    _write_run_json(outdir, run.config)
     _write_report(outdir, "disk_mode", report)
-    table = analysis.bessel_root_table(int(d.get("table_max", 10)))
+    table = analysis.bessel_root_table(d["table_max"])
     with open(outdir / "bessel_roots.csv", "w") as fh:
         fh.write("m,zeta_m\n")
         for m, z in table:
@@ -390,18 +365,13 @@ def _exp_disk_mode(config, outdir, strict):
     return EXIT_OK
 
 
-def _exp_eigenbasis(config, outdir, strict):
-    grid = _build_grid(config)
-    params, _, _ = _build_physics(config)
-    b = config.get("basis", {})
-    basis = build_galerkin_basis(
-        grid, params, m=int(b.get("m", 8)), m_magnetic=int(b.get("m_magnetic", 8))
-    )
+def _exp_eigenbasis(run, outdir, strict):
+    basis = _basis(run)
     outdir.mkdir(parents=True, exist_ok=True)
     basis.save(outdir / "basis.npz")
-    _write_run_json(outdir, config)
+    _write_run_json(outdir, run.config)
     _write_report(outdir, "eigenbasis", {
-        "grid_signature": grid.signature(),
+        "grid_signature": run.grid.signature(),
         "m": basis.m,
         "m_magnetic": basis.m_magnetic,
         "elastic_eigenvalues": basis.elastic_vals,
@@ -410,17 +380,16 @@ def _exp_eigenbasis(config, outdir, strict):
     return EXIT_OK
 
 
-def _exp_botsenyuk(config, outdir, strict):
-    b = config["botsenyuk"]
+def _exp_botsenyuk(run, outdir, strict):
+    b = run.config["botsenyuk"]
+    if b is None:
+        raise ParameterError("the botsenyuk experiment needs a 'botsenyuk' section")
     inp = analysis.BotsenyukInput(
-        t_grid=np.asarray(b["t"], dtype=float),
-        x=np.asarray(b["x"], dtype=float),
-        gamma=np.asarray(b["gamma"], dtype=float),
-        a=float(b["a"]),
+        t_grid=np.asarray(b["t"]), x=np.asarray(b["x"]), gamma=np.asarray(b["gamma"]), a=b["a"],
     )
     report = analysis.botsenyuk_check(inp)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_run_json(outdir, config)
+    _write_run_json(outdir, run.config)
     _write_report(outdir, "botsenyuk", report)
     ok = report["admissible"] and report.get("conclusion_holds", False)
     return EXIT_OK if (ok or not strict) else EXIT_CONDITION
@@ -447,9 +416,8 @@ def replay(archive_dir) -> dict:
     the first differing row."""
     arc = Path(archive_dir)
     with open(arc / "run.json") as fh:
-        config = json.load(fh)["config"]
-    grid = _build_grid(config)
-    params, spec, forcing = _build_physics(config)
+        run = _parse_config(json.load(fh)["config"])
+    grid = run.grid
     stored = np.loadtxt(arc / "energy.csv", delimiter=",", skiprows=1, ndmin=2)
     samples = []
     for k in range(stored.shape[0]):
@@ -457,7 +425,7 @@ def replay(archive_dir) -> dict:
         ut = load_vector_csv(arc / "snapshots" / f"{k:04d}_ut.csv", grid, bc="dirichlet_zero")
         h = load_scalar_csv(arc / "snapshots" / f"{k:04d}_h.csv", grid, bc="neumann")
         samples.append(State(u, ut, h, float(stored[k, 0])))
-    traj = Trajectory(samples=samples, params=params, dissipation=spec, forcing=forcing)
+    traj = Trajectory(samples=samples, params=run.params, dissipation=run.spec, forcing=run.forcing)
     rows = np.asarray(_energy_rows(traj))
     diff = np.abs(rows - stored)
     bad = np.argwhere(diff > 1e-10)
@@ -478,13 +446,13 @@ def replay(archive_dir) -> dict:
 
 def _run_single(experiment: str, config: dict, outdir: Path, strict: bool) -> int:
     try:
-        return _RUNNERS[experiment](config, outdir, strict)
-    except (ParameterError, ContractViolationError, KeyError, ValueError) as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _RUNNERS[experiment](_parse_config(config, experiment), outdir, strict)
     except DivergedStateError as err:
         print(f"diverged: {err}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MelabError as err:
+        print(f"validation error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def _run_sweep_entry(payload):
@@ -499,7 +467,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="melab", description="magnetoelastic system laboratory"
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS + ("replay",))
+    parser.add_argument("experiment", choices=(*_RUNNERS, "replay"))
     parser.add_argument("--config", required=False)
     parser.add_argument("--output", default=None)
     parser.add_argument("--strict", action="store_true")
@@ -523,20 +491,24 @@ def main(argv=None) -> int:
         print("--config is required", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        config = _load_config(args.config)
+        with open(args.config) as fh:
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         print(f"unreadable config: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    if config.get("experiment", args.experiment) != args.experiment:
-        print("config experiment does not match the command", file=sys.stderr)
+    try:
+        top = parse_section(config, _TOP, "config")
+        for i, entry in enumerate(top["sweep"] or ()):
+            parse_section(entry, _TOP, f"sweep entry {i}")
+    except ParameterError as err:
+        print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    outdir = _resolve_output(args, config)
-    sweep = config.get("sweep")
-    if sweep:
+    outdir = _resolve_output(args, top["output_dir"])
+    if top["sweep"]:
         payloads = [
             (args.experiment, config, entry, str(outdir / f"sweep_{i:03d}"), args.strict)
-            for i, entry in enumerate(sweep)
+            for i, entry in enumerate(top["sweep"])
         ]
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:

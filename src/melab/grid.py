@@ -17,11 +17,14 @@ Each operator has one definition: a sparse matrix assembled once per grid
 from 1D stencils by Kronecker products (``Grid2D.lap_neumann``,
 ``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``).  Applying an operator is a
 matrix-vector product with it; implicit solves and eigenproblems densify it.
+
+The module also holds the config schema (``parse_section``, ``Schema``)
+through which every parameter type reads its section of a config file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -48,16 +51,80 @@ class NonFiniteValueError(ParameterError):
     """A field was given non-finite values (divergence if a step made them)."""
 
 
+def parse_section(d, keys: dict, what: str) -> dict:
+    """Config section ``d`` checked against its schema ``keys`` (key ->
+    (type name, default); MISSING marks a required key, a None default an
+    optional one that may be null) and returned with every default filled in."""
+    if not isinstance(d, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ParameterError(
+            f"unknown key {', '.join(map(repr, unknown))} in {what}; allowed: {', '.join(keys)}"
+        )
+    out = {}
+    for key, (kind, default) in keys.items():
+        if key not in d:
+            if default is MISSING:
+                raise ParameterError(f"{what} needs the key {key!r}")
+            out[key] = default
+        elif d[key] is None and default is None:
+            out[key] = None
+        else:
+            out[key] = _coerce(d[key], kind, f"{what}.{key}")
+    return out
+
+
+def _coerce(v, kind: str, where: str):
+    def number(x):    # a finite float, or an int that converts to one
+        return (isinstance(x, int) and not isinstance(x, bool) and abs(x) < 1e308) or (
+            isinstance(x, float) and np.isfinite(x))
+
+    if kind == "float" and number(v):
+        return float(v)
+    if kind == "int" and number(v) and float(v).is_integer():
+        return int(v)
+    if kind == "tuple" and isinstance(v, (list, tuple)) and all(map(number, v)):
+        return tuple(float(x) for x in v)
+    if kind in ("str", "list", "dict") and type(v).__name__ == kind:
+        return v
+    raise ParameterError(f"{where} must be of type {kind}, got {v!r}")
+
+
+def _config_key(f) -> str:
+    """A field's config key: its name unless its metadata spells it."""
+    return f.metadata.get("key", f.name)
+
+
+class Schema:
+    """A parameter type read from and written to one config section, whose
+    keys, types and defaults are the dataclass's fields."""
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        keys = {
+            _config_key(f):
+                (f.type, f.default if f.default_factory is MISSING else f.default_factory())
+            for f in fields(cls)
+        }
+        p = parse_section(d, keys, cls.section)
+        return cls(**{f.name: p[_config_key(f)] for f in fields(cls)})
+
+    def to_dict(self) -> dict:
+        return {_config_key(f): getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class Grid2D:
+class Grid2D(Schema):
     """Uniform nodal grid on the rectangle [0, lx] x [0, ly].
 
     nx, ny count cells; nodes are (nx+1) x (ny+1).  Field arrays are
     indexed [i, j] with x = i*dx, y = j*dy.
     """
 
-    nx: int
-    ny: int
+    section = "grid"
+    nx: int = 32
+    ny: int = 32
     lx: float = 1.0
     ly: float = 1.0
 

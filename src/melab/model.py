@@ -14,8 +14,7 @@ exactly at the semi-discrete level.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +26,7 @@ from .grid import (
     MelabError,
     ParameterError,
     ScalarField,
+    Schema,
     VectorField2,
     divergence,
     gradient,
@@ -40,6 +40,7 @@ from .grid import (
     pin_boundary,
     unpack_interior,
     grad_edge_inner,
+    parse_section,
 )
 
 
@@ -54,11 +55,12 @@ class DivergedStateError(MelabError):
 
 
 @dataclass(frozen=True)
-class MaterialParams:
+class MaterialParams(Schema):
+    section = "material"
     rho_m: float = 1.0
     mu: float = 1.0
-    lam: float = 1.0
-    nu1: float = 1.0
+    lam: float = field(default=0.5, metadata={"key": "lambda"})
+    nu1: float = 0.1
     mu0: float = 1.0
     b0: float = 1.0
 
@@ -68,21 +70,9 @@ class MaterialParams:
                 "rho_m, mu, lam, nu1, mu0 must all be positive"
             )
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MaterialParams":
-        d = dict(d)
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class DissipationSpec:
+class DissipationSpec(Schema):
     """Mechanical dissipation law rho(z).
 
     kind 'none': 0; 'linear': alpha*z; 'power': alpha*z + k1*|z|^p z
@@ -90,6 +80,7 @@ class DissipationSpec:
     polynomial growth hypotheses and the monotonicity constant k_c = alpha.
     """
 
+    section = "dissipation"
     kind: str = "none"
     alpha: float = 0.0
     k0: float = 1.0
@@ -123,18 +114,12 @@ class DissipationSpec:
         fac = self.alpha + self.k1 * mag**self.p
         return fac * zx, fac * zy
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DissipationSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class TrigPoly:
+class TrigPoly(Schema):
     """Trigonometric polynomial in 2*pi*t/T; exactly T-periodic."""
 
+    section = "forcing term g"
     a0: float = 0.0
     cos: tuple = ()
     sin: tuple = ()
@@ -148,51 +133,66 @@ class TrigPoly:
             val += b * np.sin(k * w)
         return val
 
-    def to_dict(self) -> dict:
-        return {"a0": self.a0, "cos": list(self.cos), "sin": list(self.sin)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrigPoly":
-        return cls(d.get("a0", 0.0), tuple(d.get("cos", ())), tuple(d.get("sin", ())))
+# forcing term and shape schemas: key -> (type name, default)
+_TERM_KEYS = {"target": ("str", MISSING), "g": ("dict", {}), "shape": ("dict", {})}
+_SHAPE_KEYS = {
+    "f1": {"jx": ("int", 1), "jy": ("int", 0), "amplitude": ("float", 1.0)},
+    "f2": {"jx": ("int", 1), "jy": ("int", 1), "amplitude": ("float", 1.0),
+           "component": ("int", 0)},
+}
+
+
+def _parse_term(term) -> tuple[str, TrigPoly, dict]:
+    """A forcing term's target, its parsed g and its shape with every
+    default filled in."""
+    t = parse_section(term, _TERM_KEYS, "forcing term")
+    if t["target"] not in _SHAPE_KEYS:
+        raise ParameterError("forcing term target must be 'f1' or 'f2'")
+    shape = parse_section(t["shape"], _SHAPE_KEYS[t["target"]], f"{t['target']} shape")
+    if shape.get("component", 0) not in (0, 1):
+        raise ParameterError("f2 shape component must be 0 (x) or 1 (y)")
+    return t["target"], TrigPoly.from_dict(t["g"]), shape
 
 
 def _shape_scalar(grid: Grid2D, shape: dict) -> np.ndarray:
     """Spatial profile for the scalar forcing: cosine modes are mean-zero
     unless (jx, jy) = (0, 0)."""
     x, y = grid.xy
-    jx, jy = int(shape.get("jx", 1)), int(shape.get("jy", 0))
-    amp = float(shape.get("amplitude", 1.0))
+    jx, jy, amp = shape["jx"], shape["jy"], shape["amplitude"]
     return amp * np.cos(jx * np.pi * x / grid.lx) * np.cos(jy * np.pi * y / grid.ly)
 
 
 def _shape_vector(grid: Grid2D, shape: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial profile for the vector forcing: sine products, zero on the
-    boundary by construction."""
+    """Spatial profile for the vector forcing: sine products, pinned to zero
+    on the boundary (sin(pi) is 1.2e-16 in floating point), in ux for
+    component 0 and uy for 1."""
     x, y = grid.xy
-    jx, jy = int(shape.get("jx", 1)), int(shape.get("jy", 1))
-    amp = float(shape.get("amplitude", 1.0))
-    mode = amp * np.sin(jx * np.pi * x / grid.lx) * np.sin(jy * np.pi * y / grid.ly)
-    comp = shape.get("component", "x")
+    jx, jy, amp = shape["jx"], shape["jy"], shape["amplitude"]
+    mode = pin_boundary(amp * np.sin(jx * np.pi * x / grid.lx) * np.sin(jy * np.pi * y / grid.ly))
     zero = np.zeros(grid.shape)
-    return (mode, zero) if comp == "x" else (zero, mode)
+    return (mode, zero) if shape["component"] == 0 else (zero, mode)
 
 
 @dataclass
-class Forcing:
+class Forcing(Schema):
     """T-periodic forcing as a sum of separable terms g(t)*phi(x, y).
 
-    Each term is {"target": "f1"|"f2", "g": TrigPoly dict, "shape": {...}}.
+    Each term is {"target": "f1"|"f2", "g": TrigPoly dict, "shape": {"jx",
+    "jy", "amplitude", and for f2 "component"}}; the constructor checks the
+    keys and keeps each term with every default filled in.
     """
 
+    section = "forcing"
     period: float
     terms: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.period <= 0:
             raise ParameterError("forcing period must be positive")
-        for term in self.terms:
-            if term.get("target") not in ("f1", "f2"):
-                raise ParameterError("forcing term target must be 'f1' or 'f2'")
+        self._parsed = [_parse_term(t) for t in self.terms]
+        self.terms = [{"target": tg, "g": g.to_dict(), "shape": shape}
+                      for tg, g, shape in self._parsed]
 
     @classmethod
     def zero(cls, period: float = 1.0) -> "Forcing":
@@ -204,23 +204,21 @@ class Forcing:
 
     def f1(self, grid: Grid2D, t: float) -> ScalarField:
         acc = np.zeros(grid.shape)
-        for term in self.terms:
-            if term["target"] != "f1":
-                continue
-            g = TrigPoly.from_dict(term.get("g", {}))(t, self.period)
-            acc += g * _shape_scalar(grid, term.get("shape", {}))
+        for target, g, shape in self._parsed:
+            if target == "f1":
+                acc += g(t, self.period) * _shape_scalar(grid, shape)
         return ScalarField(grid, acc, bc="none")
 
     def f2(self, grid: Grid2D, t: float) -> VectorField2:
         ax = np.zeros(grid.shape)
         ay = np.zeros(grid.shape)
-        for term in self.terms:
-            if term["target"] != "f2":
+        for target, g, shape in self._parsed:
+            if target != "f2":
                 continue
-            g = TrigPoly.from_dict(term.get("g", {}))(t, self.period)
-            px, py = _shape_vector(grid, term.get("shape", {}))
-            ax += g * px
-            ay += g * py
+            gt = g(t, self.period)
+            px, py = _shape_vector(grid, shape)
+            ax += gt * px
+            ay += gt * py
         return VectorField2(grid, ax, ay, bc="none")
 
     def l1_l2_norm(self, grid: Grid2D, n_steps: int = 200) -> float:
@@ -249,13 +247,6 @@ class Forcing:
             )
             vals.append(np.sqrt(sq))
         return float(np.trapezoid(vals, ts))
-
-    def to_dict(self) -> dict:
-        return {"period": self.period, "terms": self.terms}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Forcing":
-        return cls(period=float(d["period"]), terms=list(d.get("terms", [])))
 
 
 @dataclass
@@ -604,6 +595,8 @@ def random_state(
     mean_zero_h: bool = True,
 ) -> State:
     """Random eigenmode combination with controlled energy scale."""
+    if seed < 0 or (n_modes is not None and n_modes < 1):
+        raise ParameterError("random_state needs seed >= 0 and n_modes >= 1")
     rng = np.random.default_rng(seed)
     mel = n_modes or basis.m
     mmag = n_modes or basis.m_magnetic
@@ -621,30 +614,3 @@ def random_state(
     ut = reconstruct(basis, amplitude * cv, "elastic")
     h = reconstruct(basis, amplitude * ch, "magnetic")
     return State(u, ut, h, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# parameter files
-
-def params_to_json(
-    material: MaterialParams,
-    dissipation: DissipationSpec,
-    forcing: Forcing,
-) -> str:
-    return json.dumps(
-        {
-            "material": material.to_dict(),
-            "dissipation": dissipation.to_dict(),
-            "forcing": forcing.to_dict(),
-        },
-        indent=2,
-    )
-
-
-def params_from_json(text: str) -> tuple[MaterialParams, DissipationSpec, Forcing]:
-    obj = json.loads(text)
-    return (
-        MaterialParams.from_dict(obj.get("material", {})),
-        DissipationSpec.from_dict(obj.get("dissipation", {})),
-        Forcing.from_dict(obj.get("forcing", {"period": 1.0})),
-    )

@@ -22,6 +22,7 @@ from .grid import (
     NonFiniteValueError,
     ParameterError,
     ScalarField,
+    Schema,
     VectorField2,
     interior_mask,
     lame_operator_matrix,
@@ -49,29 +50,17 @@ ENERGY_BLOWUP_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
-class StepperConfig:
+class StepperConfig(Schema):
+    section = "stepper"
     dt: float
     scheme: str = "imex_midpoint"
-    newton_tol: float = 1e-12
-    newton_max: int = 20
     sample_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
+        if self.dt <= 0 or self.sample_every < 1:
+            raise ParameterError("need dt > 0 and sample_every >= 1")
         if self.scheme not in ("imex_midpoint", "explicit_rk4"):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if self.newton_tol <= 0 or self.newton_max < 1 or self.sample_every < 1:
-            raise ParameterError("invalid stepper controls")
-
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "scheme": self.scheme,
-            "newton_tol": self.newton_tol,
-            "newton_max": self.newton_max,
-            "sample_every": self.sample_every,
-        }
 
 
 @dataclass(frozen=True)

@@ -249,3 +249,59 @@ def test_sweep_parallel(tmp_path):
 def test_replay_corrupt_archive(tmp_path):
     (tmp_path / "arc").mkdir()
     assert run_cli(["replay", "--output", str(tmp_path / "arc")]) == 2
+
+
+FORCED = {**SIM_CONFIG, "initial": {"kind": "zero"}, "forcing": {"period": 0.1, "terms": [
+    {"target": "f2", "g": {"a0": 0.0, "cos": [1.0]}, "shape": {"amplitude": 0.1, "component": 0}},
+]}}
+
+
+@pytest.mark.parametrize("level, doc, key", [
+    ("top level", {**FORCED, "seeed": 1}, "seeed"),
+    ("section", {**FORCED, "material": {"nu": 0.1}}, "nu"),
+    ("forcing term", {**FORCED, "forcing": {"period": 0.1, "terms": [
+        {"target": "f2", "gg": {}}]}}, "gg"),
+    ("g", {**FORCED, "forcing": {"period": 0.1, "terms": [
+        {"target": "f2", "g": {"coss": [1.0]}}]}}, "coss"),
+    ("shape", {**FORCED, "forcing": {"period": 0.1, "terms": [
+        {"target": "f2", "shape": {"compnent": 0}}]}}, "compnent"),
+    ("sweep entry", {**FORCED, "sweep": [{"seed": 1}, {"t_ned": 1.0}]}, "t_ned"),
+])
+def test_unknown_key_exits_2(tmp_path, capsys, level, doc, key):
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 2, level
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bug_is_not_a_validation_error(tmp_path, monkeypatch):
+    """A programming error in a runner propagates instead of exiting 2."""
+    def broken(run, outdir, strict):
+        return {}["missing"]
+
+    monkeypatch.setitem(cli._RUNNERS, "simulate", broken)
+    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
+    with pytest.raises(KeyError):
+        run_cli(["simulate", "--config", cfg, "--output", str(tmp_path / "o")])
+
+
+def test_run_json_records_resolved_config(tmp_path):
+    """run.json holds the config with every default filled in; re-running
+    it reproduces the archive and replay verifies it."""
+    cfg = write_config(tmp_path, "c.json", FORCED)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out1)]) == 0
+    resolved = json.loads((out1 / "run.json").read_text())["config"]
+    assert resolved["material"] == {"rho_m": 1.0, "mu": 1.0, "lambda": 0.5, "nu1": 0.1,
+                                    "mu0": 1.0, "b0": 1.0}
+    assert resolved["stepper"] == {"dt": 0.005, "scheme": "imex_midpoint", "sample_every": 10}
+    assert resolved["forcing"]["terms"][0]["shape"] == {
+        "jx": 1, "jy": 1, "amplitude": 0.1, "component": 0}
+    assert resolved["grid"] == {"nx": 10, "ny": 10, "lx": 1.0, "ly": 1.0}
+    cfg2 = write_config(tmp_path, "c2.json", resolved)
+    assert run_cli(["simulate", "--config", cfg2, "--output", str(out2)]) == 0
+    assert (out1 / "energy.csv").read_text() == (out2 / "energy.csv").read_text()
+    assert cli.replay(out1)["verified"]
+    versions = json.loads((out1 / "run.json").read_text())["versions"]
+    assert {"numpy", "scipy"} <= set(versions)

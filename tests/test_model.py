@@ -1,7 +1,10 @@
 """Physics assembly: coupling cancellation, dissipation laws, eigenbasis."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melab.grid import Grid2D, ParameterError, ScalarField, VectorField2, inner, mean, norm_l2, pin_boundary
 from melab.model import (
@@ -14,8 +17,6 @@ from melab.model import (
     dissipation_eval,
     induction_term,
     lorentz_force,
-    params_from_json,
-    params_to_json,
     project,
     random_state,
     reconstruct,
@@ -23,6 +24,7 @@ from melab.model import (
     validate_h2,
     validate_kc,
 )
+from melab.stepping import StepperConfig
 
 
 PARAMS = MaterialParams(rho_m=1.2, mu=1.0, lam=0.5, nu1=0.1, mu0=0.8, b0=1.5)
@@ -38,11 +40,21 @@ def basis(grid):
     return build_galerkin_basis(grid, PARAMS, m=6, m_magnetic=6)
 
 
-def test_coupling_energy_cancellation(grid):
+positive = st.floats(1e-2, 1e2)
+random_grids = st.builds(Grid2D, st.integers(4, 24), st.integers(4, 24),
+                         st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+random_params = st.builds(MaterialParams, rho_m=positive, mu=positive, lam=positive,
+                          nu1=positive, mu0=positive, b0=st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_grids, random_params, st.integers(0, 2**32 - 1))
+def test_coupling_energy_cancellation(grid, params, seed):
     """(lorentz(h), w) + mu0 * (induction(w, h), h) = 0: the semi-discrete
-    coupling terms exchange energy exactly."""
-    rng = np.random.default_rng(0)
-    for _ in range(10):
+    coupling terms exchange energy exactly, on any grid and for any
+    material."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
         h = ScalarField(grid, rng.standard_normal(grid.shape), bc="neumann")
         w = VectorField2(
             grid,
@@ -50,8 +62,8 @@ def test_coupling_energy_cancellation(grid):
             pin_boundary(rng.standard_normal(grid.shape)),
             bc="dirichlet_zero",
         )
-        lhs = inner(lorentz_force(h, PARAMS), w)
-        rhs_ = PARAMS.mu0 * inner(induction_term(w, h, PARAMS), h)
+        lhs = inner(lorentz_force(h, params), w)
+        rhs_ = params.mu0 * inner(induction_term(w, h, params), h)
         assert abs(lhs + rhs_) <= 1e-11 * max(1.0, abs(lhs))
 
 
@@ -114,6 +126,7 @@ def test_forcing_profiles(grid):
     ])
     v = f.f2(grid, 0.0)
     assert np.all(v.ux[0, :] == 0) and np.all(v.ux[-1, :] == 0)
+    assert np.abs(v.ux).max() > 0
     s = f.f1(grid, 0.3)
     assert abs(mean(ScalarField(grid, s.values))) <= 1e-13
     assert f.l1_l2_norm(grid) > 0
@@ -193,13 +206,79 @@ def test_rhs_assembles(grid, basis):
     assert np.all(acc.ux[0, :] == 0)
 
 
-def test_params_json_roundtrip():
-    spec = DissipationSpec(kind="power", alpha=0.1, k0=0.5, k1=1.0, p=3.5, r_rho=2.0, k_c=0.1)
-    f = Forcing(period=2.0, terms=[
-        {"target": "f1", "g": {"a0": 1.0, "cos": [], "sin": []},
-         "shape": {"jx": 1, "jy": 1, "amplitude": 0.1}},
-    ])
-    text = params_to_json(PARAMS, spec, f)
-    assert '"lambda"' in text
-    m2, s2, f2 = params_from_json(text)
-    assert m2 == PARAMS and s2 == spec and f2.period == f.period
+def test_forcing_component_selects_axis(grid):
+    """shape.component 0 forces ux only and 1 forces uy only; anything else
+    is refused."""
+    def f2(component):
+        return Forcing(period=1.0, terms=[
+            {"target": "f2", "g": {"a0": 1.0},
+             "shape": {"jx": 1, "jy": 1, "component": component}},
+        ]).f2(grid, 0.0)
+
+    v0, v1 = f2(0), f2(1)
+    assert np.abs(v0.ux).max() > 0 and np.all(v0.uy == 0)
+    assert np.abs(v1.uy).max() > 0 and np.all(v1.ux == 0)
+    assert np.array_equal(v0.ux, v1.uy)
+    for bad in (2, -1, "x", 0.5):
+        with pytest.raises(ParameterError):
+            f2(bad)
+
+
+trig = st.fixed_dictionaries({}, optional={
+    "a0": positive, "cos": st.lists(positive, max_size=3), "sin": st.lists(positive, max_size=3)})
+shape_f1 = {"jx": st.integers(0, 4), "jy": st.integers(0, 4), "amplitude": positive}
+terms = st.one_of(
+    st.fixed_dictionaries({"target": st.just("f1")}, optional={
+        "g": trig, "shape": st.fixed_dictionaries({}, optional=shape_f1)}),
+    st.fixed_dictionaries({"target": st.just("f2")}, optional={
+        "g": trig, "shape": st.fixed_dictionaries(
+            {}, optional={**shape_f1, "component": st.sampled_from([0, 1])})}),
+)
+parameter_objects = st.one_of(
+    st.builds(Grid2D, st.integers(4, 64), st.integers(4, 64), positive, positive),
+    random_params,
+    st.just(DissipationSpec()),
+    st.builds(DissipationSpec, kind=st.just("linear"), alpha=positive, k_c=positive),
+    st.builds(DissipationSpec, kind=st.just("power"), alpha=positive, k0=positive,
+              k1=positive, p=st.floats(3.0, 4.0), r_rho=positive, k_c=positive),
+    st.builds(Forcing, period=positive, terms=st.lists(terms, max_size=3)),
+    st.builds(StepperConfig, dt=positive, scheme=st.sampled_from(["imex_midpoint", "explicit_rk4"]),
+              sample_every=st.integers(1, 1000)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(parameter_objects)
+def test_params_json_roundtrip(x):
+    """Every parameter type reads back what its to_dict writes, through JSON."""
+    d = json.loads(json.dumps(x.to_dict()))
+    assert type(x).from_dict(d) == x
+    if isinstance(x, MaterialParams):
+        assert "lambda" in d and "lam" not in d
+
+
+@pytest.mark.parametrize("cls, doc, key", [
+    (Grid2D, {"nx": 8, "nxx": 8}, "nxx"),
+    (MaterialParams, {"lam": 0.5}, "lam"),
+    (DissipationSpec, {"kind": "linear", "alpha": 1.0, "alfa": 1.0}, "alfa"),
+    (StepperConfig, {"dt": 0.1, "newton_tol": 1e-12}, "newton_tol"),
+    (Forcing, {"period": 1.0, "term": []}, "term"),
+    (Forcing, {"period": 1.0, "terms": [{"target": "f1", "gg": {}}]}, "gg"),
+    (Forcing, {"period": 1.0, "terms": [{"target": "f1", "g": {"a1": 1.0}}]}, "a1"),
+    (Forcing, {"period": 1.0, "terms": [{"target": "f1", "shape": {"component": 0}}]},
+     "component"),
+])
+def test_from_dict_refuses_unknown_key(cls, doc, key):
+    with pytest.raises(ParameterError, match=repr(key)):
+        cls.from_dict(doc)
+
+
+def test_from_dict_fills_defaults_and_checks_types():
+    assert Grid2D.from_dict({}) == Grid2D(32, 32, 1.0, 1.0)
+    assert MaterialParams.from_dict({}) == MaterialParams(lam=0.5, nu1=0.1)
+    assert StepperConfig.from_dict({"dt": 1}).dt == 1.0
+    for cls, doc in [(StepperConfig, {}), (Grid2D, {"nx": "8"}), (Grid2D, {"nx": 8.5}),
+                     (MaterialParams, {"mu": True}), (Forcing, {"period": 1.0, "terms": {}}),
+                     (Grid2D, []), (Forcing, {"period": 1.0, "terms": [{"g": {}}]})]:
+        with pytest.raises(ParameterError):
+            cls.from_dict(doc)
