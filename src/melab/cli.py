@@ -3,8 +3,8 @@
     melab <experiment> --config <file> [--output <dir>] [--strict] [--jobs N]
 
 Each run writes a self-describing artifact directory: run.json (the config
-as parsed, every default filled in, plus versions), energy.csv, snapshots/,
-reports/*.json.  Exit codes:
+as parsed, every default filled in, plus versions and BLAS/LAPACK builds),
+energy.csv, snapshots/, reports/*.json.  Exit codes:
 0 completed, 2 validation error, 3 divergence, 4 failed condition check
 under --strict.
 """
@@ -186,7 +186,14 @@ def _write_snapshots(outdir: Path, traj: Trajectory) -> None:
         save_scalar_csv(snap / f"{k:04d}_h.csv", s.h)
 
 
+def _build_dependency(module, dep: str) -> str:
+    """Name and version of the BLAS or LAPACK a module was built against."""
+    d = getattr(module.__config__, "CONFIG", {}).get("Build Dependencies", {}).get(dep, {})
+    return f"{d.get('name', 'unknown')} {d.get('version', '')}".strip()
+
+
 def _write_run_json(outdir: Path, config: dict, extra: dict | None = None) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
     doc = {
         "config": config,
         "versions": {
@@ -194,6 +201,8 @@ def _write_run_json(outdir: Path, config: dict, extra: dict | None = None) -> No
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            **{f"{m.__name__}_{dep}": _build_dependency(m, dep)
+               for m in (np, scipy) for dep in ("blas", "lapack")},
         },
     }
     if extra:
@@ -218,7 +227,6 @@ def _json_default(obj):
 
 
 def _archive_trajectory(outdir: Path, config: dict, traj: Trajectory, extra=None) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     term = {"kind": traj.termination.kind, "t": traj.termination.t} if traj.termination else None
     info = {"termination": term}
     if extra:
@@ -301,7 +309,6 @@ def _exp_perturb(run, outdir, strict):
         grid, params, spec.alpha, c_e=c_e, c_h=pert.c_h, ep0=ep0
     )
     report = orbit_mod.check_decay_bound(pert, consts, spec.alpha, params.nu1)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_run_json(outdir, run.config, {"orbit": po.to_report()})
     _write_report(outdir, "decay", report)
     with open(outdir / "constants.json", "w") as fh:
@@ -341,7 +348,6 @@ def _exp_check_conditions(run, outdir, strict):
             "value": rc.value, "denominator": rc.denominator,
             "admissible": rc.admissible, "diagnostic": rc.diagnostic,
         }
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_run_json(outdir, run.config)
     _write_report(outdir, "conditions", doc)
     all_ok = reg["satisfied"] and stab["satisfied"] and doc.get(
@@ -354,7 +360,6 @@ def _exp_disk_mode(run, outdir, strict):
     d = run.config["disk_mode"]
     spec = analysis.DiskModeSpec.build(m=d["m"], radial_points=d["radial_points"])
     report = analysis.disk_mode_residual(spec, run.params)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_run_json(outdir, run.config)
     _write_report(outdir, "disk_mode", report)
     table = analysis.bessel_root_table(d["table_max"])
@@ -367,9 +372,8 @@ def _exp_disk_mode(run, outdir, strict):
 
 def _exp_eigenbasis(run, outdir, strict):
     basis = _basis(run)
-    outdir.mkdir(parents=True, exist_ok=True)
-    basis.save(outdir / "basis.npz")
     _write_run_json(outdir, run.config)
+    basis.save(outdir / "basis.npz")
     _write_report(outdir, "eigenbasis", {
         "grid_signature": run.grid.signature(),
         "m": basis.m,
@@ -388,7 +392,6 @@ def _exp_botsenyuk(run, outdir, strict):
         t_grid=np.asarray(b["t"]), x=np.asarray(b["x"]), gamma=np.asarray(b["gamma"]), a=b["a"],
     )
     report = analysis.botsenyuk_check(inp)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_run_json(outdir, run.config)
     _write_report(outdir, "botsenyuk", report)
     ok = report["admissible"] and report.get("conclusion_holds", False)

@@ -16,7 +16,8 @@ the model into a machine-checkable identity.
 Each operator has one definition: a sparse matrix assembled once per grid
 from 1D stencils by Kronecker products (``Grid2D.lap_neumann``,
 ``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``).  Applying an operator is a
-matrix-vector product with it; implicit solves and eigenproblems densify it.
+matrix-vector product with it; the implicit solves factor it in banded
+form and the eigenproblems densify it.
 
 The module also holds the config schema (``parse_section``, ``Schema``)
 through which every parameter type reads its section of a config file.
@@ -217,8 +218,12 @@ class Grid2D(Schema):
             sparse.kron(px, self.dmat_y[:, 1:-1]),
         ]).tocsr()
         w = sparse.diags_array(self.weights.ravel())
-        w_int = np.tile(self.weights[1:-1, 1:-1].ravel(), 2)
-        return (sparse.diags_array(1.0 / w_int) @ (d.T @ w @ d)).tocsr()
+        return (sparse.diags_array(1.0 / self.vector_weights) @ (d.T @ w @ d)).tocsr()
+
+    @cached_property
+    def vector_weights(self) -> np.ndarray:
+        """Trapezoid weights of the packed interior vector DOFs."""
+        return np.tile(self.weights[1:-1, 1:-1].ravel(), 2)
 
     @property
     def measure(self) -> float:
@@ -484,12 +489,6 @@ def bilinear_a2(u: VectorField2, w: VectorField2, mu: float, lam: float) -> floa
 # ---------------------------------------------------------------------------
 # operator matrices and interior packing
 
-def interior_mask(grid: Grid2D) -> np.ndarray:
-    m = np.zeros(grid.shape, dtype=bool)
-    m[1:-1, 1:-1] = True
-    return m
-
-
 def neumann_laplacian_matrix(grid: Grid2D) -> sparse.csr_array:
     """Sparse matrix of laplacian_neumann over all nodes (row-major); the
     grid's own ``lap_neumann``, not a copy."""
@@ -505,19 +504,24 @@ def lame_operator_matrix(grid: Grid2D, mu: float, lam: float) -> sparse.csr_arra
     return ((lam + mu) * grid.grad_div - mu * sparse.block_diag((lap, lap))).tocsr()
 
 
+def pack_arrays(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """Interior values of two nodal arrays, packed (ux row-major, then uy)."""
+    return np.concatenate([ux[1:-1, 1:-1].ravel(), uy[1:-1, 1:-1].ravel()])
+
+
+def unpack_arrays(grid: Grid2D, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal arrays (ux, uy), zero on the boundary, of packed interior DOFs."""
+    out = np.zeros((2,) + grid.shape)
+    out[:, 1:-1, 1:-1] = vec.reshape(2, grid.nx - 1, grid.ny - 1)
+    return out[0], out[1]
+
+
 def pack_interior(u: VectorField2) -> np.ndarray:
-    mask = interior_mask(u.grid)
-    return np.concatenate([u.ux[mask], u.uy[mask]])
+    return pack_arrays(u.ux, u.uy)
 
 
 def unpack_interior(grid: Grid2D, vec: np.ndarray) -> VectorField2:
-    mask = interior_mask(grid)
-    ni = grid.n_interior
-    ux = np.zeros(grid.shape)
-    uy = np.zeros(grid.shape)
-    ux[mask] = vec[:ni]
-    uy[mask] = vec[ni:]
-    return VectorField2(grid, ux, uy, bc="dirichlet_zero")
+    return VectorField2(grid, *unpack_arrays(grid, vec), bc="dirichlet_zero")
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,6 @@ from .grid import (
     ScalarField,
     Schema,
     VectorField2,
-    divergence,
-    gradient,
-    interior_mask,
     lame_apply,
     lame_operator_matrix,
     laplacian_neumann,
@@ -298,25 +295,36 @@ class State:
 # ---------------------------------------------------------------------------
 # coupling terms
 
-def lorentz_force(h: ScalarField, params: MaterialParams) -> VectorField2:
+def lorentz_nodal(grid: Grid2D, h: np.ndarray,
+                  params: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
     """Magnetic body-force contribution -mu0*(b0 + h)*grad h on the
-    right-hand side of the elastic equation."""
+    right-hand side of the elastic equation, on nodal arrays (x, y)."""
+    fac = -params.mu0 * (params.b0 + h)
+    return fac * (grid.dmat_x @ h), fac * (h @ grid.dmat_y.T)
+
+
+def induction_nodal(grid: Grid2D, vx: np.ndarray, vy: np.ndarray, h: np.ndarray,
+                    params: MaterialParams) -> np.ndarray:
+    """Right-hand-side contribution -div((b0 + h) u') of the magnetic
+    equation on nodal arrays; integrates to zero because the flux vanishes
+    on the boundary."""
+    fac = params.b0 + h
+    return -(grid.dmat_x @ (fac * vx) + (fac * vy) @ grid.dmat_y.T)
+
+
+def lorentz_force(h: ScalarField, params: MaterialParams) -> VectorField2:
+    """Field form of :func:`lorentz_nodal`."""
     if h.bc != "neumann":
         raise ContractViolationError("lorentz_force requires a Neumann field")
-    g = gradient(h)
-    fac = -params.mu0 * (params.b0 + h.values)
-    return VectorField2(h.grid, fac * g.ux, fac * g.uy, bc="none")
+    return VectorField2(h.grid, *lorentz_nodal(h.grid, h.values, params), bc="none")
 
 
 def induction_term(ut: VectorField2, h: ScalarField, params: MaterialParams) -> ScalarField:
-    """Right-hand-side contribution -div((b0 + h) u') of the magnetic
-    equation; integrates to zero because the flux vanishes on the boundary."""
+    """Field form of :func:`induction_nodal`."""
     if ut.bc != "dirichlet_zero":
         raise ContractViolationError("induction_term requires dirichlet_zero u'")
-    fac = params.b0 + h.values
-    flux = VectorField2(ut.grid, fac * ut.ux, fac * ut.uy, bc="dirichlet_zero")
-    d = divergence(flux)
-    return ScalarField(ut.grid, -d.values, bc="none")
+    return ScalarField(ut.grid, induction_nodal(ut.grid, ut.ux, ut.uy, h.values, params),
+                       bc="none")
 
 
 def dissipation_eval(spec: DissipationSpec, w: VectorField2) -> VectorField2:
@@ -422,38 +430,16 @@ def rhs(
 ) -> tuple[VectorField2, ScalarField]:
     """Assembled right-hand side (acceleration, dh/dt) of the full system."""
     g = state.grid
-    terms_v = {
-        "elastic": lame_apply(state.u, params.mu, params.lam),
-        "dissipation": dissipation_eval(spec, state.ut),
-        "lorentz": lorentz_force(state.h, params),
-        "f2": forcing.f2(g, state.t),
-    }
-    terms_s = {
-        "diffusion": laplacian_neumann(state.h),
-        "induction": induction_term(state.ut, state.h, params),
-        "f1": forcing.f1(g, state.t),
-    }
-    acc_x = (
-        -terms_v["elastic"].ux
-        - terms_v["dissipation"].ux
-        + terms_v["lorentz"].ux
-        + terms_v["f2"].ux
-    ) / params.rho_m
-    acc_y = (
-        -terms_v["elastic"].uy
-        - terms_v["dissipation"].uy
-        + terms_v["lorentz"].uy
-        + terms_v["f2"].uy
-    ) / params.rho_m
+    el = lame_apply(state.u, params.mu, params.lam)
+    damp = dissipation_eval(spec, state.ut)
+    lor = lorentz_force(state.h, params)
+    f2 = forcing.f2(g, state.t)
+    acc_x = (-el.ux - damp.ux + lor.ux + f2.ux) / params.rho_m
+    acc_y = (-el.uy - damp.uy + lor.uy + f2.uy) / params.rho_m
     acc = VectorField2(g, pin_boundary(acc_x), pin_boundary(acc_y), bc="dirichlet_zero")
-    hdot = ScalarField(
-        g,
-        params.nu1 * terms_s["diffusion"].values
-        + terms_s["induction"].values
-        + terms_s["f1"].values,
-        bc="none",
-    )
-    return acc, hdot
+    hdot = (params.nu1 * laplacian_neumann(state.h).values
+            + induction_term(state.ut, state.h, params).values + forcing.f1(g, state.t).values)
+    return acc, ScalarField(g, hdot, bc="none")
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +516,7 @@ def build_galerkin_basis(
     if m_magnetic < 1 or m_magnetic > n_nodes:
         raise ParameterError(f"need 1 <= m_magnetic <= {n_nodes} magnetic modes")
 
-    mask = interior_mask(grid)
-    wv = np.concatenate([grid.weights[mask], grid.weights[mask]])
+    wv = grid.vector_weights
     a_op = lame_operator_matrix(grid, params.mu, params.lam).toarray()
     k_el = wv[:, None] * a_op
     k_el = 0.5 * (k_el + k_el.T)
@@ -559,9 +544,7 @@ def project(basis: GalerkinBasis, field_) -> np.ndarray:
     if isinstance(field_, VectorField2):
         if field_.grid != basis.grid:
             raise DomainMismatchError("field grid does not match basis grid")
-        mask = interior_mask(basis.grid)
-        wv = np.concatenate([basis.grid.weights[mask], basis.grid.weights[mask]])
-        return basis.elastic_vecs.T @ (wv * pack_interior(field_))
+        return basis.elastic_vecs.T @ (basis.grid.vector_weights * pack_interior(field_))
     if isinstance(field_, ScalarField):
         if field_.grid != basis.grid:
             raise DomainMismatchError("field grid does not match basis grid")

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .grid import (
     Grid2D,
@@ -24,11 +25,11 @@ from .grid import (
     ScalarField,
     Schema,
     VectorField2,
-    interior_mask,
     lame_operator_matrix,
     neumann_laplacian_matrix,
+    pack_arrays,
     pack_interior,
-    pin_boundary,
+    unpack_arrays,
     unpack_interior,
 )
 from .model import (
@@ -38,10 +39,11 @@ from .model import (
     GalerkinBasis,
     MaterialParams,
     State,
-    induction_term,
-    lorentz_force,
+    induction_nodal,
+    lorentz_nodal,
     project,
     reconstruct,
+    rhs as model_rhs,
 )
 from . import energy as energy_mod
 
@@ -101,59 +103,74 @@ class Trajectory:
         return self.samples[-1]
 
 
+def _banded_cholesky(m, order: np.ndarray):
+    """Cholesky factor, in LAPACK upper banded storage, of the sparse
+    symmetric positive definite matrix m with its unknowns taken in
+    ``order`` (Golub & Van Loan, Matrix Computations, 4.3), as
+    (factor, order, inverse order).  Only one triangle is read, so an
+    asymmetric m is refused: it is a bug, not bad input."""
+    if abs(m - m.T).max() > 1e-14 * abs(m).max():
+        raise ValueError("implicit matrix is not symmetric")
+    rank = np.argsort(order)    # the inverse permutation
+    c = m.tocoo()
+    c.sum_duplicates()
+    i, j = rank[c.row], rank[c.col]
+    up = i <= j
+    bw = int(np.max(j[up] - i[up]))
+    ab = np.zeros((bw + 1, m.shape[0]))
+    ab[bw + i[up] - j[up], j[up]] = c.data[up]
+    return scipy.linalg.cholesky_banded(ab), order, rank
+
+
+def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
+    cb, order, rank = factor
+    return scipy.linalg.cho_solve_banded((cb, False), b[order], check_finite=False)[rank]
+
+
+def _node_order(n0: int, n1: int) -> np.ndarray:
+    """Row-major indices of an n0 x n1 node array, shorter side fastest."""
+    idx = np.arange(n0 * n1).reshape(n0, n1)
+    return (idx if n1 <= n0 else idx.T).ravel()
+
+
 @lru_cache(maxsize=8)
 def _implicit_ops(grid: Grid2D, dt: float, params: MaterialParams, alpha: float):
-    """The sparse explicit operators and the dense LU factors of the
-    implicit matrices for the IMEX midpoint step."""
+    """The sparse explicit operators, the nodal weights w and the banded
+    Cholesky factors of the implicit matrices of the IMEX midpoint step:
+    diag(w) (I - (dt/2) nu1 Lap), symmetric in that form, over all nodes,
+    and (2 rho_m + dt alpha) I + (dt^2/2) A_el with the interior DOFs
+    interleaved (ux, uy) per node."""
     a = 0.5 * dt
     lap = neumann_laplacian_matrix(grid)
-    m_h = np.eye(grid.n_nodes) - a * params.nu1 * lap.toarray()
-    lu_h = scipy.linalg.lu_factor(m_h)
+    w = grid.weights.ravel()
+    m_h = sparse.diags_array(w) @ (sparse.eye_array(grid.n_nodes) - (a * params.nu1) * lap)
     a_el = lame_operator_matrix(grid, params.mu, params.lam)
-    ni2 = 2 * grid.n_interior
-    m_u = (2.0 * params.rho_m + dt * alpha) * np.eye(ni2) + (dt * a) * a_el.toarray()
-    lu_u = scipy.linalg.lu_factor(m_u)
-    return lap, a_el, lu_h, lu_u
+    ni = grid.n_interior
+    m_u = (2.0 * params.rho_m + dt * alpha) * sparse.eye_array(2 * ni) + (dt * a) * a_el
+    nodes = _node_order(grid.nx - 1, grid.ny - 1)
+    return (lap, a_el, w,
+            _banded_cholesky(m_h, _node_order(grid.nx + 1, grid.ny + 1)),
+            _banded_cholesky(m_u, np.column_stack([nodes, nodes + ni]).ravel()))
 
 
-def _implicit_alpha(spec: DissipationSpec) -> float:
-    """Linear dissipation coefficient treated implicitly."""
-    return spec.alpha if spec.kind in ("linear", "power") else 0.0
-
-
-def _power_extra(spec: DissipationSpec, w: VectorField2) -> VectorField2:
-    """Superlinear part of the dissipation (explicit)."""
-    if spec.kind != "power":
-        return VectorField2.zeros(w.grid, bc="dirichlet_zero")
-    mag = np.sqrt(w.ux**2 + w.uy**2)
-    fac = spec.k1 * mag**spec.p
-    return VectorField2(
-        w.grid, pin_boundary(fac * w.ux), pin_boundary(fac * w.uy), bc="dirichlet_zero"
-    )
-
-
-def _explicit_forces(v: VectorField2, h: ScalarField, t: float,
-                     params, spec, forcing, grid):
-    """Coupling + forcing + superlinear dissipation, as (vector, scalar)."""
-    lor = lorentz_force(h, params)
-    f2x = f2y = f1 = 0.0    # no forcing terms: adds bit for bit as a zero field
+def _explicit_forces(vx, vy, h, t: float, params, spec, forcing, grid):
+    """Coupling + forcing + superlinear dissipation, from the nodal arrays
+    of u' and h: the packed interior acceleration and the raveled flux."""
+    lor_x, lor_y = lorentz_nodal(grid, h, params)
+    fh = induction_nodal(grid, vx, vy, h, params)
+    f2x = f2y = pw_x = pw_y = 0.0    # scalar zeros add bit for bit as zero fields
     if not forcing.is_zero:
         f2 = forcing.f2(grid, t)
-        f2x, f2y, f1 = f2.ux, f2.uy, forcing.f1(grid, t).values
-    pw = _power_extra(spec, v)
-    fu_x = pin_boundary((lor.ux + f2x - pw.ux) / params.rho_m)
-    fu_y = pin_boundary((lor.uy + f2y - pw.uy) / params.rho_m)
-    fh = induction_term(v, h, params).values + f1
-    return fu_x, fu_y, fh.ravel()
+        f2x, f2y, fh = f2.ux, f2.uy, fh + forcing.f1(grid, t).values
+    if spec.kind == "power":
+        fac = spec.k1 * np.sqrt(vx**2 + vy**2) ** spec.p
+        pw_x, pw_y = fac * vx, fac * vy
+    fu = pack_arrays(lor_x + f2x - pw_x, lor_y + f2y - pw_y) / params.rho_m
+    return fu, fh.ravel()
 
 
-def step(
-    state: State,
-    params: MaterialParams,
-    spec: DissipationSpec,
-    forcing: Forcing,
-    config: StepperConfig,
-) -> State:
+def step(state: State, params: MaterialParams, spec: DissipationSpec, forcing: Forcing,
+         config: StepperConfig) -> State:
     """Advance one step; boundary tags and mean(h) are preserved.  The
     energy blow-up guard is ``integrate``'s, which has both energies."""
     if config.scheme == "explicit_rk4":
@@ -162,53 +179,49 @@ def step(
 
 
 def _step_imex(state, params, spec, forcing, dt):
+    """One IMEX midpoint step on packed and nodal arrays; fields are built
+    only for the returned state.  Non-finite right-hand sides raise
+    NonFiniteValueError before the solves."""
     g = state.grid
     a = 0.5 * dt
-    alpha = _implicit_alpha(spec)
-    lap, a_el, lu_h, lu_u = _implicit_ops(g, dt, params, alpha)
+    alpha = 0.0 if spec.kind == "none" else spec.alpha    # the implicit linear damping
+    lap, a_el, w, chol_h, chol_u = _implicit_ops(g, dt, params, alpha)
 
     u_n = pack_interior(state.u)
     v_n = pack_interior(state.ut)
     h_n = state.h.values.ravel()
 
     # midpoint predictor (explicit half step)
-    fu_x0, fu_y0, fh0 = _explicit_forces(state.ut, state.h, state.t, params, spec, forcing, g)
-    fu0 = np.concatenate([fu_x0[interior_mask(g)], fu_y0[interior_mask(g)]])
+    fu0, fh0 = _explicit_forces(state.ut.ux, state.ut.uy, state.h.values, state.t,
+                                params, spec, forcing, g)
     el_n = -(a_el @ u_n)
     lu_n = (el_n - alpha * v_n) / params.rho_m
     lh_n = params.nu1 * (lap @ h_n)
-    u_hat = unpack_interior(g, u_n + a * v_n)
-    v_hat = unpack_interior(g, v_n + a * (lu_n + fu0))
-    h_hat = ScalarField(g, (h_n + a * (lh_n + fh0)).reshape(g.shape), bc="neumann")
-
-    t_mid = state.t + a
-    fu_x, fu_y, fh = _explicit_forces(v_hat, h_hat, t_mid, params, spec, forcing, g)
-    fu = np.concatenate([fu_x[interior_mask(g)], fu_y[interior_mask(g)]])
+    vx, vy = unpack_arrays(g, v_n + a * (lu_n + fu0))
+    h_hat = (h_n + a * (lh_n + fh0)).reshape(g.shape)
+    fu, fh = _explicit_forces(vx, vy, h_hat, state.t + a, params, spec, forcing, g)
 
     # implicit midpoint solves
-    rhs_h = h_n + a * lh_n + dt * fh
-    h_new = scipy.linalg.lu_solve(lu_h, rhs_h)
+    rhs_h = w * (h_n + a * lh_n + dt * fh)
     rhs_u = 2.0 * params.rho_m * v_n + dt * (el_n + params.rho_m * fu)
-    v_mid = scipy.linalg.lu_solve(lu_u, rhs_u)
-    u_new = u_n + dt * v_mid
-    v_new = 2.0 * v_mid - v_n
+    if not (np.isfinite(rhs_h).all() and np.isfinite(rhs_u).all()):
+        raise NonFiniteValueError(f"IMEX step from t={state.t:g} has non-finite values")
+    h_new = _cho_solve(chol_h, rhs_h)
+    v_mid = _cho_solve(chol_u, rhs_u)
 
     return State(
-        unpack_interior(g, u_new),
-        unpack_interior(g, v_new),
+        unpack_interior(g, u_n + dt * v_mid),
+        unpack_interior(g, 2.0 * v_mid - v_n),
         ScalarField(g, h_new.reshape(g.shape), bc="neumann"),
         state.t + dt,
     )
 
 
 def _step_rk4(state, params, spec, forcing, dt):
-    from .model import rhs as full_rhs
-
     g = state.grid
 
     def deriv(u, v, h, t):
-        st = State(u, v, h, t)
-        acc, hdot = full_rhs(st, params, spec, forcing)
+        acc, hdot = model_rhs(State(u, v, h, t), params, spec, forcing)
         return v, acc, hdot
 
     def advance(u, v, h, du, dv, dh, fac):
@@ -224,17 +237,14 @@ def _step_rk4(state, params, spec, forcing, dt):
     k3 = deriv(*advance(u, v, h, *k2, 0.5 * dt), t + 0.5 * dt)
     k4 = deriv(*advance(u, v, h, *k3, dt), t + dt)
 
-    ux = u.ux + (dt / 6.0) * (k1[0].ux + 2 * k2[0].ux + 2 * k3[0].ux + k4[0].ux)
-    uy = u.uy + (dt / 6.0) * (k1[0].uy + 2 * k2[0].uy + 2 * k3[0].uy + k4[0].uy)
-    vx = v.ux + (dt / 6.0) * (k1[1].ux + 2 * k2[1].ux + 2 * k3[1].ux + k4[1].ux)
-    vy = v.uy + (dt / 6.0) * (k1[1].uy + 2 * k2[1].uy + 2 * k3[1].uy + k4[1].uy)
-    hv = h.values + (dt / 6.0) * (
-        k1[2].values + 2 * k2[2].values + 2 * k3[2].values + k4[2].values
-    )
+    def rk(x, i, name):
+        a, b, c, d = (getattr(k[i], name) for k in (k1, k2, k3, k4))
+        return x + (dt / 6.0) * (a + 2 * b + 2 * c + d)
+
     return State(
-        VectorField2(g, ux, uy, bc="dirichlet_zero"),
-        VectorField2(g, vx, vy, bc="dirichlet_zero"),
-        ScalarField(g, hv, bc="neumann"),
+        VectorField2(g, rk(u.ux, 0, "ux"), rk(u.uy, 0, "uy"), bc="dirichlet_zero"),
+        VectorField2(g, rk(v.ux, 1, "ux"), rk(v.uy, 1, "uy"), bc="dirichlet_zero"),
+        ScalarField(g, rk(h.values, 2, "values"), bc="neumann"),
         t + dt,
     )
 
@@ -348,20 +358,19 @@ def integrate_galerkin(
     g = basis.grid
     dt = config.dt
     a = 0.5 * dt
-    alpha = _implicit_alpha(spec)
+    alpha = 0.0 if spec.kind == "none" else spec.alpha    # the implicit linear damping
     lam_el = basis.elastic_vals
     lam_mag = basis.magnetic_vals - 1.0     # nu1-scaled decay rates
     den_h = 1.0 + a * lam_mag
     den_u = 2.0 * params.rho_m + dt * alpha + dt * a * lam_el
 
+    ws = g.weights.ravel()
+
     def forces(cd, cth, t):
-        v = reconstruct(basis, cd, "elastic")
-        h = reconstruct(basis, cth, "magnetic")
-        fu_x, fu_y, fh = _explicit_forces(v, h, t, params, spec, forcing, g)
-        fv = VectorField2(g, fu_x, fu_y, bc="dirichlet_zero")
-        fu = project(basis, fv)
-        fhc = project(basis, ScalarField(g, fh.reshape(g.shape), bc="neumann"))
-        return fu, fhc
+        vx, vy = unpack_arrays(g, basis.elastic_vecs @ cd)
+        h = (basis.magnetic_vecs @ cth).reshape(g.shape)
+        fu, fh = _explicit_forces(vx, vy, h, t, params, spec, forcing, g)
+        return basis.elastic_vecs.T @ (g.vector_weights * fu), basis.magnetic_vecs.T @ (ws * fh)
 
     traj = CoeffTrajectory()
     t = 0.0

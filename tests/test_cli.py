@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from melab import cli
 
@@ -83,12 +84,13 @@ def test_validation_exit_code(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
 
-def test_overflow_exits_diverged(tmp_path):
+@pytest.mark.parametrize("scheme", ["explicit_rk4", "imex_midpoint"])
+def test_overflow_exits_diverged(tmp_path, scheme):
     """Fields that overflow during a step are divergence (exit 3) with the
-    run so far archived, not a validation error."""
+    run so far archived, not a validation error or a crash."""
     doc = dict(SIM_CONFIG)
     doc["grid"] = {"nx": 8, "ny": 8}
-    doc["stepper"] = {"dt": 0.5, "scheme": "explicit_rk4", "sample_every": 1}
+    doc["stepper"] = {"dt": 0.5, "scheme": scheme, "sample_every": 1}
     doc["initial"] = {"kind": "random", "amplitude": 1e150, "n_modes": 4}
     doc["t_end"] = 5.0
     cfg = write_config(tmp_path, "c.json", doc)
@@ -305,3 +307,8 @@ def test_run_json_records_resolved_config(tmp_path):
     assert cli.replay(out1)["verified"]
     versions = json.loads((out1 / "run.json").read_text())["versions"]
     assert {"numpy", "scipy"} <= set(versions)
+    for module in (np, scipy):
+        deps = module.__config__.CONFIG["Build Dependencies"]
+        for dep in ("blas", "lapack"):
+            assert versions[f"{module.__name__}_{dep}"] == (
+                f"{deps[dep]['name']} {deps[dep]['version']}")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from melab.grid import (
     ContractViolationError,
@@ -22,6 +23,7 @@ from melab.grid import (
     load_scalar_csv,
     load_vector_csv,
     mean,
+    neumann_laplacian_matrix,
     norm_l2,
     pack_interior,
     pin_boundary,
@@ -161,6 +163,28 @@ def test_lame_operator_matrix_matches_apply(grid, seed):
     ref = pack_interior(lame_apply(u, 1.0, 0.7))
     out = lame_operator_matrix(grid, 1.0, 0.7) @ pack_interior(u)
     assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _relative_asymmetry(m) -> float:
+    return abs(m - m.T).max() / abs(m).max()
+
+
+@identity_settings
+@given(grid=random_grids, mu=st.floats(1e-2, 1e2), lam=st.floats(1e-2, 1e2),
+       nu1=st.floats(1e-2, 1e2), dt=st.floats(1e-4, 1e-1))
+def test_implicit_matrices_symmetric_on_random_grids(grid, mu, lam, nu1, dt):
+    """The banded Cholesky factor reads one triangle of the two implicit
+    matrices, so the step's factor builder refuses an asymmetry above
+    1e-14 relative.  The Lame matrix is not always bit-symmetric (its
+    Gram products round differently by row and column), but stays far
+    inside that bound; diag(w) times the flux Laplacian is symmetric."""
+    a_el = lame_operator_matrix(grid, mu, lam)
+    m_u = sparse.eye_array(2 * grid.n_interior) + (0.5 * dt * dt) * a_el
+    w = sparse.diags_array(grid.weights.ravel())
+    m_h = w @ (sparse.eye_array(grid.n_nodes) - (0.5 * dt * nu1) * neumann_laplacian_matrix(grid))
+    assert _relative_asymmetry(a_el) <= 1e-14
+    assert _relative_asymmetry(m_u) <= 1e-14
+    assert _relative_asymmetry(m_h) <= 1e-14
 
 
 def test_a2_coercive(grid):

@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from melab.grid import Grid2D, ParameterError, ScalarField
+from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
+
+from melab.grid import (
+    Grid2D,
+    MelabError,
+    ParameterError,
+    ScalarField,
+    VectorField2,
+    lame_apply,
+    laplacian_neumann,
+    pack_interior,
+    pin_boundary,
+    unpack_interior,
+)
 from melab.model import (
     DissipationSpec,
     DivergedStateError,
@@ -11,6 +25,9 @@ from melab.model import (
     MaterialParams,
     State,
     build_galerkin_basis,
+    dissipation_eval,
+    induction_term,
+    lorentz_force,
     random_state,
 )
 from melab import energy, stepping
@@ -117,14 +134,21 @@ def test_divergence_detected(grid, basis):
     assert traj is not None and traj.termination.kind == "diverged"
 
 
-def test_overflowing_step_is_divergence():
+@pytest.mark.parametrize("scheme, amplitude", [
+    ("explicit_rk4", 1e150),
+    ("imex_midpoint", 1e80),
+    ("imex_midpoint", 1e100),
+    ("imex_midpoint", 1e150),
+])
+def test_overflowing_step_is_divergence(scheme, amplitude):
     """A step whose fields overflow ends the run as divergence at that
     step's time, with the trajectory so far attached; non-finite input
-    stays a validation error."""
+    stays a validation error.  The IMEX kernel checks its right-hand sides
+    before the banded solves, which would raise a bare ValueError."""
     g = Grid2D(8, 8, 1.0, 1.0)
     basis = build_galerkin_basis(g, PARAMS, m=4, m_magnetic=4)
-    st = random_state(g, basis, seed=7, amplitude=1e150, n_modes=4)
-    cfg = stepping.StepperConfig(dt=0.5, scheme="explicit_rk4", sample_every=1)
+    st = random_state(g, basis, seed=7, amplitude=amplitude, n_modes=4)
+    cfg = stepping.StepperConfig(dt=0.5, scheme=scheme, sample_every=1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedStateError) as err:
         stepping.integrate(st, 5.0, PARAMS, NONE, ZERO_F, cfg)
     assert err.value.term == "state" and err.value.t == 0.5
@@ -261,3 +285,141 @@ def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
         for x, y in ((a.u.ux, b.u.ux), (a.u.uy, b.u.uy), (a.ut.ux, b.ut.ux),
                      (a.ut.uy, b.ut.uy), (a.h.values, b.h.values)):
             assert x.tobytes() == y.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the array-level IMEX kernel against a field-level reference
+
+
+def _dense_columns(apply, n: int) -> np.ndarray:
+    """Dense matrix of a linear map on R^n, one unit vector at a time."""
+    cols = [apply(e) for e in np.eye(n)]
+    return np.column_stack(cols)
+
+
+def reference_step(state, params, spec, forcing, dt):
+    """One IMEX midpoint step written with the field API and dense solves:
+    elasticity, diffusion and the linear damping implicit, the coupling,
+    the forcing and the superlinear damping at an explicit midpoint."""
+    g = state.grid
+    a = 0.5 * dt
+    rho = params.rho_m
+    alpha = 0.0 if spec.kind == "none" else spec.alpha
+
+    def forces(v, h, t):
+        lor = lorentz_force(h, params)
+        f2 = forcing.f2(g, t)
+        damp = dissipation_eval(spec, v)
+        fx = pin_boundary((lor.ux + f2.ux - (damp.ux - alpha * v.ux)) / rho)
+        fy = pin_boundary((lor.uy + f2.uy - (damp.uy - alpha * v.uy)) / rho)
+        fh = induction_term(v, h, params).values + forcing.f1(g, t).values
+        return pack_interior(VectorField2(g, fx, fy, bc="dirichlet_zero")), fh.ravel()
+
+    n_u, n_h = 2 * g.n_interior, g.n_nodes
+    a_el = _dense_columns(
+        lambda e: pack_interior(lame_apply(unpack_interior(g, e), params.mu, params.lam)), n_u)
+    lap = _dense_columns(
+        lambda e: laplacian_neumann(ScalarField(g, e.reshape(g.shape), bc="neumann")).values.ravel(),
+        n_h)
+    u, v, h = pack_interior(state.u), pack_interior(state.ut), state.h.values.ravel()
+    fu0, fh0 = forces(state.ut, state.h, state.t)
+    v_hat = v + a * ((-(a_el @ u) - alpha * v) / rho + fu0)
+    h_hat = h + a * (params.nu1 * (lap @ h) + fh0)
+    fu, fh = forces(unpack_interior(g, v_hat),
+                    ScalarField(g, h_hat.reshape(g.shape), bc="neumann"), state.t + a)
+    h_new = np.linalg.solve(np.eye(n_h) - a * params.nu1 * lap,
+                            h + a * params.nu1 * (lap @ h) + dt * fh)
+    v_mid = np.linalg.solve((2.0 * rho + dt * alpha) * np.eye(n_u) + dt * a * a_el,
+                            2.0 * rho * v + dt * (-(a_el @ u) + rho * fu))
+    return State(unpack_interior(g, u + dt * v_mid), unpack_interior(g, 2.0 * v_mid - v),
+                 ScalarField(g, h_new.reshape(g.shape), bc="neumann"), state.t + dt)
+
+
+dissipations = st.one_of(
+    st.just(DissipationSpec(kind="none")),
+    st.builds(DissipationSpec, kind=st.just("linear"), alpha=st.floats(0.1, 3.0)),
+    st.builds(DissipationSpec, kind=st.just("power"), alpha=st.floats(0.0, 3.0),
+              k1=st.floats(0.0, 2.0), p=st.floats(3.0, 4.0)),
+)
+materials = st.builds(MaterialParams, rho_m=st.floats(0.5, 3.0), mu=st.floats(0.2, 3.0),
+                      lam=st.floats(0.2, 3.0), nu1=st.floats(0.05, 2.0),
+                      mu0=st.floats(0.2, 3.0), b0=st.floats(-2.0, 2.0))
+grids = st.builds(Grid2D, st.integers(4, 24), st.integers(4, 24),
+                  st.floats(0.2, 5.0), st.floats(0.2, 5.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(grid=grids, params=materials, spec=dissipations, dt=st.floats(1e-3, 2e-2),
+       t=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(grid=Grid2D(20, 6, 0.4, 3.0), params=PARAMS, spec=NONE, dt=1e-2, t=0.3, seed=1)
+@example(grid=Grid2D(5, 23, 4.5, 0.3), params=PARAMS,
+         spec=DissipationSpec(kind="power", alpha=0.5), dt=1e-2, t=0.0, seed=2)
+def test_step_matches_field_reference(grid, params, spec, dt, t, seed):
+    """One kernel step (banded Cholesky, interleaved and reordered DOFs,
+    packed arrays) equals the field-level reference with dense solves to
+    1e-12 relative on every field, forced in f1 and f2, on grids that are
+    wider than tall and taller than wide."""
+    rng = np.random.default_rng(seed)
+    forcing = Forcing(period=float(rng.uniform(0.5, 2.0)), terms=[
+        {"target": "f1", "g": {"a0": 0.1, "sin": [1.0]},
+         "shape": {"jx": 1, "jy": 2, "amplitude": float(rng.uniform(-1, 1))}},
+        {"target": "f2", "g": {"cos": [1.0, 0.5]},
+         "shape": {"jx": 2, "jy": 1, "amplitude": float(rng.uniform(-1, 1)),
+                   "component": int(rng.integers(2))}},
+    ])
+    state = State(
+        VectorField2(grid, pin_boundary(rng.standard_normal(grid.shape)),
+                     pin_boundary(rng.standard_normal(grid.shape)), bc="dirichlet_zero"),
+        VectorField2(grid, pin_boundary(rng.standard_normal(grid.shape)),
+                     pin_boundary(rng.standard_normal(grid.shape)), bc="dirichlet_zero"),
+        ScalarField(grid, rng.standard_normal(grid.shape), bc="neumann"),
+        t,
+    )
+    got = stepping.step(state, params, spec, forcing, stepping.StepperConfig(dt=dt))
+    want = reference_step(state, params, spec, forcing, dt)
+    assert got.t == want.t
+    for x, y in ((got.u.ux, want.u.ux), (got.u.uy, want.u.uy), (got.ut.ux, want.ut.ux),
+                 (got.ut.uy, want.ut.uy), (got.h.values, want.h.values)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_factor_refuses_asymmetric_matrix():
+    """An asymmetric implicit matrix is a bug, not bad input: the factor
+    builder raises, and not as a validation error."""
+    m = sparse.csr_array(np.array([[4.0, 1.0, 0.0], [1.0 + 1e-12, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+    with pytest.raises(ValueError, match="not symmetric") as err:
+        stepping._banded_cholesky(m, np.arange(3))
+    assert not isinstance(err.value, MelabError)
+
+
+def test_factor_memory_bounded_at_64():
+    """At 64 x 64 (7938 vector unknowns, beyond the dense eigenbasis) five
+    IMEX steps run, and the cached banded factors of both implicit
+    matrices hold at most 20 MB (a dense LU of the elastic one alone
+    would hold about 500 MB)."""
+    g = Grid2D(64, 64, 1.0, 1.0)
+    u = VectorField2.from_functions(
+        g, lambda x, y: 0.1 * np.sin(np.pi * x) * np.sin(np.pi * y),
+        lambda x, y: 0.05 * np.sin(2 * np.pi * x) * np.sin(np.pi * y), bc="dirichlet_zero")
+    h = ScalarField.from_function(g, lambda x, y: 0.1 * np.cos(np.pi * x), bc="neumann")
+    spec = DissipationSpec(kind="linear", alpha=0.5)
+    cfg = stepping.StepperConfig(dt=1e-3, sample_every=5)
+    traj = stepping.integrate(State(u, VectorField2.zeros(g, bc="dirichlet_zero"), h),
+                              5e-3, PARAMS, spec, ZERO_F, cfg)
+    assert traj.termination.kind == "completed"
+    hits = stepping._implicit_ops.cache_info().hits
+    ops = stepping._implicit_ops(g, cfg.dt, PARAMS, spec.alpha)
+    assert stepping._implicit_ops.cache_info().hits == hits + 1
+    held = sum(a.nbytes for factor in ops[-2:] for a in factor)
+    assert held <= 20e6
+
+
+@pytest.mark.parametrize("nx, ny", [(30, 6), (6, 30)])
+def test_factor_bandwidth_follows_shorter_side(nx, ny):
+    """Unknowns run along the shorter grid side, and the elastic DOFs are
+    interleaved (ux, uy) per node: the half-bandwidths are 4(min(nx, ny) - 1)
+    for the elastic matrix and min(nx, ny) + 1 for the magnetic one."""
+    ops = stepping._implicit_ops(Grid2D(nx, ny, 1.0, 1.0), 1e-2, PARAMS, 0.0)
+    (cb_h, _, _), (cb_u, _, _) = ops[-2:]
+    assert cb_u.shape[0] - 1 == 4 * (min(nx, ny) - 1)
+    assert cb_h.shape[0] - 1 == min(nx, ny) + 1
