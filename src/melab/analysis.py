@@ -15,11 +15,9 @@ from .grid import (
     MelabError,
     ParameterError,
     divergence,
-    inner,
     norm_l2,
-    unpack_interior,
 )
-from .model import MAX_DENSE_DOF, MaterialParams
+from .model import MaterialParams
 from . import energy as energy_mod
 
 
@@ -310,48 +308,34 @@ def disk_mode_residual(spec: DiskModeSpec, params: MaterialParams) -> dict:
 # ---------------------------------------------------------------------------
 # property P on rectangles: divergence-ratio floor of Dirichlet eigenmodes
 
+_GROUP_RTOL = 1e-6    # eigenvalues this close (relative) form one degenerate group
+
+
 def property_p_scan(grid: Grid2D, params: MaterialParams, m_modes: int) -> dict:
     """Divergence content of componentwise Dirichlet Laplacian eigenmodes.
 
-    Within each degenerate eigenvalue group the minimum of
-    ||div xi||^2 / ||xi||^2 over the span is a generalized eigenvalue of
-    the divergence Gram against the mass Gram; a positive floor means no
-    divergence-free eigenmode, the evidence that the rectangle has
-    property P."""
+    The closed-form DST modes are taken in whole degenerate groups (the cut
+    runs on to the end of the m_modes-th mode's group).  Within each group
+    the minimum of ||div xi||^2 / ||xi||^2 over the span is a generalized
+    eigenvalue of the divergence Gram F^T (grad_div F) against the mass Gram
+    F^T F; a positive floor means no divergence-free eigenmode, the evidence
+    that the rectangle has property P."""
     if m_modes < 1:
         raise ParameterError("need at least one mode")
-    if grid.n_interior > MAX_DENSE_DOF:
-        raise ParameterError(f"grid too large for the dense eigenscan (limit {MAX_DENSE_DOF} DOF)")
-    mat = (-grid.lap_dirichlet).toarray()
-    vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[0, min(m_modes, grid.n_interior) - 1])
+    vals, vecs = grid.dirichlet_modes(min(m_modes, grid.n_interior), group_rtol=_GROUP_RTOL)
     diam = float(np.hypot(grid.lx, grid.ly))
 
-    def to_field(vec, component):
-        zero = np.zeros_like(vec)
-        return unpack_interior(grid, np.concatenate((vec, zero) if component == 0 else (zero, vec)))
-
-    # group eigenvalues, then min generalized eigenvalue of the div Gram
     groups = []
     start = 0
     for k in range(1, len(vals) + 1):
-        if k == len(vals) or abs(vals[k] - vals[start]) > 1e-6 * max(1.0, vals[start]):
+        if k == len(vals) or abs(vals[k] - vals[start]) > _GROUP_RTOL * max(1.0, vals[start]):
             groups.append((start, k))
             start = k
     results = []
     for a, b in groups:
-        fields = []
-        for k in range(a, b):
-            fields.append(to_field(vecs[:, k], 0))
-            fields.append(to_field(vecs[:, k], 1))
-        divs = [divergence(f) for f in fields]
-        nf = len(fields)
-        gram_d = np.zeros((nf, nf))
-        gram_m = np.zeros((nf, nf))
-        for i in range(nf):
-            for j in range(i, nf):
-                gram_d[i, j] = gram_d[j, i] = inner(divs[i], divs[j])
-                gram_m[i, j] = gram_m[j, i] = inner(fields[i], fields[j])
-        lam_min = float(scipy.linalg.eigh(gram_d, gram_m, eigvals_only=True)[0])
+        f = scipy.linalg.block_diag(vecs[:, a:b], vecs[:, a:b])   # x, then y components
+        gram_d = f.T @ (grid.grad_div @ f)
+        lam_min = float(scipy.linalg.eigh(gram_d, f.T @ f, eigvals_only=True)[0])
         ratio = np.sqrt(max(lam_min, 0.0)) * diam
         results.append(
             {"eigenvalue": float(vals[a]), "multiplicity": b - a, "div_ratio": float(ratio)}

@@ -294,8 +294,9 @@ def _exp_perturb(run, outdir, strict):
             State.zero(grid), params, spec, forcing, run.stepper,
             tol=run.config["tol"], max_iter=run.config["max_iter"],
         )
+        basis = _basis(run)
         seed_state = random_state(
-            grid, _basis(run), seed=pconf["seed"], amplitude=pconf["amplitude"], mean_zero_h=True,
+            grid, basis, seed=pconf["seed"], amplitude=pconf["amplitude"], mean_zero_h=True,
         )
         pert = orbit_mod.run_perturbation(
             po, seed_state.u, seed_state.ut, seed_state.h, run.config["t_end"],
@@ -306,7 +307,7 @@ def _exp_perturb(run, outdir, strict):
     ep0 = float(pert.ep_series[0])
     c_e = max(rec.e1 for rec in pert.base_traj.energy_log)
     consts = energy_mod.assemble_constants(
-        grid, params, spec.alpha, c_e=c_e, c_h=pert.c_h, ep0=ep0
+        grid, params, spec.alpha, basis=basis, c_e=c_e, c_h=pert.c_h, ep0=ep0
     )
     report = orbit_mod.check_decay_bound(pert, consts, spec.alpha, params.nu1)
     _write_run_json(outdir, run.config, {"orbit": po.to_report()})

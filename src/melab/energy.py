@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,23 +153,18 @@ def lyapunov_g(
     return base + eps_or_eta * cross + 0.5 * alpha * eps_or_eta * inner(state.u, state.u)
 
 
-_POINCARE_CACHE: dict = {}
-
-
-def poincare_constant(grid: Grid2D, params: MaterialParams, basis=None) -> float:
+@lru_cache(maxsize=8)
+def poincare_constant(grid: Grid2D, params: MaterialParams) -> float:
     """Discrete Poincare constant 1/sqrt(lambda_1) of the elastic form:
     |v|_2 <= C * a2(v, v)^{1/2}, sharp on the ground mode."""
-    key = (grid.signature(), params.mu, params.lam)
-    if basis is None and key in _POINCARE_CACHE:
-        return _POINCARE_CACHE[key]
-    if basis is None:
-        basis = build_galerkin_basis(grid, params, m=1, m_magnetic=1)
+    return _poincare_of(build_galerkin_basis(grid, params, m=1, m_magnetic=1))
+
+
+def _poincare_of(basis) -> float:
     lam1 = float(basis.elastic_vals[0])
     if lam1 <= 0:
         raise MelabError("elastic eigensolve returned a nonpositive ground eigenvalue")
-    c = 1.0 / np.sqrt(lam1)
-    _POINCARE_CACHE[key] = c
-    return c
+    return 1.0 / np.sqrt(lam1)
 
 
 def admissible_shift(alpha: float, nu1: float, c_omega: float) -> float:
@@ -250,7 +246,7 @@ def energy_identity_residual(
     }
 
 
-def accumulate_ch(traj, params: MaterialParams) -> float:
+def accumulate_ch(traj) -> float:
     """Supremum over the sampled horizon of int_0^t |Lap h|^2 ds (time
     trapezoid over the energy log); nondecreasing in the horizon."""
     ts = np.array([rec.t for rec in traj.energy_log])
@@ -303,16 +299,23 @@ def assemble_constants(
         c_big0 = min(alpha, eta, 2*lam_neumann_1 * max(0, nu1/4 - 2*eta*c_e))
 
     where lam_neumann_1 is the smallest nonzero Neumann eigenvalue of the
-    scalar Laplacian (mean-zero h carries at least that much gradient).
+    scalar Laplacian (mean-zero h carries at least that much gradient), in
+    closed form.  C_Omega is the given basis's, else ``poincare_constant``'s.
     """
-    if basis is None:
-        basis = build_galerkin_basis(grid, params, m=1, m_magnetic=2)
     ledger = ConstantsLedger()
-    c_omega = 1.0 / np.sqrt(float(basis.elastic_vals[0]))
+    c_omega = poincare_constant(grid, params) if basis is None else _poincare_of(basis)
     ledger.set("c_omega", c_omega, "measured")
     ledger.set("c_mu", c_mu, "configured")
     eps = admissible_shift(alpha, params.nu1, c_omega)
     ledger.set("eps", eps, "measured")
+    lam_n1 = float(grid.neumann_modes(2)[0][1])
+
+    def c_big0(eta):
+        return min(
+            alpha if alpha > 0 else np.inf,
+            eta if eta > 0 else np.inf,
+            2.0 * lam_n1 * max(0.0, params.nu1 / 4.0 - 2.0 * eta * (c_e or 0.0)),
+        )
 
     # admissible eta for the perturbation functional
     eta = 0.5 * min(1.0, alpha / (2.0 * c_omega**2)) if alpha > 0 else 0.0
@@ -322,21 +325,10 @@ def assemble_constants(
         ledger.set("c_h_int", c_h, "measured")
         if ep0 is not None and ep0 > 0 and c_h > 0 and eta > 0:
             # keep eta inside the admissible list's third entry
-            lam_n1 = (float(basis.magnetic_vals[1]) - 1.0) / params.nu1
-            c0_probe = min(alpha, eta, 2.0 * lam_n1 * max(0.0, params.nu1 / 4.0 - 2.0 * eta * (c_e or 0.0)))
-            cap = c0_probe / (c_h * np.sqrt(2.0 * ep0))
+            cap = c_big0(eta) / (c_h * np.sqrt(2.0 * ep0))
             eta = min(eta, 0.5 * cap) if cap > 0 else eta
     ledger.set("eta", eta, "measured")
-
-    lam_n1 = (float(basis.magnetic_vals[1]) - 1.0) / params.nu1 if basis.m_magnetic > 1 else 0.0
-    c_big0 = min(
-        alpha if alpha > 0 else np.inf,
-        eta if eta > 0 else np.inf,
-        2.0 * lam_n1 * max(0.0, params.nu1 / 4.0 - 2.0 * eta * (c_e or 0.0)),
-    )
-    if not np.isfinite(c_big0):
-        c_big0 = 0.0
-    ledger.set("c_big0", max(c_big0, 0.0), "measured")
+    ledger.set("c_big0", c_big0(eta), "measured")
 
     if c_h is not None and ep0 is not None:
         c_big1 = (ledger.value("c_big0") - c_h * np.sqrt(2.0 * ep0) * eta) / (2.0 + alpha)

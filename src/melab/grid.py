@@ -16,8 +16,9 @@ the model into a machine-checkable identity.
 Each operator has one definition: a sparse matrix assembled once per grid
 from 1D stencils by Kronecker products (``Grid2D.lap_neumann``,
 ``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``).  Applying an operator is a
-matrix-vector product with it; the implicit solves factor it in banded
-form and the eigenproblems densify it.
+matrix-vector product with it and the implicit solves factor it in banded
+form.  The eigenpairs of both scalar Laplacians are closed forms, DCT-I and
+DST-I tensor modes (``Grid2D.neumann_modes``, ``Grid2D.dirichlet_modes``).
 
 The module also holds the config schema (``parse_section``, ``Schema``)
 through which every parameter type reads its section of a config file.
@@ -220,6 +221,19 @@ class Grid2D(Schema):
         w = sparse.diags_array(self.weights.ravel())
         return (sparse.diags_array(1.0 / self.vector_weights) @ (d.T @ w @ d)).tocsr()
 
+    def neumann_modes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The m lowest eigenpairs of -lap_neumann: DCT-I tensor modes over
+        all nodes, trapezoid-orthonormal, mode 0 constant."""
+        return _lowest_modes(_cosine_modes(self.wx, self.dx), _cosine_modes(self.wy, self.dy), m)
+
+    def dirichlet_modes(self, m: int, group_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """The m lowest eigenpairs of -lap_dirichlet: DST-I tensor modes on
+        interior nodes, trapezoid-orthonormal.  With group_rtol > 0 the cut
+        also takes every eigenvalue within group_rtol*max(1, v) above the
+        m-th, v, so that it ends with a whole degenerate group."""
+        return _lowest_modes(_sine_modes(self.nx - 1, self.dx), _sine_modes(self.ny - 1, self.dy),
+                             m, group_rtol)
+
     @cached_property
     def vector_weights(self) -> np.ndarray:
         """Trapezoid weights of the packed interior vector DOFs."""
@@ -254,6 +268,38 @@ def _flux_1d(w: np.ndarray, h: float) -> sparse.csr_array:
 def _second_difference(n: int, h: float) -> sparse.csr_array:
     """1D three-point second difference on n interior nodes, zero ends."""
     return sparse.diags_array([1.0, -2.0, 1.0], offsets=[-1, 0, 1], shape=(n, n)) / h**2
+
+
+def _trig_modes(fn, idx: np.ndarray, cells: int, h: float, w: np.ndarray):
+    """Eigenvalues (2 - 2cos(k pi/n))/h^2 and vectors fn(k pi i/n), i, k in
+    idx, of a 1D stencil on n cells, the vectors normalized under weights w."""
+    vecs = fn(np.pi * np.outer(idx, idx) / cells)
+    return (2.0 - 2.0 * np.cos(np.pi * idx / cells)) / h**2, vecs / np.sqrt(w @ vecs**2)
+
+
+def _cosine_modes(w: np.ndarray, h: float):
+    """Eigenpairs of -_flux_1d(w, h): cos(k pi i/n), i, k = 0..n."""
+    return _trig_modes(np.cos, np.arange(len(w)), len(w) - 1, h, w)
+
+
+def _sine_modes(n: int, h: float):
+    """Eigenpairs of -_second_difference(n, h): sin(k pi i/(n+1)), i, k = 1..n."""
+    return _trig_modes(np.sin, np.arange(1, n + 1), n + 1, h, np.full(n, h))
+
+
+def _lowest_modes(x, y, m: int, group_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The m lowest eigenpairs of the Kronecker sum of two 1D operators from
+    their pairs x (first index) and y (second index): eigenvalues ascending,
+    ties in (i, j) order, tensor-product vectors as columns over row-major
+    nodes; with group_rtol > 0 the cut is extended as in dirichlet_modes."""
+    (kx, vx), (ky, vy) = x, y
+    total = (kx[:, None] + ky[None, :]).ravel()
+    order = np.argsort(total, kind="stable")
+    if group_rtol > 0:
+        top = total[order[m - 1]]
+        m = int(np.searchsorted(total[order], top + group_rtol * max(1.0, top), side="right"))
+    i, j = np.unravel_index(order[:m], (len(kx), len(ky)))
+    return total[order[:m]], (vx[:, i][:, None, :] * vy[:, j][None, :, :]).reshape(-1, m)
 
 
 def _kron_sum(ax, ay) -> sparse.csr_array:

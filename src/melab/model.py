@@ -15,6 +15,7 @@ exactly at the semi-discrete level.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +32,6 @@ from .grid import (
     lame_apply,
     lame_operator_matrix,
     laplacian_neumann,
-    neumann_laplacian_matrix,
     norm_l2,
     pack_interior,
     pin_boundary,
@@ -152,23 +152,24 @@ def _parse_term(term) -> tuple[str, TrigPoly, dict]:
     return t["target"], TrigPoly.from_dict(t["g"]), shape
 
 
-def _shape_scalar(grid: Grid2D, shape: dict) -> np.ndarray:
-    """Spatial profile for the scalar forcing: cosine modes are mean-zero
-    unless (jx, jy) = (0, 0)."""
+@lru_cache(maxsize=32)
+def _profile(grid: Grid2D, target: str, jx: int, jy: int, amplitude: float,
+             component: int = 0) -> tuple[np.ndarray, ...]:
+    """A forcing term's spatial profile, built once per grid and shape and
+    read-only.  f1: (cosine product,), mean-zero unless (jx, jy) = (0, 0).
+    f2: (ux, uy), a sine product pinned to zero on the boundary (sin(pi) is
+    1.2e-16 in floating point), in ux for component 0 and uy for 1."""
     x, y = grid.xy
-    jx, jy, amp = shape["jx"], shape["jy"], shape["amplitude"]
-    return amp * np.cos(jx * np.pi * x / grid.lx) * np.cos(jy * np.pi * y / grid.ly)
-
-
-def _shape_vector(grid: Grid2D, shape: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial profile for the vector forcing: sine products, pinned to zero
-    on the boundary (sin(pi) is 1.2e-16 in floating point), in ux for
-    component 0 and uy for 1."""
-    x, y = grid.xy
-    jx, jy, amp = shape["jx"], shape["jy"], shape["amplitude"]
-    mode = pin_boundary(amp * np.sin(jx * np.pi * x / grid.lx) * np.sin(jy * np.pi * y / grid.ly))
-    zero = np.zeros(grid.shape)
-    return (mode, zero) if shape["component"] == 0 else (zero, mode)
+    if target == "f1":
+        out = (amplitude * np.cos(jx * np.pi * x / grid.lx) * np.cos(jy * np.pi * y / grid.ly),)
+    else:
+        mode = pin_boundary(
+            amplitude * np.sin(jx * np.pi * x / grid.lx) * np.sin(jy * np.pi * y / grid.ly))
+        zero = np.zeros(grid.shape)
+        out = (mode, zero) if component == 0 else (zero, mode)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -203,7 +204,7 @@ class Forcing(Schema):
         acc = np.zeros(grid.shape)
         for target, g, shape in self._parsed:
             if target == "f1":
-                acc += g(t, self.period) * _shape_scalar(grid, shape)
+                acc += g(t, self.period) * _profile(grid, target, **shape)[0]
         return ScalarField(grid, acc, bc="none")
 
     def f2(self, grid: Grid2D, t: float) -> VectorField2:
@@ -213,7 +214,7 @@ class Forcing(Schema):
             if target != "f2":
                 continue
             gt = g(t, self.period)
-            px, py = _shape_vector(grid, shape)
+            px, py = _profile(grid, target, **shape)
             ax += gt * px
             ay += gt * py
         return VectorField2(grid, ax, ay, bc="none")
@@ -480,21 +481,6 @@ class GalerkinBasis:
             magnetic_vecs=self.magnetic_vecs,
         )
 
-    @classmethod
-    def load(cls, path, grid: Grid2D) -> "GalerkinBasis":
-        data = np.load(path, allow_pickle=False)
-        if str(data["signature"]) != grid.signature():
-            raise DomainMismatchError("basis cache was built for a different grid")
-        return cls(
-            grid=grid,
-            m=int(data["m"]),
-            m_magnetic=int(data["m_magnetic"]),
-            elastic_vals=data["elastic_vals"],
-            elastic_vecs=data["elastic_vecs"],
-            magnetic_vals=data["magnetic_vals"],
-            magnetic_vecs=data["magnetic_vecs"],
-        )
-
 
 def build_galerkin_basis(
     grid: Grid2D,
@@ -502,39 +488,30 @@ def build_galerkin_basis(
     m: int,
     m_magnetic: int | None = None,
 ) -> GalerkinBasis:
-    """First m eigenpairs of the elastic form and m_magnetic of the
-    magnetic form against the quadrature mass.  Dense symmetric solve;
-    limited to MAX_DENSE_DOF interior unknowns."""
+    """First m eigenpairs of the elastic form and m_magnetic of the magnetic
+    form, trapezoid-orthonormal: the closed-form ``grid.neumann_modes`` with
+    values 1 + nu1*kappa, and, as every interior node weighs dx*dy, one dense
+    symmetric solve of the Lame matrix, limited to MAX_DENSE_DOF unknowns."""
     if m_magnetic is None:
         m_magnetic = m
     ni = grid.n_interior
-    n_nodes = grid.n_nodes
-    if 2 * ni > MAX_DENSE_DOF or n_nodes > MAX_DENSE_DOF:
+    if 2 * ni > MAX_DENSE_DOF:
         raise ParameterError(f"grid too large for dense eigensolve (limit {MAX_DENSE_DOF} DOF)")
     if m < 1 or m > 2 * ni:
         raise ParameterError(f"need 1 <= m <= {2 * ni} elastic modes")
-    if m_magnetic < 1 or m_magnetic > n_nodes:
-        raise ParameterError(f"need 1 <= m_magnetic <= {n_nodes} magnetic modes")
+    if m_magnetic < 1 or m_magnetic > grid.n_nodes:
+        raise ParameterError(f"need 1 <= m_magnetic <= {grid.n_nodes} magnetic modes")
 
-    wv = grid.vector_weights
-    a_op = lame_operator_matrix(grid, params.mu, params.lam).toarray()
-    k_el = wv[:, None] * a_op
-    k_el = 0.5 * (k_el + k_el.T)
-    vals, vecs = scipy.linalg.eigh(k_el, np.diag(wv), subset_by_index=(0, m - 1))
-
-    ws = grid.weights.ravel()
-    lap = neumann_laplacian_matrix(grid).toarray()
-    k_mag = ws[:, None] * (params.nu1 * (-lap))
-    k_mag = 0.5 * (k_mag + k_mag.T) + np.diag(ws)
-    mvals, mvecs = scipy.linalg.eigh(k_mag, np.diag(ws), subset_by_index=(0, m_magnetic - 1))
-
+    a_el = lame_operator_matrix(grid, params.mu, params.lam).toarray()
+    vals, vecs = scipy.linalg.eigh(a_el, subset_by_index=(0, m - 1))
+    kappa, mvecs = grid.neumann_modes(m_magnetic)
     return GalerkinBasis(
         grid=grid,
         m=m,
         m_magnetic=m_magnetic,
         elastic_vals=vals,
-        elastic_vecs=vecs,
-        magnetic_vals=mvals,
+        elastic_vecs=vecs / np.sqrt(grid.dx * grid.dy),
+        magnetic_vals=1.0 + params.nu1 * kappa,
         magnetic_vecs=mvecs,
     )
 

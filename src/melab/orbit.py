@@ -288,7 +288,7 @@ def run_perturbation(
         raise MelabError("base and perturbed trajectories sampled differently")
     diffs = [difference_state(sp, sb) for sb, sp in zip(base_traj.samples, pert_traj.samples)]
     eps = [energy_mod.energy_perturbation(d.u, d.ut, d.h, params) for d in diffs]
-    c_h = energy_mod.accumulate_ch(base_traj, params)
+    c_h = energy_mod.accumulate_ch(base_traj)
     return PerturbationRun(orbit, base_traj.times, np.asarray(eps), base_traj, pert_traj, c_h)
 
 

@@ -62,7 +62,7 @@ def test_poincare_constant_sharp(grid, basis):
     """|v| <= C a2(v,v)^{1/2} with equality on the ground mode."""
     from melab.grid import bilinear_a2, norm_l2
 
-    c = energy.poincare_constant(grid, PARAMS, basis=basis)
+    c = energy.poincare_constant(grid, PARAMS)
     v = basis.elastic_mode(0)
     ratio = norm_l2(v) / np.sqrt(bilinear_a2(v, v, PARAMS.mu, PARAMS.lam))
     assert ratio == pytest.approx(c, rel=1e-10)
@@ -139,12 +139,12 @@ def test_accumulate_ch_monotone(grid, basis):
     st = random_state(grid, basis, seed=5, amplitude=0.1)
     cfg = stepping.StepperConfig(dt=2e-3, sample_every=5)
     traj = stepping.integrate(st, 0.3, PARAMS, DissipationSpec(kind="none"), Forcing.zero(), cfg)
-    full = energy.accumulate_ch(traj, PARAMS)
+    full = energy.accumulate_ch(traj)
     traj_short = stepping.Trajectory(
         samples=traj.samples[: len(traj.samples) // 2],
         params=PARAMS, dissipation=traj.dissipation, forcing=traj.forcing,
     )
-    assert full >= energy.accumulate_ch(traj_short, PARAMS) - 1e-15
+    assert full >= energy.accumulate_ch(traj_short) - 1e-15
     assert full > 0
 
 
@@ -155,3 +155,30 @@ def test_assemble_constants(grid, basis):
         assert led.value(name) >= 0
     assert led.entries["c_omega"]["provenance"] == "measured"
     assert led.value("c_big1") <= led.value("c_big0") / (2.0 + 1.0) + 1e-12
+
+
+@pytest.mark.parametrize("extra", [{}, {"c_e": 0.01}, {"c_e": 0.01, "c_h": 0.2, "ep0": 1e-4}])
+def test_constants_need_no_magnetic_modes(grid, extra):
+    """The Neumann gap is a closed form, so a basis with one magnetic mode
+    gives the same ledger as one with eight."""
+    one = build_galerkin_basis(grid, PARAMS, m=8, m_magnetic=1)
+    eight = build_galerkin_basis(grid, PARAMS, m=8, m_magnetic=8)
+    a = energy.assemble_constants(grid, PARAMS, alpha=1.0, basis=one, **extra)
+    b = energy.assemble_constants(grid, PARAMS, alpha=1.0, basis=eight, **extra)
+    assert a.entries == b.entries
+    assert a.value("c_big0") > 0
+    no_basis = energy.assemble_constants(grid, PARAMS, alpha=1.0, **extra)
+    for name, entry in b.entries.items():
+        assert no_basis.value(name) == pytest.approx(entry["value"], rel=1e-12)
+
+
+def test_c_big0_carries_the_neumann_gap():
+    """Without c_e the coercivity constant is min(alpha, eta, nu1*lam_N1/2),
+    here the last: lam_N1 from a dense eigensolve of the Neumann Laplacian."""
+    g = Grid2D(12, 9, 1.2, 0.8)
+    w = g.weights.ravel()
+    sym = np.sqrt(w)[:, None] * -g.lap_neumann.toarray() / np.sqrt(w)[None, :]
+    gap = np.linalg.eigvalsh(0.5 * (sym + sym.T))[1]
+    led = energy.assemble_constants(g, PARAMS, alpha=1.0)
+    assert 0.5 * PARAMS.nu1 * gap < min(1.0, led.value("eta"))
+    assert led.value("c_big0") == pytest.approx(0.5 * PARAMS.nu1 * gap, rel=1e-12)

@@ -30,6 +30,7 @@ from melab.grid import (
     save_scalar_csv,
     save_vector_csv,
 )
+from melab.grid import _cosine_modes, _flux_1d, _second_difference, _sine_modes
 
 
 def random_scalar(grid, rng, bc="neumann"):
@@ -185,6 +186,48 @@ def test_implicit_matrices_symmetric_on_random_grids(grid, mu, lam, nu1, dt):
     assert _relative_asymmetry(a_el) <= 1e-14
     assert _relative_asymmetry(m_u) <= 1e-14
     assert _relative_asymmetry(m_h) <= 1e-14
+
+
+@identity_settings
+@given(grid=random_grids)
+def test_closed_form_1d_modes_satisfy_stencils(grid):
+    """Each 1D stencil maps its closed-form DCT-I / DST-I vectors to the
+    vectors times -(2 - 2cos(k pi/n))/h^2."""
+    for n, h, w in ((grid.nx, grid.dx, grid.wx), (grid.ny, grid.dy, grid.wy)):
+        for (vals, vecs), op in ((_cosine_modes(w, h), _flux_1d(w, h)),
+                                 (_sine_modes(n - 1, h), _second_difference(n - 1, h))):
+            assert np.abs(op @ vecs + vecs * vals).max() <= 1e-12 * vals.max() * np.abs(vecs).max()
+
+
+@identity_settings
+@given(grid=random_grids, m=st.integers(1, 40))
+def test_kron_modes_are_the_lowest_eigenpairs(grid, m):
+    """neumann_modes and dirichlet_modes are the m lowest eigenpairs of
+    -lap_neumann and -lap_dirichlet, ascending and trapezoid-orthonormal;
+    with a group tolerance the cut runs on to the end of the m-th mode's
+    group."""
+    inner_w = grid.weights[1:-1, 1:-1].ravel()
+    spectra = []
+    for lap, modes, w in ((grid.lap_neumann, grid.neumann_modes, grid.weights.ravel()),
+                          (grid.lap_dirichlet, grid.dirichlet_modes, inner_w)):
+        k = min(m, len(w))
+        vals, vecs = modes(k)
+        # -lap = diag(1/w) K with K symmetric: its spectrum is that of
+        # diag(w)^(1/2) (-lap) diag(w)^(-1/2)
+        sym = np.sqrt(w)[:, None] * -lap.toarray() / np.sqrt(w)[None, :]
+        ref = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        spectra.append(ref)
+        top = abs(lap).sum(axis=1).max()
+        assert np.all(np.diff(vals) >= 0)
+        assert np.abs(vals - ref[:k]).max() <= 1e-12 * top
+        assert np.abs(-(lap @ vecs) - vecs * vals).max() <= 1e-12 * top * np.abs(vecs).max()
+        assert np.abs(vecs.T @ (w[:, None] * vecs) - np.eye(k)).max() <= 1e-12
+    k = min(m, grid.n_interior)
+    vals, vecs = grid.dirichlet_modes(k, group_rtol=1e-6)
+    assert len(vals) >= k and vecs.shape == (grid.n_interior, len(vals))
+    assert vals[-1] - vals[k - 1] <= 1e-6 * max(1.0, vals[k - 1])
+    if len(vals) < grid.n_interior:
+        assert spectra[1][len(vals)] - vals[k - 1] > 1e-6 * max(1.0, vals[k - 1])
 
 
 def test_a2_coercive(grid):

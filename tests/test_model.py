@@ -4,13 +4,25 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
 from hypothesis import given, settings, strategies as st
 
-from melab.grid import Grid2D, ParameterError, ScalarField, VectorField2, inner, mean, norm_l2, pin_boundary
+from melab.grid import (
+    Grid2D,
+    ParameterError,
+    ScalarField,
+    VectorField2,
+    inner,
+    lame_operator_matrix,
+    mean,
+    neumann_laplacian_matrix,
+    norm_l2,
+    pin_boundary,
+)
 from melab.model import (
     DissipationSpec,
     Forcing,
-    GalerkinBasis,
     MaterialParams,
     State,
     build_galerkin_basis,
@@ -185,11 +197,49 @@ def test_projection_roundtrip(grid, basis):
 
 def test_basis_cache_roundtrip(tmp_path, grid, basis):
     basis.save(tmp_path / "b.npz")
-    again = GalerkinBasis.load(tmp_path / "b.npz", grid)
-    assert np.array_equal(again.elastic_vals, basis.elastic_vals)
-    other = Grid2D(10, 10, 1.0, 1.0)
-    with pytest.raises(Exception):
-        GalerkinBasis.load(tmp_path / "b.npz", other)
+    data = np.load(tmp_path / "b.npz", allow_pickle=False)
+    assert str(data["signature"]) == grid.signature()
+    assert (int(data["m"]), int(data["m_magnetic"])) == (basis.m, basis.m_magnetic)
+    for name in ("elastic_vals", "elastic_vecs", "magnetic_vals", "magnetic_vecs"):
+        assert np.array_equal(data[name], getattr(basis, name))
+
+
+def _dense_generalized_eigenvalues(grid, params, m, m_magnetic):
+    """Basis eigenvalues from dense generalized eigenproblems of the
+    symmetrized forms against the diagonal quadrature masses."""
+    wv = grid.vector_weights
+    k_el = wv[:, None] * lame_operator_matrix(grid, params.mu, params.lam).toarray()
+    vals = scipy.linalg.eigh(0.5 * (k_el + k_el.T), np.diag(wv),
+                             subset_by_index=(0, m - 1), eigvals_only=True)
+    ws = grid.weights.ravel()
+    k_mag = ws[:, None] * (params.nu1 * -neumann_laplacian_matrix(grid).toarray())
+    k_mag = 0.5 * (k_mag + k_mag.T) + np.diag(ws)
+    mvals = scipy.linalg.eigh(k_mag, np.diag(ws), subset_by_index=(0, m_magnetic - 1),
+                              eigvals_only=True)
+    return vals, mvals
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_grids, st.integers(1, 10), st.integers(1, 10))
+def test_basis_matches_dense_generalized_eigensolve(grid, m, m_magnetic):
+    """Closed-form magnetic modes and the plain symmetric elastic solve give
+    the eigenvalues of the generalized problems, trapezoid-orthonormal
+    eigenvectors and an exactly constant magnetic mode 0."""
+    b = build_galerkin_basis(grid, PARAMS, m=m, m_magnetic=m_magnetic)
+    vals, mvals = _dense_generalized_eigenvalues(grid, PARAMS, m, m_magnetic)
+    assert np.all(np.abs(b.elastic_vals - vals) <= 1e-12 * np.abs(vals))
+    assert np.all(np.abs(b.magnetic_vals - mvals) <= 1e-12 * np.abs(mvals))
+    ev, mv = b.elastic_vecs, b.magnetic_vecs
+    assert np.abs(ev.T @ (grid.vector_weights[:, None] * ev) - np.eye(m)).max() <= 1e-12
+    assert np.abs(mv.T @ (grid.weights.ravel()[:, None] * mv) - np.eye(m_magnetic)).max() <= 1e-12
+    assert np.all(mv[:, 0] == mv[0, 0])
+    # eigenvector residuals A v = lambda v, with A the Lame matrix and
+    # nu1 (-Lap) + I, against |A|_inf |v|_2
+    for op, vecs, lam in ((lame_operator_matrix(grid, PARAMS.mu, PARAMS.lam), ev, b.elastic_vals),
+                          (PARAMS.nu1 * -grid.lap_neumann + sparse.eye_array(grid.n_nodes),
+                           mv, b.magnetic_vals)):
+        scale = abs(op).sum(axis=1).max() * np.linalg.norm(vecs, axis=0).max()
+        assert np.abs(op @ vecs - vecs * lam).max() <= 1e-12 * scale
 
 
 def test_random_state_mean_zero(grid, basis):

@@ -30,7 +30,7 @@ from melab.model import (
     lorentz_force,
     random_state,
 )
-from melab import energy, stepping
+from melab import energy, model, stepping
 
 
 PARAMS = MaterialParams(rho_m=1.0, mu=1.0, lam=0.5, nu1=0.1, mu0=1.0, b0=1.0)
@@ -285,6 +285,36 @@ def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
         for x, y in ((a.u.ux, b.u.ux), (a.u.uy, b.u.uy), (a.ut.ux, b.ut.ux),
                      (a.ut.uy, b.ut.uy), (a.h.values, b.h.values)):
             assert x.tobytes() == y.tobytes()
+
+
+def test_forcing_profiles_built_once_per_grid(grid, basis):
+    """Over 100 forced steps each term's profile is built once per grid, is
+    read-only, and the forces equal the profiles computed afresh, bit for bit."""
+    f1 = {"target": "f1", "g": {"sin": [0.5]}, "shape": {"jx": 2, "jy": 1, "amplitude": 0.3}}
+    f2 = {"target": "f2", "g": {"cos": [1.0]}, "shape": {"jx": 1, "jy": 2, "component": 1}}
+    forcing = Forcing(period=0.5, terms=[f1, f2])
+    cfg = stepping.StepperConfig(dt=1e-2, sample_every=50)
+    spec = DissipationSpec(kind="linear", alpha=0.5)
+    model._profile.cache_clear()
+    st = random_state(grid, basis, seed=12, amplitude=0.05)
+    stepping.integrate(st, 1.0, PARAMS, spec, forcing, cfg)
+    info = model._profile.cache_info()
+    assert (info.misses, info.hits) == (2, 4 * 100 - 2)
+    other = Grid2D(10, 12, 1.0, 1.3)
+    stepping.integrate(State.zero(other), 1.0, PARAMS, spec, forcing, cfg)
+    assert model._profile.cache_info().misses == 4
+    for g in (grid, other):
+        x, y = g.xy
+        t = 0.3
+        gt1, gt2 = 0.5 * np.sin(2 * np.pi * t / 0.5), np.cos(2 * np.pi * t / 0.5)
+        s1 = 0.3 * np.cos(2 * np.pi * x / g.lx) * np.cos(np.pi * y / g.ly)
+        s2 = pin_boundary(1.0 * np.sin(np.pi * x / g.lx) * np.sin(2 * np.pi * y / g.ly))
+        assert forcing.f1(g, t).values.tobytes() == (np.zeros(g.shape) + gt1 * s1).tobytes()
+        v = forcing.f2(g, t)
+        assert v.uy.tobytes() == (np.zeros(g.shape) + gt2 * s2).tobytes()
+        assert not v.ux.any()
+        for a in model._profile(g, "f2", **forcing.terms[1]["shape"]):
+            assert not a.flags.writeable
 
 
 # ---------------------------------------------------------------------------
