@@ -154,7 +154,7 @@ def _energy_rows(traj: Trajectory) -> list[list[float]]:
     functional g and the energy-balance residual filled in."""
     params = traj.params
     spec = traj.dissipation
-    alpha = spec.alpha if spec.kind in ("linear", "power") else 0.0
+    alpha = spec.linear_alpha
     eps = None
     if alpha > 0:
         c_omega = energy_mod.poincare_constant(traj.samples[0].grid, params)

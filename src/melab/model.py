@@ -1,5 +1,5 @@
-"""Physical parameters, dissipation laws, forcing, right-hand sides and the
-spectral (eigenbasis) reduction of the coupled magnetoelastic system.
+"""Physical parameters, dissipation laws, forcing, the coupling terms and
+the spectral (eigenbasis) reduction of the coupled magnetoelastic system.
 
 The governing equations on the rectangle are
 
@@ -29,9 +29,7 @@ from .grid import (
     ScalarField,
     Schema,
     VectorField2,
-    lame_apply,
     lame_operator_matrix,
-    laplacian_neumann,
     norm_l2,
     pack_interior,
     pin_boundary,
@@ -42,7 +40,10 @@ from .grid import (
 
 
 class DivergedStateError(MelabError):
-    """A field or right-hand-side term stopped being finite."""
+    """A field or right-hand-side term stopped being finite; the integrators
+    attach the run so far as ``trajectory``."""
+
+    trajectory = None
 
     def __init__(self, term: str, t: float | None = None):
         self.term = term
@@ -96,6 +97,11 @@ class DissipationSpec(Schema):
                 raise ParameterError("power dissipation requires k0 > 0, k1 >= 0, r_rho > 0")
             if not (3.0 <= self.p <= 4.0):
                 raise ParameterError("power exponent p must lie in [3, 4]")
+
+    @property
+    def linear_alpha(self) -> float:
+        """The coefficient of the law's linear part alpha*z."""
+        return 0.0 if self.kind == "none" else self.alpha
 
     @property
     def q_exponent(self) -> float:
@@ -418,29 +424,6 @@ def validate_kc(spec: DissipationSpec, n_samples: int = 10_000, seed: int = 0) -
             "z": [float(w[i, 0]), float(w[i, 1])],
         }
     return report
-
-
-# ---------------------------------------------------------------------------
-# right-hand side
-
-def rhs(
-    state: State,
-    params: MaterialParams,
-    spec: DissipationSpec,
-    forcing: Forcing,
-) -> tuple[VectorField2, ScalarField]:
-    """Assembled right-hand side (acceleration, dh/dt) of the full system."""
-    g = state.grid
-    el = lame_apply(state.u, params.mu, params.lam)
-    damp = dissipation_eval(spec, state.ut)
-    lor = lorentz_force(state.h, params)
-    f2 = forcing.f2(g, state.t)
-    acc_x = (-el.ux - damp.ux + lor.ux + f2.ux) / params.rho_m
-    acc_y = (-el.uy - damp.uy + lor.uy + f2.uy) / params.rho_m
-    acc = VectorField2(g, pin_boundary(acc_x), pin_boundary(acc_y), bc="dirichlet_zero")
-    hdot = (params.nu1 * laplacian_neumann(state.h).values
-            + induction_term(state.ut, state.h, params).values + forcing.f1(g, state.t).values)
-    return acc, ScalarField(g, hdot, bc="none")
 
 
 # ---------------------------------------------------------------------------

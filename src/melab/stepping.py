@@ -1,12 +1,17 @@
 """Time integration of the coupled system, full-grid and reduced.
 
+Each scheme is written once, on flat coordinate arrays (u, u', h), over an
+``OperatorSet`` that the grid and a Galerkin basis both provide, so the
+reduced dynamics are the grid scheme in eigencoordinates.
+
 The default scheme is an IMEX midpoint rule: the stiff linear parts
 (elasticity, magnetic diffusion, the linear part of the mechanical
 dissipation) are advanced by the trapezoidal/midpoint implicit rule, while
 the semilinear coupling (magnetic body force, induction flux), forcing and
 the superlinear part of the dissipation are evaluated explicitly at a
 midpoint predictor.  With this splitting the per-step energy balance
-residual is O(dt^2) and mean(h) is conserved to round-off.
+residual is O(dt^2) and mean(h) is conserved to round-off.  The classical
+RK4 rule, every term explicit, is the cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .grid import (
     ParameterError,
     ScalarField,
     Schema,
-    VectorField2,
     lame_operator_matrix,
     neumann_laplacian_matrix,
     pack_arrays,
@@ -43,7 +47,6 @@ from .model import (
     lorentz_nodal,
     project,
     reconstruct,
-    rhs as model_rhs,
 )
 from . import energy as energy_mod
 
@@ -61,8 +64,8 @@ class StepperConfig(Schema):
     def __post_init__(self):
         if self.dt <= 0 or self.sample_every < 1:
             raise ParameterError("need dt > 0 and sample_every >= 1")
-        if self.scheme not in ("imex_midpoint", "explicit_rk4"):
-            raise ParameterError(f"unknown scheme {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            raise ParameterError(f"unknown scheme {self.scheme!r}; one of {sorted(SCHEMES)}")
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,12 @@ def _implicit_ops(grid: Grid2D, dt: float, params: MaterialParams, alpha: float)
             _banded_cholesky(m_u, np.column_stack([nodes, nodes + ni]).ravel()))
 
 
-def _explicit_forces(vx, vy, h, t: float, params, spec, forcing, grid):
-    """Coupling + forcing + superlinear dissipation, from the nodal arrays
-    of u' and h: the packed interior acceleration and the raveled flux."""
+def _explicit_forces(v, h, t: float, params, spec, forcing, grid):
+    """Coupling + forcing + superlinear dissipation, from the packed interior
+    u' and the raveled h: the packed interior acceleration and the raveled
+    flux."""
+    vx, vy = unpack_arrays(grid, v)
+    h = h.reshape(grid.shape)
     lor_x, lor_y = lorentz_nodal(grid, h, params)
     fh = induction_nodal(grid, vx, vy, h, params)
     f2x = f2y = pw_x = pw_y = 0.0    # scalar zeros add bit for bit as zero fields
@@ -169,84 +175,113 @@ def _explicit_forces(vx, vy, h, t: float, params, spec, forcing, grid):
     return fu, fh.ravel()
 
 
+# ---------------------------------------------------------------------------
+# the schemes, over an operator set in one coordinate system
+
+@dataclass(frozen=True)
+class OperatorSet:
+    """What the schemes need of the system in one coordinate system, with
+    (u, v, h) the displacement, the velocity and the magnetic field as flat
+    arrays: the two linear operators, the two implicit midpoint solves of
+    step dt and the explicit forces."""
+
+    rho_m: float
+    alpha: float          # the linear damping, taken implicitly
+    elastic: object       # u -> -A_el u
+    diffusion: object     # h -> nu1 Lap h
+    solve_u: object       # b -> ((2 rho_m + dt alpha) I + (dt^2/2) A_el)^-1 b
+    solve_h: object       # b -> (I - (dt/2) nu1 Lap)^-1 b
+    forces: object        # (v, h, t) -> explicit (acceleration, flux)
+
+
+def _grid_ops(grid: Grid2D, dt: float, params, spec, forcing) -> OperatorSet:
+    """Packed interior u, v and raveled nodal h: the sparse products and the
+    cached banded Cholesky factors."""
+    alpha = spec.linear_alpha
+    lap, a_el, w, chol_h, chol_u = _implicit_ops(grid, dt, params, alpha)
+    return OperatorSet(
+        params.rho_m, alpha,
+        elastic=lambda u: -(a_el @ u),
+        diffusion=lambda h: params.nu1 * (lap @ h),
+        solve_u=lambda b: _cho_solve(chol_u, b),
+        solve_h=lambda b: _cho_solve(chol_h, w * b),
+        forces=lambda v, h, t: _explicit_forces(v, h, t, params, spec, forcing, grid),
+    )
+
+
+def _galerkin_ops(basis: GalerkinBasis, dt: float, params, spec, forcing) -> OperatorSet:
+    """Eigencoordinates: the linear operators are diagonal in the
+    eigenvalues, the forces go reconstruct -> grid forces -> project."""
+    g = basis.grid
+    a = 0.5 * dt
+    alpha = spec.linear_alpha
+    lam_el = basis.elastic_vals
+    lam_mag = basis.magnetic_vals - 1.0     # nu1-scaled decay rates
+    den_u = 2.0 * params.rho_m + dt * alpha + dt * a * lam_el
+    den_h = 1.0 + a * lam_mag
+    ws = g.weights.ravel()
+
+    def forces(v, h, t):
+        fu, fh = _explicit_forces(basis.elastic_vecs @ v, basis.magnetic_vecs @ h, t,
+                                  params, spec, forcing, g)
+        return basis.elastic_vecs.T @ (g.vector_weights * fu), basis.magnetic_vecs.T @ (ws * fh)
+
+    return OperatorSet(
+        params.rho_m, alpha,
+        elastic=lambda c: -(lam_el * c),
+        diffusion=lambda ct: -(lam_mag * ct),
+        solve_u=lambda b: b / den_u,
+        solve_h=lambda b: b / den_h,
+        forces=forces,
+    )
+
+
+def imex_midpoint(ops: OperatorSet, u, v, h, t: float, dt: float):
+    """One IMEX midpoint step: elasticity, diffusion and the linear damping
+    by the implicit midpoint rule, the forces at an explicit midpoint
+    predictor.  Non-finite values pass through to the result."""
+    a = 0.5 * dt
+    rho = ops.rho_m
+    el, lh = ops.elastic(u), ops.diffusion(h)
+    fu0, fh0 = ops.forces(v, h, t)
+    v_hat = v + a * ((el - ops.alpha * v) / rho + fu0)
+    h_hat = h + a * (lh + fh0)
+    fu, fh = ops.forces(v_hat, h_hat, t + a)
+    v_mid = ops.solve_u(2.0 * rho * v + dt * (el + rho * fu))
+    return u + dt * v_mid, 2.0 * v_mid - v, ops.solve_h(h + a * lh + dt * fh)
+
+
+def explicit_rk4(ops: OperatorSet, u, v, h, t: float, dt: float):
+    """One classical fourth-order Runge-Kutta step, every term explicit."""
+    def rates(y, t):
+        u, v, h = y
+        fu, fh = ops.forces(v, h, t)
+        return v, (ops.elastic(u) - ops.alpha * v) / ops.rho_m + fu, ops.diffusion(h) + fh
+
+    y = (u, v, h)
+    k1 = rates(y, t)
+    k2 = rates([x + (0.5 * dt) * k for x, k in zip(y, k1)], t + 0.5 * dt)
+    k3 = rates([x + (0.5 * dt) * k for x, k in zip(y, k2)], t + 0.5 * dt)
+    k4 = rates([x + dt * k for x, k in zip(y, k3)], t + dt)
+    return tuple(x + (dt / 6.0) * (p + 2 * q + 2 * r + s)
+                 for x, p, q, r, s in zip(y, k1, k2, k3, k4))
+
+
+SCHEMES = {"imex_midpoint": imex_midpoint, "explicit_rk4": explicit_rk4}
+
+
 def step(state: State, params: MaterialParams, spec: DissipationSpec, forcing: Forcing,
          config: StepperConfig) -> State:
-    """Advance one step; boundary tags and mean(h) are preserved.  The
+    """Advance one step on the grid; boundary tags and mean(h) are
+    preserved.  Fields are built only for the returned state, whose
+    constructors refuse non-finite values (NonFiniteValueError).  The
     energy blow-up guard is ``integrate``'s, which has both energies."""
-    if config.scheme == "explicit_rk4":
-        return _step_rk4(state, params, spec, forcing, config.dt)
-    return _step_imex(state, params, spec, forcing, config.dt)
-
-
-def _step_imex(state, params, spec, forcing, dt):
-    """One IMEX midpoint step on packed and nodal arrays; fields are built
-    only for the returned state.  Non-finite right-hand sides raise
-    NonFiniteValueError before the solves."""
     g = state.grid
-    a = 0.5 * dt
-    alpha = 0.0 if spec.kind == "none" else spec.alpha    # the implicit linear damping
-    lap, a_el, w, chol_h, chol_u = _implicit_ops(g, dt, params, alpha)
-
-    u_n = pack_interior(state.u)
-    v_n = pack_interior(state.ut)
-    h_n = state.h.values.ravel()
-
-    # midpoint predictor (explicit half step)
-    fu0, fh0 = _explicit_forces(state.ut.ux, state.ut.uy, state.h.values, state.t,
-                                params, spec, forcing, g)
-    el_n = -(a_el @ u_n)
-    lu_n = (el_n - alpha * v_n) / params.rho_m
-    lh_n = params.nu1 * (lap @ h_n)
-    vx, vy = unpack_arrays(g, v_n + a * (lu_n + fu0))
-    h_hat = (h_n + a * (lh_n + fh0)).reshape(g.shape)
-    fu, fh = _explicit_forces(vx, vy, h_hat, state.t + a, params, spec, forcing, g)
-
-    # implicit midpoint solves
-    rhs_h = w * (h_n + a * lh_n + dt * fh)
-    rhs_u = 2.0 * params.rho_m * v_n + dt * (el_n + params.rho_m * fu)
-    if not (np.isfinite(rhs_h).all() and np.isfinite(rhs_u).all()):
-        raise NonFiniteValueError(f"IMEX step from t={state.t:g} has non-finite values")
-    h_new = _cho_solve(chol_h, rhs_h)
-    v_mid = _cho_solve(chol_u, rhs_u)
-
-    return State(
-        unpack_interior(g, u_n + dt * v_mid),
-        unpack_interior(g, 2.0 * v_mid - v_n),
-        ScalarField(g, h_new.reshape(g.shape), bc="neumann"),
-        state.t + dt,
-    )
-
-
-def _step_rk4(state, params, spec, forcing, dt):
-    g = state.grid
-
-    def deriv(u, v, h, t):
-        acc, hdot = model_rhs(State(u, v, h, t), params, spec, forcing)
-        return v, acc, hdot
-
-    def advance(u, v, h, du, dv, dh, fac):
-        return (
-            VectorField2(g, u.ux + fac * du.ux, u.uy + fac * du.uy, bc="dirichlet_zero"),
-            VectorField2(g, v.ux + fac * dv.ux, v.uy + fac * dv.uy, bc="dirichlet_zero"),
-            ScalarField(g, h.values + fac * dh.values, bc="neumann"),
-        )
-
-    u, v, h, t = state.u, state.ut, state.h, state.t
-    k1 = deriv(u, v, h, t)
-    k2 = deriv(*advance(u, v, h, *k1, 0.5 * dt), t + 0.5 * dt)
-    k3 = deriv(*advance(u, v, h, *k2, 0.5 * dt), t + 0.5 * dt)
-    k4 = deriv(*advance(u, v, h, *k3, dt), t + dt)
-
-    def rk(x, i, name):
-        a, b, c, d = (getattr(k[i], name) for k in (k1, k2, k3, k4))
-        return x + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-
-    return State(
-        VectorField2(g, rk(u.ux, 0, "ux"), rk(u.uy, 0, "uy"), bc="dirichlet_zero"),
-        VectorField2(g, rk(v.ux, 1, "ux"), rk(v.uy, 1, "uy"), bc="dirichlet_zero"),
-        ScalarField(g, rk(h.values, 2, "values"), bc="neumann"),
-        t + dt,
-    )
+    ops = _grid_ops(g, config.dt, params, spec, forcing)
+    u, v, h = SCHEMES[config.scheme](ops, pack_interior(state.u), pack_interior(state.ut),
+                                     state.h.values.ravel(), state.t, config.dt)
+    return State(unpack_interior(g, u), unpack_interior(g, v),
+                 ScalarField(g, h.reshape(g.shape), bc="neumann"), state.t + config.dt)
 
 
 def _step_count(t0: float, t_end: float, dt: float) -> int:
@@ -349,29 +384,16 @@ def integrate_galerkin(
     forcing: Forcing,
     config: StepperConfig,
 ) -> CoeffTrajectory:
-    """Reduced dynamics: the linear terms act diagonally through the
-    eigenvalues; coupling terms go reconstruct -> operator -> project.
-    Mirrors the IMEX midpoint structure of the grid stepper."""
+    """Reduced dynamics: the grid's scheme in eigencoordinates, where the
+    linear terms act diagonally through the eigenvalues and the forces go
+    reconstruct -> grid forces -> project.  Coefficients that stop being
+    finite raise DivergedStateError, with the trajectory so far attached."""
     c, cdot, ct = (np.array(x, dtype=float) for x in coeffs0)
     if c.shape != (basis.m,) or cdot.shape != (basis.m,) or ct.shape != (basis.m_magnetic,):
         raise ParameterError("coefficient dimensions do not match basis")
-    g = basis.grid
     dt = config.dt
-    a = 0.5 * dt
-    alpha = 0.0 if spec.kind == "none" else spec.alpha    # the implicit linear damping
-    lam_el = basis.elastic_vals
-    lam_mag = basis.magnetic_vals - 1.0     # nu1-scaled decay rates
-    den_h = 1.0 + a * lam_mag
-    den_u = 2.0 * params.rho_m + dt * alpha + dt * a * lam_el
-
-    ws = g.weights.ravel()
-
-    def forces(cd, cth, t):
-        vx, vy = unpack_arrays(g, basis.elastic_vecs @ cd)
-        h = (basis.magnetic_vecs @ cth).reshape(g.shape)
-        fu, fh = _explicit_forces(vx, vy, h, t, params, spec, forcing, g)
-        return basis.elastic_vecs.T @ (g.vector_weights * fu), basis.magnetic_vecs.T @ (ws * fh)
-
+    scheme = SCHEMES[config.scheme]
+    ops = _galerkin_ops(basis, dt, params, spec, forcing)
     traj = CoeffTrajectory()
     t = 0.0
 
@@ -383,21 +405,13 @@ def integrate_galerkin(
     n_steps = _step_count(0.0, t_end, dt)
     log()
     for k in range(n_steps):
-        fu0, fh0 = forces(cdot, ct, t)
-        lu0 = (-(lam_el * c) - alpha * cdot) / params.rho_m
-        lh0 = -lam_mag * ct
-        cd_hat = cdot + a * (lu0 + fu0)
-        ct_hat = ct + a * (lh0 + fh0)
-        fu, fh = forces(cd_hat, ct_hat, t + a)
-
-        ct = ((1.0 - a * lam_mag) * ct + dt * fh) / den_h
-        v_mid = (2.0 * params.rho_m * cdot + dt * (-(lam_el * c) + params.rho_m * fu)) / den_u
-        c = c + dt * v_mid
-        cdot = 2.0 * v_mid - cdot
+        c, cdot, ct = scheme(ops, c, cdot, ct, t, dt)
         t += dt
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(cdot)) and np.all(np.isfinite(ct))):
+        if not (np.isfinite(c).all() and np.isfinite(cdot).all() and np.isfinite(ct).all()):
             traj.termination = Termination("diverged", t)
-            raise DivergedStateError("galerkin_coeffs", t)
+            err = DivergedStateError("galerkin_coeffs", t)
+            err.trajectory = traj
+            raise err
         if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
             log()
     traj.termination = Termination("completed", t)

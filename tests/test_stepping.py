@@ -85,6 +85,19 @@ def test_second_order_self_convergence(grid, basis):
     assert e1 / e2 > 3.5
 
 
+def test_rk4_fourth_order_self_convergence(grid, basis):
+    """Richardson triple confirms order 4 of the RK4 scheme."""
+    st = random_state(grid, basis, seed=1, amplitude=0.05)
+    finals = []
+    for dt in (8e-3, 4e-3, 2e-3):
+        cfg = stepping.StepperConfig(dt=dt, scheme="explicit_rk4", sample_every=10**6)
+        traj = stepping.integrate(st, 0.2, PARAMS, NONE, ZERO_F, cfg)
+        finals.append(traj.final())
+    e1 = np.max(np.abs(finals[0].h.values - finals[1].h.values))
+    e2 = np.max(np.abs(finals[1].h.values - finals[2].h.values))
+    assert e1 / e2 > 12
+
+
 def test_mean_h_conserved(grid, basis):
     st = random_state(grid, basis, seed=2, amplitude=0.1, mean_zero_h=False)
     cfg = stepping.StepperConfig(dt=2e-3, sample_every=250)
@@ -142,9 +155,8 @@ def test_divergence_detected(grid, basis):
 ])
 def test_overflowing_step_is_divergence(scheme, amplitude):
     """A step whose fields overflow ends the run as divergence at that
-    step's time, with the trajectory so far attached; non-finite input
-    stays a validation error.  The IMEX kernel checks its right-hand sides
-    before the banded solves, which would raise a bare ValueError."""
+    step's time, with the trajectory so far attached, on the grid and in
+    eigencoordinates; non-finite input stays a validation error."""
     g = Grid2D(8, 8, 1.0, 1.0)
     basis = build_galerkin_basis(g, PARAMS, m=4, m_magnetic=4)
     st = random_state(g, basis, seed=7, amplitude=amplitude, n_modes=4)
@@ -155,22 +167,43 @@ def test_overflowing_step_is_divergence(scheme, amplitude):
     traj = err.value.trajectory
     assert traj.termination.kind == "diverged" and traj.termination.t == 0.5
     assert [s.t for s in traj.samples] == [0.0]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedStateError) as err:
+        stepping.integrate_galerkin(stepping.state_to_coeffs(basis, st), basis, 5.0,
+                                    PARAMS, NONE, ZERO_F, cfg)
+    assert err.value.term == "galerkin_coeffs" and err.value.t == 0.5
+    red = err.value.trajectory
+    assert red.termination.kind == "diverged" and red.termination.t == 0.5
+    assert red.times == [0.0] and len(red.coeffs) == len(red.energy_log) == 1
     with pytest.raises(ParameterError):
         ScalarField(g, np.full(g.shape, np.inf), bc="neumann")
 
 
-def test_galerkin_full_rank_equivalence():
+FORCED = Forcing(period=0.2, terms=[
+    {"target": "f1", "g": {"a0": 0.1, "sin": [1.0]}, "shape": {"jx": 1, "jy": 2, "amplitude": 0.5}},
+    {"target": "f2", "g": {"cos": [1.0]}, "shape": {"jx": 2, "jy": 1, "amplitude": 0.5}},
+])
+
+
+@pytest.mark.parametrize("scheme", list(stepping.SCHEMES))
+@pytest.mark.parametrize("spec, forcing", [
+    (DissipationSpec(kind="linear", alpha=0.3), ZERO_F),
+    (DissipationSpec(kind="power", alpha=0.3, k1=2.0, p=3.5), FORCED),
+], ids=["linear", "power-forced"])
+def test_galerkin_full_rank_equivalence(scheme, spec, forcing):
+    """At full rank the reduced dynamics are the grid scheme in other
+    coordinates, whichever scheme the config names."""
     g = Grid2D(8, 8, 1.0, 1.0)
     basis = build_galerkin_basis(g, PARAMS, m=2 * g.n_interior, m_magnetic=g.n_nodes)
     st = random_state(g, basis, seed=7, amplitude=0.05, n_modes=5)
     c0 = stepping.state_to_coeffs(basis, st)
-    cfg = stepping.StepperConfig(dt=2e-3, sample_every=10**6)
-    spec = DissipationSpec(kind="linear", alpha=0.3)
-    red = stepping.integrate_galerkin(c0, basis, 0.3, PARAMS, spec, ZERO_F, cfg)
+    cfg = stepping.StepperConfig(dt=2e-3, scheme=scheme, sample_every=10**6)
+    red = stepping.integrate_galerkin(c0, basis, 0.3, PARAMS, spec, forcing, cfg)
     red_state = stepping.coeffs_to_state(basis, *red.final(), 0.3)
-    full = stepping.integrate(st, 0.3, PARAMS, spec, ZERO_F, cfg).final()
-    assert np.max(np.abs(full.h.values - red_state.h.values)) < 1e-12
-    assert np.max(np.abs(full.u.ux - red_state.u.ux)) < 1e-12
+    full = stepping.integrate(st, 0.3, PARAMS, spec, forcing, cfg).final()
+    for x, y in ((full.u.ux, red_state.u.ux), (full.u.uy, red_state.u.uy),
+                 (full.ut.ux, red_state.ut.ux), (full.ut.uy, red_state.ut.uy),
+                 (full.h.values, red_state.h.values)):
+        assert np.max(np.abs(x - y)) < 1e-12
 
 
 def test_galerkin_truncation_energy_bounded(grid, basis):
@@ -327,42 +360,82 @@ def _dense_columns(apply, n: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def reference_step(state, params, spec, forcing, dt):
-    """One IMEX midpoint step written with the field API and dense solves:
-    elasticity, diffusion and the linear damping implicit, the coupling,
-    the forcing and the superlinear damping at an explicit midpoint."""
-    g = state.grid
-    a = 0.5 * dt
-    rho = params.rho_m
-    alpha = 0.0 if spec.kind == "none" else spec.alpha
-
+def _field_system(g, params, spec, forcing):
+    """The system written with the field API: dense matrices of lame_apply
+    and laplacian_neumann, and the explicit terms (coupling, forcing and the
+    whole dissipation law, over rho_m) of fields u', h at time t."""
     def forces(v, h, t):
         lor = lorentz_force(h, params)
         f2 = forcing.f2(g, t)
         damp = dissipation_eval(spec, v)
-        fx = pin_boundary((lor.ux + f2.ux - (damp.ux - alpha * v.ux)) / rho)
-        fy = pin_boundary((lor.uy + f2.uy - (damp.uy - alpha * v.uy)) / rho)
+        fx = pin_boundary((lor.ux + f2.ux - damp.ux) / params.rho_m)
+        fy = pin_boundary((lor.uy + f2.uy - damp.uy) / params.rho_m)
         fh = induction_term(v, h, params).values + forcing.f1(g, t).values
         return pack_interior(VectorField2(g, fx, fy, bc="dirichlet_zero")), fh.ravel()
 
-    n_u, n_h = 2 * g.n_interior, g.n_nodes
     a_el = _dense_columns(
-        lambda e: pack_interior(lame_apply(unpack_interior(g, e), params.mu, params.lam)), n_u)
+        lambda e: pack_interior(lame_apply(unpack_interior(g, e), params.mu, params.lam)),
+        2 * g.n_interior)
     lap = _dense_columns(
         lambda e: laplacian_neumann(ScalarField(g, e.reshape(g.shape), bc="neumann")).values.ravel(),
-        n_h)
+        g.n_nodes)
+    return a_el, lap, forces
+
+
+def _fields(g, u, v, h, t):
+    return State(unpack_interior(g, u), unpack_interior(g, v),
+                 ScalarField(g, h.reshape(g.shape), bc="neumann"), t)
+
+
+def reference_imex(state, params, spec, forcing, dt):
+    """One IMEX midpoint step with dense solves: elasticity, diffusion and
+    the linear damping implicit, the coupling, the forcing and the
+    superlinear damping at an explicit midpoint."""
+    g = state.grid
+    a = 0.5 * dt
+    rho = params.rho_m
+    alpha = 0.0 if spec.kind == "none" else spec.alpha
+    a_el, lap, field_forces = _field_system(g, params, spec, forcing)
+
+    def forces(v, h, t):    # the linear damping goes back to the implicit side
+        fu, fh = field_forces(unpack_interior(g, v),
+                              ScalarField(g, h.reshape(g.shape), bc="neumann"), t)
+        return fu + alpha * v / rho, fh
+
+    n_u, n_h = a_el.shape[0], lap.shape[0]
     u, v, h = pack_interior(state.u), pack_interior(state.ut), state.h.values.ravel()
-    fu0, fh0 = forces(state.ut, state.h, state.t)
+    fu0, fh0 = forces(v, h, state.t)
     v_hat = v + a * ((-(a_el @ u) - alpha * v) / rho + fu0)
     h_hat = h + a * (params.nu1 * (lap @ h) + fh0)
-    fu, fh = forces(unpack_interior(g, v_hat),
-                    ScalarField(g, h_hat.reshape(g.shape), bc="neumann"), state.t + a)
+    fu, fh = forces(v_hat, h_hat, state.t + a)
     h_new = np.linalg.solve(np.eye(n_h) - a * params.nu1 * lap,
                             h + a * params.nu1 * (lap @ h) + dt * fh)
     v_mid = np.linalg.solve((2.0 * rho + dt * alpha) * np.eye(n_u) + dt * a * a_el,
                             2.0 * rho * v + dt * (-(a_el @ u) + rho * fu))
-    return State(unpack_interior(g, u + dt * v_mid), unpack_interior(g, 2.0 * v_mid - v),
-                 ScalarField(g, h_new.reshape(g.shape), bc="neumann"), state.t + dt)
+    return _fields(g, u + dt * v_mid, 2.0 * v_mid - v, h_new, state.t + dt)
+
+
+def reference_rk4(state, params, spec, forcing, dt):
+    """One classical RK4 step of the field-level right-hand side, every
+    term explicit."""
+    g = state.grid
+    a_el, lap, forces = _field_system(g, params, spec, forcing)
+
+    def rates(u, v, h, t):
+        fu, fh = forces(unpack_interior(g, v), ScalarField(g, h.reshape(g.shape), bc="neumann"), t)
+        return v, -(a_el @ u) / params.rho_m + fu, params.nu1 * (lap @ h) + fh
+
+    y = (pack_interior(state.u), pack_interior(state.ut), state.h.values.ravel())
+    t = state.t
+    k1 = rates(*y, t)
+    k2 = rates(*(x + 0.5 * dt * k for x, k in zip(y, k1)), t + 0.5 * dt)
+    k3 = rates(*(x + 0.5 * dt * k for x, k in zip(y, k2)), t + 0.5 * dt)
+    k4 = rates(*(x + dt * k for x, k in zip(y, k3)), t + dt)
+    new = [x + dt / 6.0 * (p + 2.0 * q + 2.0 * r + w) for x, p, q, r, w in zip(y, k1, k2, k3, k4)]
+    return _fields(g, *new, t + dt)
+
+
+REFERENCES = {"imex_midpoint": reference_imex, "explicit_rk4": reference_rk4}
 
 
 dissipations = st.one_of(
@@ -378,17 +451,18 @@ grids = st.builds(Grid2D, st.integers(4, 24), st.integers(4, 24),
                   st.floats(0.2, 5.0), st.floats(0.2, 5.0))
 
 
+@pytest.mark.parametrize("scheme", list(stepping.SCHEMES))
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(grid=grids, params=materials, spec=dissipations, dt=st.floats(1e-3, 2e-2),
        t=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
 @example(grid=Grid2D(20, 6, 0.4, 3.0), params=PARAMS, spec=NONE, dt=1e-2, t=0.3, seed=1)
 @example(grid=Grid2D(5, 23, 4.5, 0.3), params=PARAMS,
          spec=DissipationSpec(kind="power", alpha=0.5), dt=1e-2, t=0.0, seed=2)
-def test_step_matches_field_reference(grid, params, spec, dt, t, seed):
-    """One kernel step (banded Cholesky, interleaved and reordered DOFs,
-    packed arrays) equals the field-level reference with dense solves to
-    1e-12 relative on every field, forced in f1 and f2, on grids that are
-    wider than tall and taller than wide."""
+def test_step_matches_field_reference(scheme, grid, params, spec, dt, t, seed):
+    """One kernel step (packed arrays; for IMEX banded Cholesky solves with
+    interleaved and reordered DOFs) equals the field-level reference with
+    dense operators to 1e-12 relative on every field, forced in f1 and f2,
+    on grids that are wider than tall and taller than wide."""
     rng = np.random.default_rng(seed)
     forcing = Forcing(period=float(rng.uniform(0.5, 2.0)), terms=[
         {"target": "f1", "g": {"a0": 0.1, "sin": [1.0]},
@@ -405,8 +479,8 @@ def test_step_matches_field_reference(grid, params, spec, dt, t, seed):
         ScalarField(grid, rng.standard_normal(grid.shape), bc="neumann"),
         t,
     )
-    got = stepping.step(state, params, spec, forcing, stepping.StepperConfig(dt=dt))
-    want = reference_step(state, params, spec, forcing, dt)
+    got = stepping.step(state, params, spec, forcing, stepping.StepperConfig(dt=dt, scheme=scheme))
+    want = REFERENCES[scheme](state, params, spec, forcing, dt)
     assert got.t == want.t
     for x, y in ((got.u.ux, want.u.ux), (got.u.uy, want.u.uy), (got.ut.ux, want.ut.ux),
                  (got.ut.uy, want.ut.uy), (got.h.values, want.h.values)):
