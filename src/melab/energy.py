@@ -21,7 +21,6 @@ from .grid import (
     ScalarField,
     VectorField2,
     bilinear_a2,
-    divergence,
     grad_edge_inner,
     inner,
     lame_apply,
@@ -89,19 +88,23 @@ class ConstantsLedger:
 # ---------------------------------------------------------------------------
 # energies
 
-def energy_total(state: State, params: MaterialParams) -> float:
-    """Total energy: kinetic + elastic + magnetic, the magnetic term
-    weighted by mu0 so the dissipation identity closes for any mu0."""
-    g = state.grid
-    kin = params.rho_m * inner(state.ut, state.ut)
-    el = params.mu * (
-        grad_edge_inner(state.u.ux, state.u.ux, g)
-        + grad_edge_inner(state.u.uy, state.u.uy, g)
-    )
-    dv = divergence(state.u)
-    el += (params.lam + params.mu) * inner(dv, dv)
-    mag = params.mu0 * inner(state.h, state.h)
+def energy_nodal(grid: Grid2D, params: MaterialParams, ux, uy, vx, vy, h) -> float:
+    """Total energy of nodal arrays (u, u', h): kinetic + elastic +
+    magnetic, the magnetic term weighted by mu0 so the dissipation identity
+    closes for any mu0."""
+    w = grid.weights
+    kin = params.rho_m * float(np.sum((vx * vx + vy * vy) * w))
+    el = params.mu * (grad_edge_inner(ux, ux, grid) + grad_edge_inner(uy, uy, grid))
+    dv = grid.dmat_x @ ux + uy @ grid.dmat_y.T     # the collocated divergence
+    el += (params.lam + params.mu) * float(np.sum(dv * dv * w))
+    mag = params.mu0 * float(np.sum(h * h * w))
     return 0.5 * (kin + el + mag)
+
+
+def energy_total(state: State, params: MaterialParams) -> float:
+    """Field form of :func:`energy_nodal`."""
+    return energy_nodal(state.grid, params, state.u.ux, state.u.uy,
+                        state.ut.ux, state.ut.uy, state.h.values)
 
 
 def energy_e1(state: State, params: MaterialParams) -> float:
@@ -119,13 +122,9 @@ def energy_e1(state: State, params: MaterialParams) -> float:
 def energy_perturbation(
     v: VectorField2, vt: VectorField2, b: ScalarField, params: MaterialParams
 ) -> float:
-    """Perturbation energy: |v'|^2 + elastic form of v + mu0 |b|^2, halved."""
-    val = (
-        inner(vt, vt)
-        + bilinear_a2(v, v, params.mu, params.lam)
-        + params.mu0 * inner(b, b)
-    )
-    return 0.5 * val
+    """Perturbation energy of the triple (v, v', b): the total energy's
+    form, rho_m-weighted kinetic term included."""
+    return energy_nodal(v.grid, params, v.ux, v.uy, vt.ux, vt.uy, b.values)
 
 
 def lyapunov_g(
@@ -133,22 +132,13 @@ def lyapunov_g(
     eps_or_eta: float,
     alpha: float,
     params: MaterialParams,
-    kind: str = "total",
     e_total: float | None = None,
 ) -> float:
-    """Shifted energy functional E + eps*(u', u) + (alpha*eps/2)|u|^2.
-
-    kind 'total' uses the full energy of the state, or e_total if given;
-    kind 'perturbation' reads the state fields as a triple (v, v', b).
-    """
+    """Shifted energy functional E + eps*(u', u) + (alpha*eps/2)|u|^2, with
+    E the state's total energy, or e_total if given."""
     if eps_or_eta <= 0:
         raise ParameterError("eps/eta must be positive")
-    if kind == "total":
-        base = energy_total(state, params) if e_total is None else e_total
-    elif kind == "perturbation":
-        base = energy_perturbation(state.u, state.ut, state.h, params)
-    else:
-        raise ParameterError("kind must be 'total' or 'perturbation'")
+    base = energy_total(state, params) if e_total is None else e_total
     cross = inner(state.ut, state.u)
     return base + eps_or_eta * cross + 0.5 * alpha * eps_or_eta * inner(state.u, state.u)
 

@@ -49,10 +49,6 @@ class ParameterError(MelabError):
     """A physical or numerical parameter violated its constraints."""
 
 
-class NonFiniteValueError(ParameterError):
-    """A field was given non-finite values (divergence if a step made them)."""
-
-
 def parse_section(d, keys: dict, what: str) -> dict:
     """Config section ``d`` checked against its schema ``keys`` (key ->
     (type name, default); MISSING marks a required key, a None default an
@@ -311,7 +307,7 @@ def _kron_sum(ax, ay) -> sparse.csr_array:
 
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
-        raise NonFiniteValueError(f"{what} contains non-finite values")
+        raise ParameterError(f"{what} contains non-finite values")
 
 
 @dataclass

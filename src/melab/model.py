@@ -40,8 +40,9 @@ from .grid import (
 
 
 class DivergedStateError(MelabError):
-    """A field or right-hand-side term stopped being finite; the integrators
-    attach the run so far as ``trajectory``."""
+    """A run's energy stopped being finite (term 'state') or blew up
+    ('energy_blowup'); the integrators attach the run so far as
+    ``trajectory``."""
 
     trajectory = None
 

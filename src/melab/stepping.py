@@ -12,6 +12,10 @@ the superlinear part of the dissipation are evaluated explicitly at a
 midpoint predictor.  With this splitting the per-step energy balance
 residual is O(dt^2) and mean(h) is conserved to round-off.  The classical
 RK4 rule, every term explicit, is the cross-check.
+
+One loop (``_run``) steps both coordinate systems: it counts the steps,
+reads divergence from each state's energy and hands the sampled states to
+its caller, so ``integrate`` builds fields only for the states it keeps.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from scipy import sparse
 
 from .grid import (
     Grid2D,
-    NonFiniteValueError,
     ParameterError,
     ScalarField,
     Schema,
@@ -94,8 +97,9 @@ class Trajectory:
             self.energy_log = [energy_mod.energy_sample(s, self.params) for s in self.samples]
 
     def record(self, state: State, e_total: float) -> None:
-        """Append a sample and its log entry; e_total is the state's energy."""
-        self.samples.append(state.copy())
+        """Append a sample, kept as given, and its log entry; e_total is the
+        state's energy."""
+        self.samples.append(state)
         self.energy_log.append(energy_mod.energy_sample(state, self.params, e_total))
 
     @property
@@ -183,7 +187,7 @@ class OperatorSet:
     """What the schemes need of the system in one coordinate system, with
     (u, v, h) the displacement, the velocity and the magnetic field as flat
     arrays: the two linear operators, the two implicit midpoint solves of
-    step dt and the explicit forces."""
+    step dt, the explicit forces and the total energy."""
 
     rho_m: float
     alpha: float          # the linear damping, taken implicitly
@@ -192,6 +196,7 @@ class OperatorSet:
     solve_u: object       # b -> ((2 rho_m + dt alpha) I + (dt^2/2) A_el)^-1 b
     solve_h: object       # b -> (I - (dt/2) nu1 Lap)^-1 b
     forces: object        # (v, h, t) -> explicit (acceleration, flux)
+    energy: object        # (u, v, h) -> total energy
 
 
 def _grid_ops(grid: Grid2D, dt: float, params, spec, forcing) -> OperatorSet:
@@ -206,6 +211,8 @@ def _grid_ops(grid: Grid2D, dt: float, params, spec, forcing) -> OperatorSet:
         solve_u=lambda b: _cho_solve(chol_u, b),
         solve_h=lambda b: _cho_solve(chol_h, w * b),
         forces=lambda v, h, t: _explicit_forces(v, h, t, params, spec, forcing, grid),
+        energy=lambda u, v, h: energy_mod.energy_nodal(
+            grid, params, *unpack_arrays(grid, u), *unpack_arrays(grid, v), h.reshape(grid.shape)),
     )
 
 
@@ -233,6 +240,7 @@ def _galerkin_ops(basis: GalerkinBasis, dt: float, params, spec, forcing) -> Ope
         solve_u=lambda b: b / den_u,
         solve_h=lambda b: b / den_h,
         forces=forces,
+        energy=lambda c, cdot, ct: coeff_energy(basis, c, cdot, ct, params),
     )
 
 
@@ -270,23 +278,19 @@ def explicit_rk4(ops: OperatorSet, u, v, h, t: float, dt: float):
 SCHEMES = {"imex_midpoint": imex_midpoint, "explicit_rk4": explicit_rk4}
 
 
-def step(state: State, params: MaterialParams, spec: DissipationSpec, forcing: Forcing,
-         config: StepperConfig) -> State:
-    """Advance one step on the grid; boundary tags and mean(h) are
-    preserved.  Fields are built only for the returned state, whose
-    constructors refuse non-finite values (NonFiniteValueError).  The
-    energy blow-up guard is ``integrate``'s, which has both energies."""
-    g = state.grid
-    ops = _grid_ops(g, config.dt, params, spec, forcing)
-    u, v, h = SCHEMES[config.scheme](ops, pack_interior(state.u), pack_interior(state.ut),
-                                     state.h.values.ravel(), state.t, config.dt)
-    return State(unpack_interior(g, u), unpack_interior(g, v),
-                 ScalarField(g, h.reshape(g.shape), bc="neumann"), state.t + config.dt)
+def step(ops: OperatorSet, y, t: float, config: StepperConfig):
+    """One step dt of the config's scheme from flat coordinates y = (u, v, h)
+    at time t; non-finite values pass through.  The stepping loop calls it
+    once per step, through this module-level name."""
+    return SCHEMES[config.scheme](ops, *y, t, config.dt)
 
 
 def _step_count(t0: float, t_end: float, dt: float) -> int:
-    """Number of steps from t0 to t_end; refuses a horizon that is not a
-    whole number of steps rather than stopping short of or past t_end."""
+    """Number of steps from t0 to t_end; refuses t_end < t0 and a horizon
+    that is not a whole number of steps rather than stopping short of or
+    past t_end."""
+    if t_end < t0:
+        raise ParameterError("t_end must be >= initial time")
     ratio = (t_end - t0) / dt
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > 1e-9 * max(ratio, 1.0):
@@ -294,6 +298,29 @@ def _step_count(t0: float, t_end: float, dt: float) -> int:
             f"t_end - t0 = {t_end:g} - {t0:g} is not a whole number of steps dt = {dt:g}"
         )
     return n_steps
+
+
+def _run(ops: OperatorSet, y, t: float, t_end: float, config: StepperConfig, record, traj):
+    """The stepping loop of both integrators, over flat coordinates
+    y = (u, v, h) from t to t_end.  Each state's energy is computed once,
+    for the blow-up guard and for ``record(y, t, e)``, which gets the
+    initial state, every sample_every-th and the final one.  An energy that
+    is not finite, or that jumps by more than ENERGY_BLOWUP_FACTOR, raises
+    DivergedStateError with ``traj``, its termination set, attached."""
+    n_steps = _step_count(t, t_end, config.dt)
+    e = ops.energy(*y)
+    record(y, t, e)
+    for k in range(n_steps):
+        y = step(ops, y, t, config)
+        t += config.dt
+        e_old, e = e, ops.energy(*y)
+        if not np.isfinite(e) or e > ENERGY_BLOWUP_FACTOR * (e_old + 1.0):
+            err = DivergedStateError("energy_blowup" if np.isfinite(e) else "state", t)
+            traj.termination, err.trajectory = Termination("diverged", t), traj
+            raise err
+        if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
+            record(y, t, e)
+    traj.termination = Termination("completed", t)
 
 
 def integrate(
@@ -304,38 +331,21 @@ def integrate(
     forcing: Forcing,
     config: StepperConfig,
 ) -> Trajectory:
-    """Repeatedly step until t_end, sampling every config.sample_every
-    steps (initial and final states always included).  Each state's energy
-    is computed once, for the blow-up guard and the energy log.  A step
-    whose fields stop being finite raises DivergedStateError, with the
-    trajectory so far attached."""
-    if t_end < state0.t:
-        raise ParameterError("t_end must be >= initial time")
-    n_steps = _step_count(state0.t, t_end, config.dt)
-    traj = Trajectory(
-        config=config, params=params, dissipation=spec, forcing=forcing
-    )
-    state = state0
-    e = energy_mod.energy_total(state, params)
-    traj.record(state, e)
-    try:
-        for k in range(n_steps):
-            try:
-                state = step(state, params, spec, forcing, config)
-            except NonFiniteValueError as err:
-                raise DivergedStateError("state", state.t + config.dt) from err
-            e_old, e = e, energy_mod.energy_total(state, params)
-            if not np.isfinite(e):
-                raise DivergedStateError("state", state.t)
-            if e > ENERGY_BLOWUP_FACTOR * (e_old + 1.0):
-                raise DivergedStateError("energy_blowup", state.t)
-            if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
-                traj.record(state, e)
-    except DivergedStateError as err:
-        traj.termination = Termination("diverged", err.t if err.t is not None else state.t)
-        err.trajectory = traj
-        raise
-    traj.termination = Termination("completed", state.t)
+    """Step on the grid until t_end, sampling every config.sample_every
+    steps (initial and final states always included); fields are built
+    only for the sampled states.  Divergence raises DivergedStateError
+    with the trajectory so far attached."""
+    g = state0.grid
+    traj = Trajectory(config=config, params=params, dissipation=spec, forcing=forcing)
+
+    def record(y, t, e):
+        u, v, h = y
+        traj.record(State(unpack_interior(g, u), unpack_interior(g, v),
+                          ScalarField(g, h.reshape(g.shape), bc="neumann"), t), e)
+
+    y0 = (pack_interior(state0.u), pack_interior(state0.ut), state0.h.values.flatten())
+    _run(_grid_ops(g, config.dt, params, spec, forcing), y0, state0.t, t_end, config, record,
+         traj)
     return traj
 
 
@@ -386,33 +396,18 @@ def integrate_galerkin(
 ) -> CoeffTrajectory:
     """Reduced dynamics: the grid's scheme in eigencoordinates, where the
     linear terms act diagonally through the eigenvalues and the forces go
-    reconstruct -> grid forces -> project.  Coefficients that stop being
-    finite raise DivergedStateError, with the trajectory so far attached."""
-    c, cdot, ct = (np.array(x, dtype=float) for x in coeffs0)
-    if c.shape != (basis.m,) or cdot.shape != (basis.m,) or ct.shape != (basis.m_magnetic,):
+    reconstruct -> grid forces -> project, stepped by the grid's loop and
+    guarded by its divergence test."""
+    y0 = tuple(np.array(x, dtype=float) for x in coeffs0)
+    if [x.shape for x in y0] != [(basis.m,), (basis.m,), (basis.m_magnetic,)]:
         raise ParameterError("coefficient dimensions do not match basis")
-    dt = config.dt
-    scheme = SCHEMES[config.scheme]
-    ops = _galerkin_ops(basis, dt, params, spec, forcing)
     traj = CoeffTrajectory()
-    t = 0.0
 
-    def log():
+    def record(y, t, e):
         traj.times.append(t)
-        traj.coeffs.append((c.copy(), cdot.copy(), ct.copy()))
-        traj.energy_log.append(coeff_energy(basis, c, cdot, ct, params))
+        traj.coeffs.append(y)
+        traj.energy_log.append(e)
 
-    n_steps = _step_count(0.0, t_end, dt)
-    log()
-    for k in range(n_steps):
-        c, cdot, ct = scheme(ops, c, cdot, ct, t, dt)
-        t += dt
-        if not (np.isfinite(c).all() and np.isfinite(cdot).all() and np.isfinite(ct).all()):
-            traj.termination = Termination("diverged", t)
-            err = DivergedStateError("galerkin_coeffs", t)
-            err.trajectory = traj
-            raise err
-        if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
-            log()
-    traj.termination = Termination("completed", t)
+    _run(_galerkin_ops(basis, config.dt, params, spec, forcing), y0, 0.0, t_end, config, record,
+         traj)
     return traj

@@ -44,6 +44,16 @@ def test_energy_scales_quadratically(grid, basis):
     assert ep > 0
 
 
+def test_perturbation_energy_weights_kinetic_by_rho_m():
+    """The perturbation energy is the total energy's form, kinetic weight
+    rho_m included, so the decay experiment and the orbit's energy
+    distance measure a triple alike."""
+    g = Grid2D(8, 8, 1.0, 1.0)
+    params = MaterialParams(rho_m=2.0, mu=1.0, lam=0.5, nu1=0.1, mu0=1.0, b0=1.0)
+    st = random_state(g, build_galerkin_basis(g, params, m=6), seed=0, amplitude=0.1)
+    assert energy.energy_perturbation(st.u, st.ut, st.h, params) == energy.energy_total(st, params)
+
+
 def test_lyapunov_g_equivalent_to_energy(grid, basis):
     """For admissible eps the shifted functional stays within constant
     multiples of the energy."""

@@ -170,7 +170,7 @@ def test_overflowing_step_is_divergence(scheme, amplitude):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedStateError) as err:
         stepping.integrate_galerkin(stepping.state_to_coeffs(basis, st), basis, 5.0,
                                     PARAMS, NONE, ZERO_F, cfg)
-    assert err.value.term == "galerkin_coeffs" and err.value.t == 0.5
+    assert err.value.term == "state" and err.value.t == 0.5
     red = err.value.trajectory
     assert red.termination.kind == "diverged" and red.termination.t == 0.5
     assert red.times == [0.0] and len(red.coeffs) == len(red.energy_log) == 1
@@ -247,6 +247,19 @@ def test_integrate_galerkin_refuses_partial_last_step(grid, basis):
         stepping.integrate_galerkin(c0, basis, 1.0, PARAMS, NONE, ZERO_F, cfg)
 
 
+def test_both_integrators_refuse_negative_horizon():
+    """A horizon before the initial time is refused on the grid and in
+    eigencoordinates alike, even when it is a whole number of steps."""
+    g = Grid2D(8, 8, 1.0, 1.0)
+    basis = build_galerkin_basis(g, PARAMS, m=4, m_magnetic=4)
+    cfg = stepping.StepperConfig(dt=0.5)
+    with pytest.raises(ParameterError, match="t_end must be >= initial time"):
+        stepping.integrate(State.zero(g), -1.0, PARAMS, NONE, ZERO_F, cfg)
+    c0 = (np.zeros(basis.m), np.zeros(basis.m), np.zeros(basis.m_magnetic))
+    with pytest.raises(ParameterError, match="t_end must be >= initial time"):
+        stepping.integrate_galerkin(c0, basis, -1.0, PARAMS, NONE, ZERO_F, cfg)
+
+
 # ---------------------------------------------------------------------------
 # one diagnostics path
 
@@ -254,19 +267,44 @@ def test_one_energy_total_per_state(grid, basis, monkeypatch):
     """n steps sampled every k compute the energy of each of the n + 1
     states once: the blow-up guard and the energy log share it."""
     calls = []
-    original = energy.energy_total
+    original = energy.energy_nodal
 
-    def counting(state, params):
-        calls.append(state.t)
-        return original(state, params)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(energy, "energy_total", counting)
+    monkeypatch.setattr(energy, "energy_nodal", counting)
     st = random_state(grid, basis, seed=9, amplitude=0.05)
     n, k = 20, 5
     cfg = stepping.StepperConfig(dt=1e-2, sample_every=k)
     traj = stepping.integrate(st, n * 1e-2, PARAMS, NONE, ZERO_F, cfg)
     assert len(traj.energy_log) == n // k + 1
     assert len(calls) == n + 1
+
+
+def test_fields_built_only_for_samples(monkeypatch):
+    """Between samples a run builds no field: runs of 40 and 80 steps,
+    each sampled at its start and its end, build the same number."""
+    g = Grid2D(8, 8, 1.0, 1.0)
+    st = random_state(g, build_galerkin_basis(g, PARAMS, m=4), seed=13, amplitude=0.05)
+    spec = DissipationSpec(kind="linear", alpha=0.5)
+    built = []
+    for cls in (ScalarField, VectorField2):
+        original = cls.__post_init__
+
+        def counting(self, _original=original):
+            built.append(type(self))
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    counts = []
+    for n in (40, 80):
+        built.clear()
+        cfg = stepping.StepperConfig(dt=1e-2, sample_every=n)
+        traj = stepping.integrate(st, n * 1e-2, PARAMS, spec, ZERO_F, cfg)
+        assert len(traj.samples) == 2
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_energy_log_of_bare_samples_matches_integrate(grid, basis):
@@ -479,9 +517,11 @@ def test_step_matches_field_reference(scheme, grid, params, spec, dt, t, seed):
         ScalarField(grid, rng.standard_normal(grid.shape), bc="neumann"),
         t,
     )
-    got = stepping.step(state, params, spec, forcing, stepping.StepperConfig(dt=dt, scheme=scheme))
+    ops = stepping._grid_ops(grid, dt, params, spec, forcing)
+    y = (pack_interior(state.u), pack_interior(state.ut), state.h.values.ravel())
+    got = _fields(grid, *stepping.step(ops, y, t, stepping.StepperConfig(dt=dt, scheme=scheme)),
+                  t + dt)
     want = REFERENCES[scheme](state, params, spec, forcing, dt)
-    assert got.t == want.t
     for x, y in ((got.u.ux, want.u.ux), (got.u.uy, want.u.uy), (got.ut.ux, want.ut.ux),
                  (got.ut.uy, want.ut.uy), (got.h.values, want.h.values)):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
