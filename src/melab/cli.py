@@ -30,9 +30,11 @@ from .grid import (
     ParameterError,
     load_scalar_csv,
     load_vector_csv,
+    parse_section,
+    row_template,
     save_scalar_csv,
     save_vector_csv,
-    parse_section,
+    write_csv,
 )
 from .model import (
     DissipationSpec,
@@ -171,10 +173,9 @@ def _energy_rows(traj: Trajectory) -> list[list[float]]:
 
 
 def _write_energy_csv(path: Path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(energy_mod.CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header = energy_mod.CSV_HEADER
+    write_csv(path, header, row_template(len(rows), header.count(",") + 1),
+              [v for row in rows for v in row])
 
 
 def _write_snapshots(outdir: Path, traj: Trajectory) -> None:

@@ -21,13 +21,14 @@ form.  The eigenpairs of both scalar Laplacians are closed forms, DCT-I and
 DST-I tensor modes (``Grid2D.neumann_modes``, ``Grid2D.dirichlet_modes``).
 
 The module also holds the config schema (``parse_section``, ``Schema``)
-through which every parameter type reads its section of a config file.
+through which every parameter type reads its section of a config file, and
+``write_csv``, the one writer of the archive CSV files.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -567,27 +568,66 @@ def unpack_interior(grid: Grid2D, vec: np.ndarray) -> VectorField2:
 
 
 # ---------------------------------------------------------------------------
-# field snapshot files
+# CSV files
+
+def write_csv(path, header: str, template: str, values) -> None:
+    """Write the header line and then template % values in one write.  The
+    template holds one '%.17g' slot per value in row-major order, so the
+    file is byte for byte what numpy's text writer gives for the same rows
+    with fmt "%.17g", delimiter "," and the header without comment prefix."""
+    with open(path, "w") as fh:
+        fh.write(f"{header}\n{template % tuple(values)}")
+
+
+def row_template(n_rows: int, n_cols: int) -> str:
+    """A write_csv template of n_rows rows of n_cols values each."""
+    return (",".join(["%.17g"] * n_cols) + "\n") * n_rows
+
+
+@lru_cache(maxsize=8)
+def _node_rows(grid: Grid2D, n_values: int) -> str:
+    """The snapshot template of a grid: one row per node in row-major
+    order, its x,y formatted once here, then n_values value slots."""
+    x, y = grid.xy
+    slots = ",%.17g" * n_values + "\n"
+    return "".join("%.17g,%.17g" % xy + slots for xy in zip(x.ravel().tolist(), y.ravel().tolist()))
+
+
+def _save_nodal(path, header: str, grid: Grid2D, *arrays) -> None:
+    values = np.column_stack([a.ravel() for a in arrays]).ravel().tolist()
+    write_csv(path, header, _node_rows(grid, len(arrays)), values)
+
+
+def _load_nodal(path, header: str, grid: Grid2D) -> list[np.ndarray]:
+    """The value columns of a snapshot file, as nodal arrays of the grid;
+    the x,y columns are not parsed."""
+    n_values = header.count(",") - 1
+    with open(path) as fh:
+        found = fh.readline().rstrip("\n")
+    if found != header:
+        raise DomainMismatchError(f"{path}: header {found!r}, expected {header!r}")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(2, 2 + n_values),
+                          ndmin=2)
+    except ValueError as err:
+        raise DomainMismatchError(f"{path}: {err}") from None
+    if data.shape[0] != grid.n_nodes:
+        raise DomainMismatchError(
+            f"{path}: {data.shape[0]} rows, expected {grid.n_nodes} for grid {grid.signature()}")
+    return [column.reshape(grid.shape) for column in data.T]
+
 
 def save_scalar_csv(path, h: ScalarField) -> None:
-    x, y = h.grid.xy
-    rows = np.column_stack([x.ravel(), y.ravel(), h.values.ravel()])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="x,y,value", comments="")
+    _save_nodal(path, "x,y,value", h.grid, h.values)
 
 
 def save_vector_csv(path, u: VectorField2) -> None:
-    x, y = u.grid.xy
-    rows = np.column_stack([x.ravel(), y.ravel(), u.ux.ravel(), u.uy.ravel()])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="x,y,vx,vy", comments="")
+    _save_nodal(path, "x,y,vx,vy", u.grid, u.ux, u.uy)
 
 
 def load_scalar_csv(path, grid: Grid2D, bc: str = "none") -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return ScalarField(grid, data[:, 2].reshape(grid.shape), bc)
+    return ScalarField(grid, *_load_nodal(path, "x,y,value", grid), bc)
 
 
 def load_vector_csv(path, grid: Grid2D, bc: str = "none") -> VectorField2:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return VectorField2(
-        grid, data[:, 2].reshape(grid.shape), data[:, 3].reshape(grid.shape), bc
-    )
+    return VectorField2(grid, *_load_nodal(path, "x,y,vx,vy", grid), bc)

@@ -207,24 +207,22 @@ class Forcing(Schema):
     def is_zero(self) -> bool:
         return not self.terms
 
+    def nodal(self, grid: Grid2D, t: float, target: str) -> tuple[np.ndarray, ...]:
+        """The target's nodal arrays at t, (f1,) or (f2x, f2y): the sum of
+        its terms' cached read-only profiles times g(t)."""
+        acc = tuple(np.zeros(grid.shape) for _ in range(1 if target == "f1" else 2))
+        for tg, g, shape in self._parsed:
+            if tg == target:
+                gt = g(t, self.period)
+                for a, p in zip(acc, _profile(grid, tg, **shape)):
+                    a += gt * p
+        return acc
+
     def f1(self, grid: Grid2D, t: float) -> ScalarField:
-        acc = np.zeros(grid.shape)
-        for target, g, shape in self._parsed:
-            if target == "f1":
-                acc += g(t, self.period) * _profile(grid, target, **shape)[0]
-        return ScalarField(grid, acc, bc="none")
+        return ScalarField(grid, *self.nodal(grid, t, "f1"), bc="none")
 
     def f2(self, grid: Grid2D, t: float) -> VectorField2:
-        ax = np.zeros(grid.shape)
-        ay = np.zeros(grid.shape)
-        for target, g, shape in self._parsed:
-            if target != "f2":
-                continue
-            gt = g(t, self.period)
-            px, py = _profile(grid, target, **shape)
-            ax += gt * px
-            ay += gt * py
-        return VectorField2(grid, ax, ay, bc="none")
+        return VectorField2(grid, *self.nodal(grid, t, "f2"), bc="none")
 
     def l1_l2_norm(self, grid: Grid2D, n_steps: int = 200) -> float:
         """Time-trapezoid approximation of int_0^T |f(t)|_L2 dt over one

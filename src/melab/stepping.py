@@ -170,8 +170,8 @@ def _explicit_forces(v, h, t: float, params, spec, forcing, grid):
     fh = induction_nodal(grid, vx, vy, h, params)
     f2x = f2y = pw_x = pw_y = 0.0    # scalar zeros add bit for bit as zero fields
     if not forcing.is_zero:
-        f2 = forcing.f2(grid, t)
-        f2x, f2y, fh = f2.ux, f2.uy, fh + forcing.f1(grid, t).values
+        f2x, f2y = forcing.nodal(grid, t, "f2")
+        fh = fh + forcing.nodal(grid, t, "f1")[0]
     if spec.kind == "power":
         fac = spec.k1 * np.sqrt(vx**2 + vy**2) ** spec.p
         pw_x, pw_y = fac * vx, fac * vy

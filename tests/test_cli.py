@@ -277,6 +277,58 @@ def test_unknown_key_exits_2(tmp_path, capsys, level, doc, key):
     assert not out.exists()
 
 
+def _savetxt_snapshot(header):
+    def save(path, field):
+        x, y = field.grid.xy
+        arrays = (field.values,) if header == "x,y,value" else (field.ux, field.uy)
+        rows = np.column_stack([x.ravel(), y.ravel(), *(a.ravel() for a in arrays)])
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    return save
+
+
+def test_savetxt_written_archive_replays_and_matches(tmp_path, monkeypatch):
+    """An archive whose snapshots and energy.csv numpy's savetxt wrote, as
+    earlier versions did, replays as verified, and the archive's own
+    writer reproduces it byte for byte."""
+    doc = {**FORCED, "initial": SIM_CONFIG["initial"]}
+    cfg = write_config(tmp_path, "c.json", doc)
+    ours, ref = tmp_path / "ours", tmp_path / "ref"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(ours)]) == 0
+    monkeypatch.setattr(cli, "save_scalar_csv", _savetxt_snapshot("x,y,value"))
+    monkeypatch.setattr(cli, "save_vector_csv", _savetxt_snapshot("x,y,vx,vy"))
+    monkeypatch.setattr(cli, "_write_energy_csv", lambda path, rows: np.savetxt(
+        path, rows, fmt="%.17g", delimiter=",", header=cli.energy_mod.CSV_HEADER, comments=""))
+    assert run_cli(["simulate", "--config", cfg, "--output", str(ref)]) == 0
+    assert cli.replay(ref)["verified"]
+    files = sorted(p.relative_to(ref) for p in ref.rglob("*.csv"))
+    assert len(files) == 1 + 3 * 3
+    assert files == sorted(p.relative_to(ours) for p in ours.rglob("*.csv"))
+    for f in files:
+        assert (ours / f).read_bytes() == (ref / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("damage", ["truncated_h", "scalar_header_u"])
+def test_replay_malformed_snapshot_exits_2(tmp_path, capsys, damage):
+    """A snapshot that does not fit run.json's grid is a validation error
+    naming the file and the expected and found row counts or header."""
+    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    n_nodes = 11 * 11
+    if damage == "truncated_h":
+        path = out / "snapshots" / "0001_h.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-3]))
+        expect = f"0001_h.csv: {n_nodes - 3} rows, expected {n_nodes}"
+    else:
+        path = out / "snapshots" / "0001_u.csv"
+        path.write_text((out / "snapshots" / "0001_h.csv").read_text())
+        expect = "0001_u.csv: header 'x,y,value', expected 'x,y,vx,vy'"
+    capsys.readouterr()
+    assert run_cli(["replay", "--output", str(out)]) == 2
+    assert expect in capsys.readouterr().err
+
+
 def test_bug_is_not_a_validation_error(tmp_path, monkeypatch):
     """A programming error in a runner propagates instead of exiting 2."""
     def broken(run, outdir, strict):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from hypothesis.extra import numpy as hnp
+
 from melab.grid import (
     ContractViolationError,
+    DomainMismatchError,
     Grid2D,
     ParameterError,
     ScalarField,
@@ -27,8 +30,10 @@ from melab.grid import (
     norm_l2,
     pack_interior,
     pin_boundary,
+    row_template,
     save_scalar_csv,
     save_vector_csv,
+    write_csv,
 )
 from melab.grid import _cosine_modes, _flux_1d, _second_difference, _sine_modes
 
@@ -259,6 +264,73 @@ def test_csv_roundtrip(tmp_path, grid):
     assert header == "x,y,value"
     header = (tmp_path / "u.csv").read_text().splitlines()[0]
     assert header == "x,y,vx,vy"
+
+
+def savetxt_reference(path, grid, header, *arrays):
+    """A snapshot file as numpy's savetxt writes it."""
+    x, y = grid.xy
+    rows = np.column_stack([x.ravel(), y.ravel(), *(a.ravel() for a in arrays)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def grids_with_values(draw):
+    """A grid with nx != ny and lx != ly, and three nodal arrays of finite
+    doubles whose first entries are the extremes."""
+    grid = draw(random_grids.filter(lambda g: g.nx != g.ny and g.lx != g.ly))
+    values = draw(hnp.arrays(np.float64, (3,) + grid.shape, elements=st.one_of(
+        st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))))
+    values[:, 0, :len(EXTREMES)] = EXTREMES
+    return grid, values
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(grids_with_values())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_csv_writer_matches_savetxt_and_roundtrips(tmp_path_factory, case):
+    """The snapshot and table writer is byte-identical to savetxt with
+    fmt %.17g, and the loaders give back every double exactly."""
+    grid, (h, ux, uy) = case
+    d = tmp_path_factory.mktemp("csv")
+    save_scalar_csv(d / "h.csv", ScalarField(grid, h))
+    savetxt_reference(d / "h_ref.csv", grid, "x,y,value", h)
+    assert (d / "h.csv").read_bytes() == (d / "h_ref.csv").read_bytes()
+    save_vector_csv(d / "u.csv", VectorField2(grid, ux, uy))
+    savetxt_reference(d / "u_ref.csv", grid, "x,y,vx,vy", ux, uy)
+    assert (d / "u.csv").read_bytes() == (d / "u_ref.csv").read_bytes()
+    assert _same_bits(load_scalar_csv(d / "h_ref.csv", grid).values, h)
+    u = load_vector_csv(d / "u_ref.csv", grid)
+    assert _same_bits(u.ux, ux) and _same_bits(u.uy, uy)
+    table = np.column_stack([ux.ravel(), h.ravel(), uy.ravel()])
+    write_csv(d / "t.csv", "a,b,c", row_template(*table.shape), table.ravel().tolist())
+    np.savetxt(d / "t_ref.csv", table, fmt="%.17g", delimiter=",", header="a,b,c", comments="")
+    assert (d / "t.csv").read_bytes() == (d / "t_ref.csv").read_bytes()
+
+
+def test_malformed_snapshot_names_file_and_rows(tmp_path, grid):
+    """A snapshot with too few rows or the wrong header is refused with the
+    file named, not a bare reshape error."""
+    rng = np.random.default_rng(11)
+    save_scalar_csv(tmp_path / "h.csv", random_scalar(grid, rng, bc="none"))
+    lines = (tmp_path / "h.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "h.csv").write_text("".join(lines[:-5]))
+    with pytest.raises(DomainMismatchError, match=f"h.csv: {grid.n_nodes - 5} rows, "
+                                                  f"expected {grid.n_nodes}"):
+        load_scalar_csv(tmp_path / "h.csv", grid)
+    (tmp_path / "h.csv").write_text("".join(lines[:-1]) + lines[-1][:lines[-1].rindex(",")])
+    with pytest.raises(DomainMismatchError, match="h.csv: .*column"):
+        load_scalar_csv(tmp_path / "h.csv", grid)
+    save_scalar_csv(tmp_path / "u.csv", random_scalar(grid, rng, bc="none"))
+    with pytest.raises(DomainMismatchError, match="u.csv: header 'x,y,value'"):
+        load_vector_csv(tmp_path / "u.csv", grid)
+    with pytest.raises(DomainMismatchError, match=f"expected {Grid2D(8, 8).n_nodes}"):
+        load_scalar_csv(tmp_path / "u.csv", Grid2D(8, 8))
 
 
 def test_vector_boundary_enforced(grid):

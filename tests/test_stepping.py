@@ -283,8 +283,9 @@ def test_one_energy_total_per_state(grid, basis, monkeypatch):
 
 
 def test_fields_built_only_for_samples(monkeypatch):
-    """Between samples a run builds no field: runs of 40 and 80 steps,
-    each sampled at its start and its end, build the same number."""
+    """Between samples a run builds no field, forced or not: runs of 40 and
+    80 steps, each sampled at its start and its end, build the same
+    number."""
     g = Grid2D(8, 8, 1.0, 1.0)
     st = random_state(g, build_galerkin_basis(g, PARAMS, m=4), seed=13, amplitude=0.05)
     spec = DissipationSpec(kind="linear", alpha=0.5)
@@ -297,14 +298,19 @@ def test_fields_built_only_for_samples(monkeypatch):
             _original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
-    counts = []
-    for n in (40, 80):
-        built.clear()
-        cfg = stepping.StepperConfig(dt=1e-2, sample_every=n)
-        traj = stepping.integrate(st, n * 1e-2, PARAMS, spec, ZERO_F, cfg)
-        assert len(traj.samples) == 2
-        counts.append(len(built))
-    assert counts[0] == counts[1]
+    forced = Forcing(period=0.2, terms=[
+        {"target": "f1", "g": {"sin": [1.0]}, "shape": {"jx": 1, "jy": 1, "amplitude": 0.2}},
+        {"target": "f2", "g": {"cos": [0.5]}, "shape": {"amplitude": 0.1, "component": 1}},
+    ])
+    for forcing in (ZERO_F, forced):
+        counts = []
+        for n in (40, 80):
+            built.clear()
+            cfg = stepping.StepperConfig(dt=1e-2, sample_every=n)
+            traj = stepping.integrate(st, n * 1e-2, PARAMS, spec, forcing, cfg)
+            assert len(traj.samples) == 2
+            counts.append(len(built))
+        assert counts[0] == counts[1], forcing.terms
 
 
 def test_energy_log_of_bare_samples_matches_integrate(grid, basis):
@@ -330,17 +336,16 @@ def test_bare_samples_need_params(grid):
 
 
 def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
-    """Without forcing terms no forcing field is built, and the states are
+    """Without forcing terms no forcing is evaluated, and the states are
     bit for bit those of a forcing whose only term is zero."""
     calls = []
-    for name in ("f1", "f2"):
-        original = getattr(Forcing, name)
+    original = Forcing.nodal
 
-        def counting(self, g, t, _original=original):
-            calls.append(t)
-            return _original(self, g, t)
+    def counting(self, g, t, target):
+        calls.append(t)
+        return original(self, g, t, target)
 
-        monkeypatch.setattr(Forcing, name, counting)
+    monkeypatch.setattr(Forcing, "nodal", counting)
     st = random_state(grid, basis, seed=11, amplitude=0.05)
     cfg = stepping.StepperConfig(dt=1e-2, sample_every=5)
     spec = DissipationSpec(kind="linear", alpha=0.5)
