@@ -1,9 +1,18 @@
 """Energy functionals, inequality constants and decay diagnostics.
 
-All quadratic forms use the edge-compatible gradient quadrature of
-:mod:`melab.grid`, so the reported dissipation pairs exactly with the
-discrete diffusion operator and the per-step energy balance closes to the
-integrator's truncation error rather than to the mesh width.
+The grid energy is one quadratic form on packed coordinates (u, u', h):
+
+    E = 1/2 (rho_m u'.(W_v u') + u.(W_v A_el u) + mu0 h.(W h))
+
+with W the trapezoid weights, W_v those of the packed interior DOFs and
+A_el the Lame matrix, the operator the integrator steps with.  On clamped
+fields it is the edge-quadrature energy: W_v A_el's divergence part is
+D^T W D, the weighted divergence squared, and on the zero-boundary subspace
+the five-point Dirichlet form equals the edge sum ``grad_edge_inner``.  The
+other quadratic forms use that edge quadrature of :mod:`melab.grid`, so the
+reported dissipation pairs exactly with the discrete diffusion operator and
+the per-step energy balance closes to the integrator's truncation error
+rather than to the mesh width.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
+    ContractViolationError,
     Grid2D,
     MelabError,
     ParameterError,
@@ -25,6 +35,7 @@ from .grid import (
     inner,
     lame_apply,
     laplacian_neumann,
+    pack_interior,
 )
 from .model import (
     DissipationSpec,
@@ -33,6 +44,7 @@ from .model import (
     State,
     build_galerkin_basis,
     dissipation_eval,
+    elastic_matrix,
 )
 
 
@@ -88,23 +100,20 @@ class ConstantsLedger:
 # ---------------------------------------------------------------------------
 # energies
 
-def energy_nodal(grid: Grid2D, params: MaterialParams, ux, uy, vx, vy, h) -> float:
-    """Total energy of nodal arrays (u, u', h): kinetic + elastic +
-    magnetic, the magnetic term weighted by mu0 so the dissipation identity
-    closes for any mu0."""
-    w = grid.weights
-    kin = params.rho_m * float(np.sum((vx * vx + vy * vy) * w))
-    el = params.mu * (grad_edge_inner(ux, ux, grid) + grad_edge_inner(uy, uy, grid))
-    dv = grid.dmat_x @ ux + uy @ grid.dmat_y.T     # the collocated divergence
-    el += (params.lam + params.mu) * float(np.sum(dv * dv * w))
-    mag = params.mu0 * float(np.sum(h * h * w))
-    return 0.5 * (kin + el + mag)
+def energy_packed(grid: Grid2D, params: MaterialParams, u, v, h) -> float:
+    """Total energy of packed interior u, u' and raveled nodal h: kinetic +
+    elastic + magnetic, the magnetic term weighted by mu0 so the
+    dissipation identity closes for any mu0."""
+    wv = grid.vector_weights
+    a_el = elastic_matrix(grid, params.mu, params.lam)
+    return 0.5 * float(params.rho_m * np.dot(wv * v, v) + np.dot(wv * u, a_el @ u)
+                       + params.mu0 * np.dot(grid.weights.ravel() * h, h))
 
 
 def energy_total(state: State, params: MaterialParams) -> float:
-    """Field form of :func:`energy_nodal`."""
-    return energy_nodal(state.grid, params, state.u.ux, state.u.uy,
-                        state.ut.ux, state.ut.uy, state.h.values)
+    """Field form of :func:`energy_packed`."""
+    return energy_packed(state.grid, params, pack_interior(state.u), pack_interior(state.ut),
+                         state.h.values.ravel())
 
 
 def energy_e1(state: State, params: MaterialParams) -> float:
@@ -122,9 +131,11 @@ def energy_e1(state: State, params: MaterialParams) -> float:
 def energy_perturbation(
     v: VectorField2, vt: VectorField2, b: ScalarField, params: MaterialParams
 ) -> float:
-    """Perturbation energy of the triple (v, v', b): the total energy's
-    form, rho_m-weighted kinetic term included."""
-    return energy_nodal(v.grid, params, v.ux, v.uy, vt.ux, vt.uy, b.values)
+    """Perturbation energy of the triple (v, v', b), v and v' clamped: the
+    total energy's form, rho_m-weighted kinetic term included."""
+    if v.bc != "dirichlet_zero" or vt.bc != "dirichlet_zero":
+        raise ContractViolationError("energy_perturbation requires dirichlet_zero v, v'")
+    return energy_packed(v.grid, params, pack_interior(v), pack_interior(vt), b.values.ravel())
 
 
 def lyapunov_g(
@@ -224,8 +235,9 @@ def energy_identity_residual(
         r += params.mu0 * params.nu1 * grad_h_squared(mid_h)
         r += inner(dissipation_eval(spec, mid_ut), mid_ut)
         if not forcing.is_zero:
-            r -= inner(forcing.f2(g, tm), mid_ut)
-            r -= params.mu0 * inner(forcing.f1(g, tm), ScalarField(g, mid_h.values))
+            (f1,), (f2x, f2y) = forcing.nodal(g, tm, "f1"), forcing.nodal(g, tm, "f2")
+            r -= float(np.sum((f2x * mid_ut.ux + f2y * mid_ut.uy) * g.weights))
+            r -= params.mu0 * float(np.sum(f1 * mid_h.values * g.weights))
         t_mid.append(tm)
         res.append(r)
     res = np.asarray(res)

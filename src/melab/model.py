@@ -30,7 +30,6 @@ from .grid import (
     Schema,
     VectorField2,
     lame_operator_matrix,
-    norm_l2,
     pack_interior,
     pin_boundary,
     unpack_interior,
@@ -230,8 +229,8 @@ class Forcing(Schema):
         ts = np.linspace(0.0, self.period, n_steps + 1)
         vals = []
         for t in ts:
-            v = norm_l2(self.f2(grid, t)) ** 2 + norm_l2(self.f1(grid, t)) ** 2
-            vals.append(np.sqrt(v))
+            f1, f2 = self.nodal(grid, t, "f1"), self.nodal(grid, t, "f2")
+            vals.append(np.sqrt(_norm_l2(grid, *f2) ** 2 + _norm_l2(grid, *f1) ** 2))
         return float(np.trapezoid(vals, ts))
 
     def l1_h1_norm(self, grid: Grid2D, n_steps: int = 200) -> float:
@@ -239,17 +238,21 @@ class Forcing(Schema):
         ts = np.linspace(0.0, self.period, n_steps + 1)
         vals = []
         for t in ts:
-            s = self.f1(grid, t)
-            v = self.f2(grid, t)
+            (s,), (vx, vy) = self.nodal(grid, t, "f1"), self.nodal(grid, t, "f2")
             sq = (
-                norm_l2(s) ** 2
-                + grad_edge_inner(s.values, s.values, grid)
-                + norm_l2(v) ** 2
-                + grad_edge_inner(v.ux, v.ux, grid)
-                + grad_edge_inner(v.uy, v.uy, grid)
+                _norm_l2(grid, s) ** 2
+                + grad_edge_inner(s, s, grid)
+                + _norm_l2(grid, vx, vy) ** 2
+                + grad_edge_inner(vx, vx, grid)
+                + grad_edge_inner(vy, vy, grid)
             )
             vals.append(np.sqrt(sq))
         return float(np.trapezoid(vals, ts))
+
+
+def _norm_l2(grid: Grid2D, *arrays) -> float:
+    """``norm_l2`` of the scalar (one nodal array) or vector (two) field."""
+    return float(np.sqrt(max(float(np.sum(sum(a * a for a in arrays) * grid.weights)), 0.0)))
 
 
 @dataclass
@@ -464,6 +467,13 @@ class GalerkinBasis:
         )
 
 
+@lru_cache(maxsize=8)
+def elastic_matrix(grid: Grid2D, mu: float, lam: float):
+    """The Lame matrix A_el of (grid, mu, lam), assembled once and shared by
+    the eigenbasis, the energy and the implicit solves."""
+    return lame_operator_matrix(grid, mu, lam)
+
+
 def build_galerkin_basis(
     grid: Grid2D,
     params: MaterialParams,
@@ -484,7 +494,7 @@ def build_galerkin_basis(
     if m_magnetic < 1 or m_magnetic > grid.n_nodes:
         raise ParameterError(f"need 1 <= m_magnetic <= {grid.n_nodes} magnetic modes")
 
-    a_el = lame_operator_matrix(grid, params.mu, params.lam).toarray()
+    a_el = elastic_matrix(grid, params.mu, params.lam).toarray()
     vals, vecs = scipy.linalg.eigh(a_el, subset_by_index=(0, m - 1))
     kappa, mvecs = grid.neumann_modes(m_magnetic)
     return GalerkinBasis(

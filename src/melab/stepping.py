@@ -32,7 +32,6 @@ from .grid import (
     ParameterError,
     ScalarField,
     Schema,
-    lame_operator_matrix,
     neumann_laplacian_matrix,
     pack_arrays,
     pack_interior,
@@ -46,6 +45,7 @@ from .model import (
     GalerkinBasis,
     MaterialParams,
     State,
+    elastic_matrix,
     induction_nodal,
     lorentz_nodal,
     project,
@@ -55,6 +55,10 @@ from . import energy as energy_mod
 
 
 ENERGY_BLOWUP_FACTOR = 1e3
+
+# the LAPACK banded Cholesky solve behind scipy's cho_solve_banded, called
+# without its per-call argument checks
+_pbtrs = scipy.linalg.get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,10 @@ def _banded_cholesky(m, order: np.ndarray):
 
 def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
     cb, order, rank = factor
-    return scipy.linalg.cho_solve_banded((cb, False), b[order], check_finite=False)[rank]
+    x, info = _pbtrs(cb, b[order], overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"pbtrs: illegal value in argument {-info}")
+    return x[rank]
 
 
 def _node_order(n0: int, n1: int) -> np.ndarray:
@@ -151,7 +158,7 @@ def _implicit_ops(grid: Grid2D, dt: float, params: MaterialParams, alpha: float)
     lap = neumann_laplacian_matrix(grid)
     w = grid.weights.ravel()
     m_h = sparse.diags_array(w) @ (sparse.eye_array(grid.n_nodes) - (a * params.nu1) * lap)
-    a_el = lame_operator_matrix(grid, params.mu, params.lam)
+    a_el = elastic_matrix(grid, params.mu, params.lam)
     ni = grid.n_interior
     m_u = (2.0 * params.rho_m + dt * alpha) * sparse.eye_array(2 * ni) + (dt * a) * a_el
     nodes = _node_order(grid.nx - 1, grid.ny - 1)
@@ -211,8 +218,7 @@ def _grid_ops(grid: Grid2D, dt: float, params, spec, forcing) -> OperatorSet:
         solve_u=lambda b: _cho_solve(chol_u, b),
         solve_h=lambda b: _cho_solve(chol_h, w * b),
         forces=lambda v, h, t: _explicit_forces(v, h, t, params, spec, forcing, grid),
-        energy=lambda u, v, h: energy_mod.energy_nodal(
-            grid, params, *unpack_arrays(grid, u), *unpack_arrays(grid, v), h.reshape(grid.shape)),
+        energy=lambda u, v, h: energy_mod.energy_packed(grid, params, u, v, h),
     )
 
 

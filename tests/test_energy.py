@@ -4,8 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from melab.grid import Grid2D, ParameterError, ScalarField
+from melab.grid import (
+    ContractViolationError,
+    Grid2D,
+    ParameterError,
+    ScalarField,
+    VectorField2,
+    grad_edge_inner,
+    pin_boundary,
+)
 from melab.model import (
     DissipationSpec,
     Forcing,
@@ -52,6 +61,52 @@ def test_perturbation_energy_weights_kinetic_by_rho_m():
     params = MaterialParams(rho_m=2.0, mu=1.0, lam=0.5, nu1=0.1, mu0=1.0, b0=1.0)
     st = random_state(g, build_galerkin_basis(g, params, m=6), seed=0, amplitude=0.1)
     assert energy.energy_perturbation(st.u, st.ut, st.h, params) == energy.energy_total(st, params)
+
+
+def edge_energy(grid, params, ux, uy, vx, vy, h):
+    """Reference: the total energy of nodal arrays by the edge quadrature,
+    mu times the edge gradient sum plus (lam + mu) times the weighted
+    collocated divergence squared for the elastic term."""
+    w = grid.weights
+    kin = params.rho_m * float(np.sum((vx * vx + vy * vy) * w))
+    el = params.mu * (grad_edge_inner(ux, ux, grid) + grad_edge_inner(uy, uy, grid))
+    dv = grid.dmat_x @ ux + uy @ grid.dmat_y.T
+    el += (params.lam + params.mu) * float(np.sum(dv * dv * w))
+    mag = params.mu0 * float(np.sum(h * h * w))
+    return 0.5 * (kin + el + mag)
+
+
+unequal_cells = st.tuples(st.integers(4, 20), st.integers(4, 20)).filter(lambda n: n[0] != n[1])
+unequal_sides = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)).filter(lambda s: s[0] != s[1])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cells=unequal_cells, sides=unequal_sides, rho_m=st.floats(0.2, 5.0), mu=st.floats(0.1, 5.0),
+       lam=st.floats(0.1, 5.0), mu0=st.floats(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_energy_form_is_the_edge_energy(cells, sides, rho_m, mu, lam, mu0, seed):
+    """On clamped fields the packed form with W_v A_el is the edge-quadrature
+    energy to 1e-13 relative, on grids wider than tall and taller than
+    wide."""
+    g = Grid2D(*cells, *sides)
+    params = MaterialParams(rho_m=rho_m, mu=mu, lam=lam, nu1=0.1, mu0=mu0, b0=1.0)
+    rng = np.random.default_rng(seed)
+    u, ut = (VectorField2(g, pin_boundary(rng.standard_normal(g.shape)),
+                          pin_boundary(rng.standard_normal(g.shape)), bc="dirichlet_zero")
+             for _ in range(2))
+    h = ScalarField(g, rng.standard_normal(g.shape), bc="neumann")
+    want = edge_energy(g, params, u.ux, u.uy, ut.ux, ut.uy, h.values)
+    got = energy.energy_total(State(u, ut, h), params)
+    assert abs(got - want) <= 1e-13 * want
+    assert energy.energy_perturbation(u, ut, h, params) == got
+
+
+def test_perturbation_energy_refuses_unclamped_velocity(grid, basis):
+    """The packed form reads interior values only, so a perturbation whose
+    v or v' is not tagged clamped is refused rather than measured short."""
+    s = random_state(grid, basis, seed=3, amplitude=0.1)
+    loose = VectorField2(grid, s.ut.ux, s.ut.uy, bc="none")
+    with pytest.raises(ContractViolationError):
+        energy.energy_perturbation(s.u, loose, s.h, PARAMS)
 
 
 def test_lyapunov_g_equivalent_to_energy(grid, basis):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
@@ -267,13 +268,13 @@ def test_one_energy_total_per_state(grid, basis, monkeypatch):
     """n steps sampled every k compute the energy of each of the n + 1
     states once: the blow-up guard and the energy log share it."""
     calls = []
-    original = energy.energy_nodal
+    original = energy.energy_packed
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(energy, "energy_nodal", counting)
+    monkeypatch.setattr(energy, "energy_packed", counting)
     st = random_state(grid, basis, seed=9, amplitude=0.05)
     n, k = 20, 5
     cfg = stepping.StepperConfig(dt=1e-2, sample_every=k)
@@ -561,6 +562,28 @@ def test_factor_memory_bounded_at_64():
     assert stepping._implicit_ops.cache_info().hits == hits + 1
     held = sum(a.nbytes for factor in ops[-2:] for a in factor)
     assert held <= 20e6
+
+
+@pytest.mark.parametrize("nx, ny", [(12, 12), (30, 6), (6, 30)])
+def test_solve_is_scipys_banded_solve(nx, ny):
+    """The direct LAPACK solve of both cached factors is byte for byte
+    scipy's cho_solve_banded on the reordered right-hand side."""
+    rng = np.random.default_rng(nx * ny)
+    for cb, order, rank in stepping._implicit_ops(Grid2D(nx, ny, 1.0, 1.0), 1e-2, PARAMS,
+                                                  0.5)[-2:]:
+        for _ in range(3):
+            b = rng.standard_normal(cb.shape[1])
+            want = scipy.linalg.cho_solve_banded((cb, False), b[order])[rank]
+            assert stepping._cho_solve((cb, order, rank), b).tobytes() == want.tobytes()
+
+
+def test_solve_refuses_short_right_hand_side():
+    """A factor whose order is shorter than its matrix is a bug: LAPACK's
+    argument error surfaces as ValueError, not as a validation error."""
+    cb, order, rank = stepping._implicit_ops(Grid2D(8, 8, 1.0, 1.0), 1e-2, PARAMS, 0.0)[-1]
+    with pytest.raises(ValueError, match="illegal value in argument 8") as err:
+        stepping._cho_solve((cb, order[:-1], rank), np.ones(cb.shape[1]))
+    assert not isinstance(err.value, MelabError)
 
 
 @pytest.mark.parametrize("nx, ny", [(30, 6), (6, 30)])
