@@ -8,7 +8,7 @@ integration-by-parts identity under the trapezoid quadrature:
 exactly (to round-off) whenever w vanishes on the boundary.  The Neumann
 Laplacian is the flux difference of edge-centered gradients, which makes it
 self-adjoint in the quadrature inner product and pairs it exactly with the
-edge-based energy forms in :mod:`melab.energy`; the elastic operator pairs
+edge gradient form ``grad_edge_inner``; the elastic operator pairs
 the Dirichlet Laplacian with the quadrature adjoint of the divergence in the
 same way.  That compatibility is what turns the continuous energy balance of
 the model into a machine-checkable identity.
@@ -498,35 +498,6 @@ def norm_l2(a) -> float:
 def mean(h: ScalarField) -> float:
     """Quadrature average of a scalar field over the domain."""
     return float(np.sum(h.values * h.grid.weights) / h.grid.measure)
-
-
-# ---------------------------------------------------------------------------
-# bilinear forms
-
-def bilinear_a1(h: ScalarField, g: ScalarField, nu1: float) -> float:
-    """Magnetic form  nu1*(grad h, grad g) + (h, g)  (edge-based gradient)."""
-    if nu1 <= 0:
-        raise ParameterError("nu1 must be positive")
-    if h.bc != "neumann" or g.bc != "neumann":
-        raise ContractViolationError("bilinear_a1 requires Neumann-tagged fields")
-    grid = _same_grid(h, g)
-    return nu1 * grad_edge_inner(h.values, g.values, grid) + inner(h, g)
-
-
-def bilinear_a2(u: VectorField2, w: VectorField2, mu: float, lam: float) -> float:
-    """Elastic form  mu*sum_i (grad u_i, grad w_i) + (lam+mu)*(div u, div w).
-
-    Uses the edge gradient for the mu term and the collocated divergence,
-    so it agrees with (lame_apply(u), w) to round-off on zero-boundary fields.
-    """
-    if mu <= 0 or lam <= 0:
-        raise ParameterError("Lame constants must satisfy mu > 0, lambda > 0")
-    if u.bc != "dirichlet_zero" or w.bc != "dirichlet_zero":
-        raise ContractViolationError("bilinear_a2 requires dirichlet_zero fields")
-    g = _same_grid(u, w)
-    grad_part = grad_edge_inner(u.ux, w.ux, g) + grad_edge_inner(u.uy, w.uy, g)
-    div_part = inner(divergence(u), divergence(w))
-    return mu * grad_part + (lam + mu) * div_part
 
 
 # ---------------------------------------------------------------------------

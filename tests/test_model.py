@@ -26,7 +26,6 @@ from melab.model import (
     MaterialParams,
     State,
     build_galerkin_basis,
-    dissipation_eval,
     induction_term,
     lorentz_force,
     project,

@@ -26,12 +26,13 @@ from melab.model import (
     MaterialParams,
     State,
     build_galerkin_basis,
-    dissipation_eval,
     induction_term,
     lorentz_force,
     random_state,
 )
 from melab import energy, model, stepping
+
+from field_reference import dissipation_eval
 
 
 PARAMS = MaterialParams(rho_m=1.0, mu=1.0, lam=0.5, nu1=0.1, mu0=1.0, b0=1.0)
