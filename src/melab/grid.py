@@ -17,8 +17,12 @@ Each operator has one definition: a sparse matrix assembled once per grid
 from 1D stencils by Kronecker products (``Grid2D.lap_neumann``,
 ``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``).  Applying an operator is a
 matrix-vector product with it and the implicit solves factor it in banded
-form.  The eigenpairs of both scalar Laplacians are closed forms, DCT-I and
-DST-I tensor modes (``Grid2D.neumann_modes``, ``Grid2D.dirichlet_modes``).
+form.  The matrices are built in canonical CSR form (sorted indices, no
+duplicates): scipy sorts a non-canonical matrix in place whenever an
+operation needs it so, after which every product with the cached matrix
+would sum in another order.  The eigenpairs of both scalar Laplacians are
+closed forms, DCT-I and DST-I tensor modes (``Grid2D.neumann_modes``,
+``Grid2D.dirichlet_modes``).
 
 The module also holds the config schema (``parse_section``, ``Schema``)
 through which every parameter type reads its section of a config file, and
@@ -216,7 +220,7 @@ class Grid2D(Schema):
             sparse.kron(px, self.dmat_y[:, 1:-1]),
         ]).tocsr()
         w = sparse.diags_array(self.weights.ravel())
-        return (sparse.diags_array(1.0 / self.vector_weights) @ (d.T @ w @ d)).tocsr()
+        return _canonical(sparse.diags_array(1.0 / self.vector_weights) @ (d.T @ w @ d))
 
     def neumann_modes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The m lowest eigenpairs of -lap_neumann: DCT-I tensor modes over
@@ -303,7 +307,14 @@ def _kron_sum(ax, ay) -> sparse.csr_array:
     """ax along the first (x) index plus ay along the second (y) index of
     row-major node arrays."""
     eye = sparse.eye_array
-    return (sparse.kron(ax, eye(ay.shape[0])) + sparse.kron(eye(ax.shape[0]), ay)).tocsr()
+    return _canonical(sparse.kron(ax, eye(ay.shape[0])) + sparse.kron(eye(ax.shape[0]), ay))
+
+
+def _canonical(m) -> sparse.csr_array:
+    """m as a CSR matrix with sorted indices and no duplicate entries."""
+    m = m.tocsr()
+    m.sum_duplicates()
+    return m
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -515,7 +526,7 @@ def lame_operator_matrix(grid: Grid2D, mu: float, lam: float) -> sparse.csr_arra
     if mu <= 0 or lam <= 0:
         raise ParameterError("Lame constants must satisfy mu > 0, lambda > 0")
     lap = grid.lap_dirichlet
-    return ((lam + mu) * grid.grad_div - mu * sparse.block_diag((lap, lap))).tocsr()
+    return _canonical((lam + mu) * grid.grad_div - mu * sparse.block_diag((lap, lap)))
 
 
 def pack_arrays(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:

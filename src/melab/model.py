@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .grid import (
     ContractViolationError,
@@ -427,7 +428,13 @@ def validate_kc(spec: DissipationSpec, n_samples: int = 10_000, seed: int = 0) -
 # ---------------------------------------------------------------------------
 # Galerkin eigenbasis
 
-MAX_DENSE_DOF = 5000
+MAX_DENSE_DOF = 5000    # unknowns the dense eigensolve path may densify
+# Below this many unknowns the dense elastic solve is the faster one (one
+# BLAS thread, m = 5 or 8: 7 ms against 7-11 ms for Lanczos with its
+# certificate at 338 unknowns, 21-25 ms against 14-16 ms at 578; the two
+# swap places between about 400 and 580), and a process that builds only
+# such bases also skips importing scipy.sparse.linalg (18 ms, 1.9 MB).
+LANCZOS_MIN_DOF = 500
 
 
 @dataclass
@@ -478,20 +485,29 @@ def build_galerkin_basis(
 ) -> GalerkinBasis:
     """First m eigenpairs of the elastic form and m_magnetic of the magnetic
     form, trapezoid-orthonormal: the closed-form ``grid.neumann_modes`` with
-    values 1 + nu1*kappa, and, as every interior node weighs dx*dy, one dense
-    symmetric solve of the Lame matrix, limited to MAX_DENSE_DOF unknowns."""
+    values 1 + nu1*kappa, and, as every interior node weighs dx*dy, the m
+    lowest eigenpairs of the symmetric Lame matrix, ascending.  Those come
+    from ``_lanczos_modes``; a basis of N/2 or more of the N unknowns,
+    beyond Lanczos' reach, or on fewer than LANCZOS_MIN_DOF unknowns comes
+    from a dense ``eigh``, limited to MAX_DENSE_DOF unknowns."""
     if m_magnetic is None:
         m_magnetic = m
-    ni = grid.n_interior
-    if 2 * ni > MAX_DENSE_DOF:
-        raise ParameterError(f"grid too large for dense eigensolve (limit {MAX_DENSE_DOF} DOF)")
-    if m < 1 or m > 2 * ni:
-        raise ParameterError(f"need 1 <= m <= {2 * ni} elastic modes")
+    n = 2 * grid.n_interior
+    if m < 1 or m > n:
+        raise ParameterError(f"need 1 <= m <= {n} elastic modes")
     if m_magnetic < 1 or m_magnetic > grid.n_nodes:
         raise ParameterError(f"need 1 <= m_magnetic <= {grid.n_nodes} magnetic modes")
+    # ARPACK needs k < N and builds a Krylov space of max(2k + 1, 20) vectors
+    dense = n < LANCZOS_MIN_DOF or 2 * m + 1 >= n
+    if dense and n > MAX_DENSE_DOF:
+        raise ParameterError(f"{m} of {n} elastic modes need a dense eigensolve "
+                             f"(limit {MAX_DENSE_DOF} DOF)")
 
-    a_el = elastic_matrix(grid, params.mu, params.lam).toarray()
-    vals, vecs = scipy.linalg.eigh(a_el, subset_by_index=(0, m - 1))
+    a_el = elastic_matrix(grid, params.mu, params.lam)
+    if dense:
+        vals, vecs = scipy.linalg.eigh(a_el.toarray(), subset_by_index=(0, m - 1))
+    else:
+        vals, vecs = _lanczos_modes(a_el, m)
     kappa, mvecs = grid.neumann_modes(m_magnetic)
     return GalerkinBasis(
         grid=grid,
@@ -502,6 +518,49 @@ def build_galerkin_basis(
         magnetic_vals=1.0 + params.nu1 * kappa,
         magnetic_vecs=mvecs,
     )
+
+
+def _lanczos_modes(a: sparse.csr_array, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m lowest eigenpairs of the sparse symmetric positive definite
+    matrix a, ascending: shift-invert Lanczos about 0 (ARPACK through
+    ``eigsh``; Saad, Numerical Methods for Large Eigenvalue Problems, 2nd
+    ed., 2011, ch. 4-5) from a fixed start vector, so a build replays bit
+    for bit, with the count certified by ``_certify_mode_count``."""
+    import scipy.sparse.linalg    # here, so that dense-only processes skip it
+
+    v0 = np.random.default_rng(0).standard_normal(a.shape[0])
+    vals, vecs = scipy.sparse.linalg.eigsh(a, m, sigma=0.0, v0=v0, tol=0)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    _certify_mode_count(a, vals)
+    return vals, vecs
+
+
+# Eigenvalues within this relative distance of the highest returned one form
+# its degenerate group; exact pairs of a square grid split at about 1e-13.
+_GROUP_RTOL = 1e-8
+
+
+def _certify_mode_count(a: sparse.csr_array, vals: np.ndarray) -> None:
+    """Check that the ascending eigenvalues vals of the symmetric matrix a
+    are its lowest, none skipped, by Sylvester's law of inertia: the pivots
+    of an LDL^T factorization of a - cut*I, with cut just below the start
+    of the highest value's degenerate group, hold as many negatives as a
+    has eigenvalues below cut.  Lanczos can miss one copy of a repeated
+    eigenvalue; that shows as fewer returned values below cut."""
+    import scipy.sparse.linalg
+
+    start = vals[vals >= vals[-1] * (1.0 - _GROUP_RTOL)][0]
+    cut = start * (1.0 - _GROUP_RTOL)
+    lu = scipy.sparse.linalg.splu((a - cut * sparse.eye_array(a.shape[0])).tocsc(),
+                                  diag_pivot_thresh=0, options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise MelabError("inertia count needs a symmetric pivot order")
+    below = int(np.count_nonzero(lu.U.diagonal() < 0))
+    found = int(np.count_nonzero(vals < cut))
+    if found != below:
+        raise MelabError(f"Lanczos returned {found} elastic eigenvalues below {cut:.17g}, "
+                         f"the Lame matrix has {below}")
 
 
 def project(basis: GalerkinBasis, field_) -> np.ndarray:

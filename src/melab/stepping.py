@@ -120,7 +120,7 @@ def _banded_cholesky(m, order: np.ndarray):
     ``order`` (Golub & Van Loan, Matrix Computations, 4.3), as
     (factor, order, inverse order).  Only one triangle is read, so an
     asymmetric m is refused: it is a bug, not bad input."""
-    if abs(m - m.T).max() > 1e-14 * abs(m).max():
+    if abs(m - m.T).max() > 1e-14 * np.abs(m.data).max():
         raise ValueError("implicit matrix is not symmetric")
     rank = np.argsort(order)    # the inverse permutation
     c = m.tocoo()

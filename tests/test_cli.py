@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +210,41 @@ def test_eigenbasis_experiment(tmp_path):
     assert (out / "basis.npz").exists()
     rep = json.loads((out / "reports" / "eigenbasis.json").read_text())
     assert len(rep["elastic_eigenvalues"]) == 4
+
+
+def test_eigenbasis_replays_bit_for_bit_across_processes(tmp_path):
+    """Two processes building the same 24 x 24 basis write byte-identical
+    basis.npz files: the Lanczos start vector is fixed."""
+    doc = {"experiment": "eigenbasis", "grid": {"nx": 24, "ny": 24},
+           "basis": {"m": 8, "m_magnetic": 8}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    files = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "melab.cli", "eigenbasis", "--config", cfg,
+                               "--output", str(out)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files.append((out / "basis.npz").read_bytes())
+    assert files[0] == files[1]
+
+
+def test_lasalle_runs_at_64(tmp_path):
+    """A 64 x 64 limit-set run, whose 7938-unknown elastic basis is beyond
+    the dense eigensolve, completes and writes its report."""
+    doc = {"experiment": "lasalle", "grid": {"nx": 64, "ny": 64},
+           "material": {"nu1": 0.3}, "dissipation": {"kind": "none"},
+           "stepper": {"dt": 1e-3, "sample_every": 2},
+           "initial": {"kind": "random", "amplitude": 0.05, "n_modes": 6},
+           "basis": {"m": 8, "m_magnetic": 8}, "seed": 3, "t_end": 4e-3}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert run_cli(["lasalle", "--config", cfg, "--output", str(out)]) == 0
+    assert (out / "reports" / "lasalle.json").exists()
+    assert len((out / "energy.csv").read_text().splitlines()) == 4
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

@@ -133,9 +133,8 @@ def _smooth_state(g, rng, amplitude, m=6):
 
 
 def _abs_product(m, x):
-    """|m| |x|, taken on a copy: abs() of a sparse matrix sums its
-    duplicates in place, which would reorder the cached operator's sums."""
-    return abs(m.copy()) @ np.abs(x)
+    """|m| |x|."""
+    return abs(m) @ np.abs(x)
 
 
 def _abs_form(m, w, x):

@@ -32,6 +32,7 @@ from melab.grid import (
     save_vector_csv,
     write_csv,
 )
+from melab.model import elastic_matrix
 from melab.grid import _cosine_modes, _flux_1d, _second_difference, _sine_modes
 
 from field_reference import bilinear_a2
@@ -168,6 +169,17 @@ def test_lame_operator_matrix_matches_apply(grid, seed):
     ref = pack_interior(lame_apply(u, 1.0, 0.7))
     out = lame_operator_matrix(grid, 1.0, 0.7) @ pack_interior(u)
     assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (12, 7), (6, 31)])
+def test_operator_matrices_are_canonical(nx, ny):
+    """Every cached operator matrix is built with sorted indices and no
+    duplicates, so no scipy operation that needs that form (abs, a shifted
+    factorization) reorders it in place."""
+    g = Grid2D(nx, ny, 1.0, 0.6)
+    for m in (g.lap_neumann, g.lap_dirichlet, g.grad_div, neumann_laplacian_matrix(g),
+              lame_operator_matrix(g, 1.0, 0.7), elastic_matrix(g, 1.0, 0.7)):
+        assert m.format == "csr" and m.has_canonical_format
 
 
 def _relative_asymmetry(m) -> float:

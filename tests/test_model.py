@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy import sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from melab import model
 from melab.grid import (
     Grid2D,
+    MelabError,
     ParameterError,
     ScalarField,
     VectorField2,
@@ -219,10 +222,15 @@ def _dense_generalized_eigenvalues(grid, params, m, m_magnetic):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(random_grids, st.integers(1, 10), st.integers(1, 10))
+@example(Grid2D(4, 4, 1.0, 1.0), 9, 3)        # 18 unknowns: dense
+@example(Grid2D(18, 16, 0.7, 1.9), 255, 2)    # half of 510 unknowns: dense
+@example(Grid2D(18, 16, 0.7, 1.9), 254, 2)    # just under half: Lanczos
+@example(Grid2D(24, 24, 1.0, 1.0), 8, 4)      # Lanczos through two pairs
 def test_basis_matches_dense_generalized_eigensolve(grid, m, m_magnetic):
-    """Closed-form magnetic modes and the plain symmetric elastic solve give
-    the eigenvalues of the generalized problems, trapezoid-orthonormal
-    eigenvectors and an exactly constant magnetic mode 0."""
+    """Closed-form magnetic modes and the symmetric elastic solve, Lanczos
+    or dense, give the eigenvalues of the generalized problems,
+    trapezoid-orthonormal eigenvectors and an exactly constant magnetic
+    mode 0."""
     b = build_galerkin_basis(grid, PARAMS, m=m, m_magnetic=m_magnetic)
     vals, mvals = _dense_generalized_eigenvalues(grid, PARAMS, m, m_magnetic)
     assert np.all(np.abs(b.elastic_vals - vals) <= 1e-12 * np.abs(vals))
@@ -238,6 +246,63 @@ def test_basis_matches_dense_generalized_eigensolve(grid, m, m_magnetic):
                            mv, b.magnetic_vals)):
         scale = abs(op).sum(axis=1).max() * np.linalg.norm(vecs, axis=0).max()
         assert np.abs(op @ vecs - vecs * lam).max() <= 1e-12 * scale
+
+
+def _eigsh_dropping(index):
+    """scipy's eigsh that computes one mode more and drops the index-th
+    lowest: a Lanczos run that missed that eigenvalue."""
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def missing_one(a, k, **kw):
+        vals, vecs = eigsh(a, k + 1, **kw)
+        keep = np.delete(np.argsort(vals), index)
+        return vals[keep], vecs[:, keep]
+    return missing_one
+
+
+@pytest.mark.parametrize("grid, index", [
+    (Grid2D(18, 18, 1.0, 1.0), 0),    # one copy of the pair lambda_1 = lambda_2
+    (Grid2D(18, 18, 1.0, 1.0), 5),    # one copy of the pair lambda_6 = lambda_7
+    (Grid2D(19, 16, 1.0, 0.6), 0),    # lx != ly: simple eigenvalues
+    (Grid2D(15, 22, 2.0, 1.3), 4),
+])
+def test_lanczos_certificate_catches_a_missed_mode(monkeypatch, grid, index):
+    """The inertia count certifies every Lanczos basis, and a basis that
+    skips an eigenvalue, even one copy of a repeated one, is refused."""
+    assert 2 * grid.n_interior >= model.LANCZOS_MIN_DOF
+    ok = build_galerkin_basis(grid, PARAMS, m=8, m_magnetic=1)
+    vals = _dense_generalized_eigenvalues(grid, PARAMS, 9, 1)[0]
+    assert np.all(np.abs(ok.elastic_vals - vals[:8]) <= 1e-12 * vals[:8])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _eigsh_dropping(index))
+    with pytest.raises(MelabError, match="Lanczos returned 7 elastic eigenvalues"):
+        build_galerkin_basis(grid, PARAMS, m=8, m_magnetic=1)
+
+
+def test_lanczos_basis_at_64():
+    """A 64 x 64 grid (7938 unknowns, beyond the dense limit) gets its 8
+    lowest elastic modes with eigen-residuals and W-orthonormality within
+    1e-12."""
+    g = Grid2D(64, 64, 1.0, 1.0)
+    b = build_galerkin_basis(g, PARAMS, m=8, m_magnetic=8)
+    assert 2 * g.n_interior > model.MAX_DENSE_DOF
+    assert np.all(np.diff(b.elastic_vals) >= 0)
+    a = model.elastic_matrix(g, PARAMS.mu, PARAMS.lam)
+    ev = b.elastic_vecs
+    scale = abs(a).sum(axis=1).max() * np.linalg.norm(ev, axis=0).max()
+    assert np.abs(a @ ev - ev * b.elastic_vals).max() <= 1e-12 * scale
+    assert np.abs(ev.T @ (g.vector_weights[:, None] * ev) - np.eye(8)).max() <= 1e-12
+
+
+def test_dense_basis_beyond_limit_refused_before_assembly(monkeypatch):
+    """A basis of half the unknowns or more needs the dense solve; beyond
+    MAX_DENSE_DOF it is refused before the Lame matrix is built."""
+    def no_assembly(*args):
+        raise AssertionError("the Lame matrix was built")
+
+    monkeypatch.setattr(model, "elastic_matrix", no_assembly)
+    g = Grid2D(64, 64, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="dense eigensolve"):
+        build_galerkin_basis(g, PARAMS, m=g.n_interior, m_magnetic=1)
 
 
 def test_random_state_mean_zero(grid, basis):

@@ -534,6 +534,31 @@ def test_step_matches_field_reference(scheme, grid, params, spec, dt, t, seed):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
+def test_basis_build_leaves_the_cached_operators_alone():
+    """A grid trajectory stepped after an eigenbasis build and an abs() of
+    the cached Lame matrix, with the same caches, is byte for byte the one
+    stepped before them: neither reorders a cached matrix's sums."""
+    g = Grid2D(20, 20, 1.0, 1.0)
+    params = MaterialParams(rho_m=1.0, mu=1.3, lam=0.7, nu1=0.1, mu0=1.0, b0=1.0)
+    u = VectorField2.from_functions(
+        g, lambda x, y: 0.1 * np.sin(np.pi * x) * np.sin(2 * np.pi * y),
+        lambda x, y: 0.05 * x * (1 - x) * y * (1 - y), bc="dirichlet_zero")
+    h = ScalarField.from_function(g, lambda x, y: 0.1 * np.cos(np.pi * x * y), bc="neumann")
+    state = State(u, VectorField2.zeros(g, bc="dirichlet_zero"), h)
+    cfg = stepping.StepperConfig(dt=2e-3, sample_every=5)
+
+    def run():
+        traj = stepping.integrate(state, 0.02, params, NONE, ZERO_F, cfg)
+        return [a.tobytes() for s in traj.samples
+                for a in (s.u.ux, s.u.uy, s.ut.ux, s.ut.uy, s.h.values)], traj.energy_log
+
+    before = run()
+    assert 2 * g.n_interior >= model.LANCZOS_MIN_DOF    # the build runs eigsh
+    build_galerkin_basis(g, params, m=6, m_magnetic=2)
+    abs(model.elastic_matrix(g, params.mu, params.lam))
+    assert run() == before
+
+
 def test_factor_refuses_asymmetric_matrix():
     """An asymmetric implicit matrix is a bug, not bad input: the factor
     builder raises, and not as a validation error."""
@@ -544,10 +569,9 @@ def test_factor_refuses_asymmetric_matrix():
 
 
 def test_factor_memory_bounded_at_64():
-    """At 64 x 64 (7938 vector unknowns, beyond the dense eigenbasis) five
-    IMEX steps run, and the cached banded factors of both implicit
-    matrices hold at most 20 MB (a dense LU of the elastic one alone
-    would hold about 500 MB)."""
+    """At 64 x 64 (7938 vector unknowns) five IMEX steps run, and the
+    cached banded factors of both implicit matrices hold at most 20 MB (a
+    dense LU of the elastic one alone would hold about 500 MB)."""
     g = Grid2D(64, 64, 1.0, 1.0)
     u = VectorField2.from_functions(
         g, lambda x, y: 0.1 * np.sin(np.pi * x) * np.sin(np.pi * y),
