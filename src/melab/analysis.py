@@ -1,7 +1,7 @@
 """Standalone verifiers: the quadratic continuation lemma, closed-form
-smallness conditions, Bessel disk modes, the divergence-ratio scan that
-probes property P on rectangles, and trend reporting for long unforced
-runs."""
+smallness conditions, Bessel disk modes (J1, its zeros and derivatives from
+scipy.special), the divergence-ratio scan that probes property P on
+rectangles, and trend reporting for long unforced runs."""
 
 from __future__ import annotations
 
@@ -92,20 +92,6 @@ def condition_regularity(e1_0: float, f_h1_l1: float, nu1: float, c_mu: float) -
     }
 
 
-def condition_regularity_reference(
-    e1_0: float, f_h1_l1: float, nu1: float, c_mu: float
-) -> dict:
-    import mpmath as mp
-
-    with mp.workdps(50):
-        c = mp.mpf(c_mu)
-        n = mp.mpf(nu1)
-        e = mp.mpf(e1_0)
-        lhs = 6 * c**2 * e + 2 * n * mp.sqrt(2) * c * mp.sqrt(e) + 8 * c * n * mp.mpf(f_h1_l1)
-        rhs = n**2
-        return {"lhs": float(lhs), "rhs": float(rhs), "satisfied": bool(lhs < rhs)}
-
-
 def condition_stability(nu1: float, c_e: float, c_omega: float, c_small: float) -> dict:
     """nu1 > 2 sqrt(C_Omega) max(sqrt(2) C_E, 2 c C_E^2), plus the inline
     requirement nu1 > 2 sqrt(2) C_E sqrt(C_Omega)."""
@@ -122,98 +108,29 @@ def condition_stability(nu1: float, c_e: float, c_omega: float, c_small: float) 
     }
 
 
-def condition_stability_reference(
-    nu1: float, c_e: float, c_omega: float, c_small: float
-) -> dict:
-    import mpmath as mp
-
-    with mp.workdps(50):
-        ce = mp.mpf(c_e)
-        th = 2 * mp.sqrt(mp.mpf(c_omega)) * max(mp.sqrt(2) * ce, 2 * mp.mpf(c_small) * ce**2)
-        return {"threshold": float(th), "satisfied": bool(mp.mpf(nu1) > th)}
-
-
 # ---------------------------------------------------------------------------
-# Bessel J1 and the disk's invariant azimuthal modes
+# Bessel J1 and the disk's invariant azimuthal modes.  scipy.special is
+# imported on first use only: no other path needs it, and its import adds
+# tens of milliseconds and about 2 MB to a process.
 
-_SERIES_CUTOFF = 12.0
-
-
-def _j1_series(x: float) -> float:
-    half = 0.5 * x
-    term = half
-    total = term
-    for k in range(1, 60):
-        term *= -(half * half) / (k * (k + 1))
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-300):
-            break
-    return total
-
-
-def _bessel_miller(x: float, n_max: int) -> np.ndarray:
-    """J_0..J_n by backward three-term recurrence with the classical
-    normalization J0 + 2(J2 + J4 + ...) = 1."""
-    if x == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    ax = abs(x)
-    start = n_max + int(ax + 12.0 * np.sqrt(ax)) + 40
-    jp, j = 0.0, 1e-30
-    vals = np.zeros(n_max + 1)
-    norm = 0.0
-    for n in range(start, -1, -1):
-        jm = (2.0 * (n + 1)) / x * j - jp
-        jp, j = j, jm
-        if n <= n_max:
-            vals[n] = j
-        if n % 2 == 0:
-            norm += 2.0 * j
-        if abs(j) > 1e250:
-            jp *= 1e-250
-            j *= 1e-250
-            vals *= 1e-250
-            norm *= 1e-250
-    norm -= j  # the n = 0 term enters once, not twice
-    return vals / norm
+MAX_RADIAL_POINTS = 10**6   # the vectorised residual holds a few arrays this long
 
 
 def bessel_j1(x: float) -> float:
-    ax = abs(x)
-    if ax <= _SERIES_CUTOFF:
-        return _j1_series(x)
-    val = _bessel_miller(ax, 1)[1]
-    return -val if x < 0 else val
+    from scipy import special
+
+    return float(special.j1(x))
 
 
 def bessel_j1_zero(m: int) -> float:
-    """m-th positive root of J1 by sign-change bisection; supports m <= 50."""
+    """m-th positive root of J1; supports m <= 50."""
     if m < 1:
         raise ParameterError("m must be >= 1")
     if m > 50:
         raise ParameterError("roots beyond m = 50 are unsupported")
-    beta = (m + 0.25) * np.pi
-    lo, hi = beta - 1.5, beta + 1.0
-    flo, fhi = bessel_j1(lo), bessel_j1(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise MelabError(f"root bracket failed for m = {m}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j1(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    from scipy import special
+
+    return float(special.jn_zeros(1, m)[-1])
 
 
 def bessel_root_table(m_max: int) -> list[tuple[int, float]]:
@@ -227,8 +144,9 @@ class DiskModeSpec:
     radial_points: int = 2000
 
     def __post_init__(self):
-        if self.m < 1 or self.radial_points < 16:
-            raise ParameterError("mode index >= 1 and at least 16 radial points")
+        if self.m < 1 or not 16 <= self.radial_points <= MAX_RADIAL_POINTS:
+            raise ParameterError(
+                f"mode index >= 1 and 16 to {MAX_RADIAL_POINTS} radial points")
         if abs(bessel_j1(self.zeta_m)) > 1e-12:
             raise ParameterError("zeta_m is not a root of J1")
 
@@ -237,50 +155,24 @@ class DiskModeSpec:
         return cls(m=m, zeta_m=bessel_j1_zero(m), radial_points=radial_points)
 
 
-def _j1_derivatives(x: float) -> tuple[float, float, float]:
-    """(J1, J1', J1'') from neighboring orders: J1' = (J0 - J2)/2 and
-    J1'' = (J3 - 3 J1)/4 — independent of the ODE being verified."""
-    if x <= _SERIES_CUTOFF:
-        # term-wise differentiated ascending series
-        half = 0.5 * x
-        j = jp = jpp = 0.0
-        sign = 1.0
-        from math import factorial
-
-        for k in range(0, 40):
-            c = sign / (factorial(k) * factorial(k + 1) * 2.0 ** (2 * k + 1))
-            p = 2 * k + 1
-            j += c * x**p
-            jp += c * p * x ** (p - 1)
-            if p >= 2:
-                jpp += c * p * (p - 1) * x ** (p - 2)
-            sign = -sign
-        return j, jp, jpp
-    js = _bessel_miller(x, 3)
-    j1 = js[1]
-    j1p = 0.5 * (js[0] - js[2])
-    j1pp = 0.25 * (js[3] - 3.0 * js[1])
-    return j1, j1p, j1pp
-
-
 def disk_mode_residual(spec: DiskModeSpec, params: MaterialParams) -> dict:
     """Residuals of the azimuthal disk mode xi = (0, J1(zeta r)):
     (i) vector-Laplacian eigen-equation, (ii) divergence, (iii) boundary
     value; plus the closed-form oscillation frequency check."""
+    from scipy import special
+
     z = spec.zeta_m
     n = spec.radial_points
     r = (np.arange(n) + 0.5) / n          # midpoint rule on (0, 1)
     dr = 1.0 / n
-    res_sq = 0.0
-    mode_sq = 0.0
-    for ri in r:
-        x = z * ri
-        j, jp, jpp = _j1_derivatives(x)
-        # w(r) = J1(zeta r):  w'' + w'/r + (zeta^2 - 1/r^2) w, scaled form
-        res = z * z * (jpp + jp / x + (1.0 - 1.0 / (x * x)) * j)
-        res_sq += res * res * ri * dr
-        mode_sq += j * j * ri * dr
-    res_i = float(np.sqrt(2.0 * np.pi * res_sq))
+    x = z * r
+    # J1, J1', J1'' from one routine, which takes the derivatives from
+    # neighboring orders: J1' = (J0 - J2)/2 and J1'' = (J3 - 3 J1)/4 --
+    # independent of the ODE being verified
+    j, jp, jpp = (special.jvp(1, x, k) for k in range(3))
+    # w(r) = J1(zeta r):  w'' + w'/r + (zeta^2 - 1/r^2) w, scaled form
+    res = z * z * (jpp + jp / x + (1.0 - 1.0 / (x * x)) * j)
+    res_i = float(np.sqrt(2.0 * np.pi * np.dot(res * res, r) * dr))
     res_ii = 0.0        # purely azimuthal field with radial profile
     res_iii = abs(bessel_j1(z))
     omega = z * np.sqrt(params.mu / params.rho_m)
@@ -292,7 +184,7 @@ def disk_mode_residual(spec: DiskModeSpec, params: MaterialParams) -> dict:
         "residual_eigen": res_i,
         "residual_div": res_ii,
         "residual_boundary": res_iii,
-        "mode_l2": float(np.sqrt(2.0 * np.pi * mode_sq)),
+        "mode_l2": float(np.sqrt(2.0 * np.pi * np.dot(j * j, r) * dr)),
         "omega": float(omega),
         "wave_defect": float(wave_defect),
         "induction_source": 0.0,    # div(B0 u') = B0 div u' = 0 identically

@@ -77,6 +77,11 @@ class DissipationSpec(Schema):
     kind 'none': 0; 'linear': alpha*z; 'power': alpha*z + k1*|z|^p z
     (pointwise Euclidean norm), a concrete law compatible with the
     polynomial growth hypotheses and the monotonicity constant k_c = alpha.
+
+    The IMEX step takes k1*|u'|^p u' explicitly, at its midpoint predictor,
+    so dt*k1*|u'|^p/rho_m must stay below O(1).  Rough data can break that:
+    white-noise clamped data of size 0.1 on a 4 x 14 grid (rho_m = 0.5,
+    k1 = 1, p = 3.5) diverges at dt = 1e-3 and completes at dt = 5e-4.
     """
 
     section = "dissipation"

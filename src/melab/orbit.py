@@ -185,27 +185,6 @@ def r_critical(
     return RCritical(float(value), float(den), ok, diag)
 
 
-def r_critical_reference(
-    f_l1_norm: float, alpha: float, nu1: float, period: float, consts: dict
-) -> float:
-    """Independent high-precision evaluation of the same closed formula."""
-    import mpmath as mp
-
-    with mp.workdps(50):
-        f = mp.mpf(f_l1_norm)
-        a = mp.mpf(alpha)
-        nu = mp.mpf(nu1)
-        num = mp.mpf(consts["C1"]) * f + mp.mpf(consts["C3"]) / nu * f**2
-        den = (
-            1
-            - mp.sqrt(2 + a) * mp.exp(-mp.mpf(consts["eps"]) * mp.mpf(period) / (2 + a))
-            - mp.mpf(consts["C2"]) / nu * (1 + f)
-        )
-        if den <= 0:
-            return float("inf")
-        return float(num / den)
-
-
 def ball_mapping_check(
     radius: float,
     n_samples: int,

@@ -32,6 +32,12 @@ from melab.model import (
 )
 from melab import analysis, energy, orbit, stepping
 
+from mpmath_reference import (
+    condition_regularity_reference,
+    condition_stability_reference,
+    r_critical_reference,
+)
+
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> bool:
     status = "PASS" if ok else "FAIL"
@@ -188,18 +194,18 @@ def test_criterion_05_condition_formulas():
     for _ in range(50):
         e, f, nu, c = rng.uniform(0, 2), rng.uniform(0, 1), rng.uniform(0.1, 3), rng.uniform(0.1, 2)
         a = analysis.condition_regularity(e, f, nu, c)["lhs"]
-        b = analysis.condition_regularity_reference(e, f, nu, c)["lhs"]
+        b = condition_regularity_reference(e, f, nu, c)["lhs"]
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
         nu2, ce, co, cs = rng.uniform(0.1, 3, 4)
         a = analysis.condition_stability(nu2, ce, co, cs)["threshold"]
-        b = analysis.condition_stability_reference(nu2, ce, co, cs)["threshold"]
+        b = condition_stability_reference(nu2, ce, co, cs)["threshold"]
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     consts = {"C1": 0.5, "C2": 0.02, "C3": 0.1, "eps": 2.5}
     fs = np.linspace(0.0, 0.3, 50)
     vals = []
     for f in fs:
         rc = orbit.r_critical(f, 1.0, 0.2, 2.0, consts)
-        ref = orbit.r_critical_reference(f, 1.0, 0.2, 2.0, consts)
+        ref = r_critical_reference(f, 1.0, 0.2, 2.0, consts)
         worst = max(worst, abs(rc.value - ref) / max(1.0, abs(ref)))
         vals.append(rc.value)
     zero_at_zero = vals[0] == 0.0

@@ -1,12 +1,19 @@
 """Standalone verifiers: continuation lemma, conditions, Bessel modes,
 divergence-ratio scan, long-run trends."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from melab.grid import Grid2D, ParameterError
 from melab.model import DissipationSpec, Forcing, MaterialParams, build_galerkin_basis, random_state
 from melab import analysis, stepping
+
+from mpmath_reference import condition_regularity_reference, condition_stability_reference
 
 
 PARAMS = MaterialParams(rho_m=1.0, mu=1.0, lam=0.5, nu1=0.3, mu0=1.0, b0=1.0)
@@ -90,7 +97,7 @@ def test_condition_regularity_matches_reference():
     for _ in range(30):
         e, f, nu, c = rng.uniform(0, 2), rng.uniform(0, 1), rng.uniform(0.1, 3), rng.uniform(0.1, 2)
         a = analysis.condition_regularity(e, f, nu, c)
-        b = analysis.condition_regularity_reference(e, f, nu, c)
+        b = condition_regularity_reference(e, f, nu, c)
         assert abs(a["lhs"] - b["lhs"]) <= 1e-14 * max(1.0, abs(b["lhs"]))
         assert a["satisfied"] == b["satisfied"]
 
@@ -107,7 +114,7 @@ def test_condition_stability_matches_reference():
     for _ in range(30):
         nu, ce, co, cs = rng.uniform(0.1, 3, 4)
         a = analysis.condition_stability(nu, ce, co, cs)
-        b = analysis.condition_stability_reference(nu, ce, co, cs)
+        b = condition_stability_reference(nu, ce, co, cs)
         assert abs(a["threshold"] - b["threshold"]) <= 1e-14 * max(1.0, b["threshold"])
         assert a["satisfied"] == b["satisfied"]
 
@@ -127,13 +134,6 @@ def test_j1_small_argument_series():
     assert analysis.bessel_j1(x) == pytest.approx(x / 2 - x**3 / 16, abs=1e-17)
     assert analysis.bessel_j1(-x) == pytest.approx(-analysis.bessel_j1(x))
     assert analysis.bessel_j1(0.0) == 0.0
-
-
-def test_j1_against_scipy():
-    from scipy.special import j1 as scipy_j1
-
-    for x in np.concatenate([np.linspace(0.1, 11.9, 30), np.linspace(12.1, 120.0, 30)]):
-        assert abs(analysis.bessel_j1(x) - scipy_j1(x)) < 1e-12
 
 
 def test_first_zero():
@@ -186,9 +186,50 @@ def test_disk_mode_higher_index():
     assert rep["mode_l2"] > 0
 
 
+def test_disk_mode_residual_every_root():
+    """Every supported root meets the residual bounds at 2000 points."""
+    for m in range(1, 51):
+        rep = analysis.disk_mode_residual(analysis.DiskModeSpec.build(m), PARAMS)
+        assert rep["residual_eigen"] <= 1e-11, m
+        assert rep["residual_boundary"] <= 1e-14, m
+
+
+IMPORT_PROBE = """
+import sys
+import melab
+from melab import analysis
+from melab.model import DissipationSpec, Forcing, random_state
+
+params = melab.MaterialParams(rho_m=1.0, mu=1.0, lam=0.5, nu1=0.3, mu0=1.0, b0=1.0)
+grid = melab.Grid2D(12, 12, 1.0, 1.0)
+basis = melab.build_galerkin_basis(grid, params, m=8)
+melab.integrate(random_state(grid, basis, seed=0, amplitude=0.05), 0.05, params,
+                DissipationSpec(kind="linear", alpha=1.0), Forcing.zero(),
+                melab.StepperConfig(dt=0.01))
+print(",".join(m for m in ("scipy.special", "scipy.sparse.linalg", "mpmath") if m in sys.modules))
+analysis.bessel_j1_zero(1)
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_optional_modules_load_on_first_use():
+    """Importing melab, a dense 12 x 12 basis build and a short run load
+    neither scipy.special, scipy.sparse.linalg nor mpmath; the first Bessel
+    root loads scipy.special."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "True"]
+
+
 def test_disk_mode_spec_validation():
     with pytest.raises(ParameterError):
         analysis.DiskModeSpec(m=1, zeta_m=3.5)
+    with pytest.raises(ParameterError):
+        analysis.DiskModeSpec.build(1, radial_points=10**6 + 1)
 
 
 # ---------------------------------------------------------------------------

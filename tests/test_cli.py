@@ -201,6 +201,13 @@ def test_disk_mode_experiment(tmp_path):
     assert lines[0] == "m,zeta_m" and len(lines) == 4
 
 
+def test_disk_mode_radial_points_bounded(tmp_path, capsys):
+    doc = {"experiment": "disk-mode", "disk_mode": {"m": 1, "radial_points": 10**6 + 1}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert run_cli(["disk-mode", "--config", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert "radial points" in capsys.readouterr().err
+
+
 def test_eigenbasis_experiment(tmp_path):
     doc = {"experiment": "eigenbasis", "grid": {"nx": 8, "ny": 8},
            "basis": {"m": 4, "m_magnetic": 4}}
