@@ -149,6 +149,8 @@ class DiskModeSpec:
                 f"mode index >= 1 and 16 to {MAX_RADIAL_POINTS} radial points")
         if abs(bessel_j1(self.zeta_m)) > 1e-12:
             raise ParameterError("zeta_m is not a root of J1")
+        if abs(self.zeta_m - bessel_j1_zero(self.m)) > 1e-12 * self.zeta_m:
+            raise ParameterError(f"zeta_m is a root of J1 but not the m = {self.m}-th one")
 
     @classmethod
     def build(cls, m: int, radial_points: int = 2000) -> "DiskModeSpec":

@@ -38,7 +38,6 @@ from .grid import (
     VectorField2,
     grad_edge_inner,
     inner,
-    pack_arrays,
     pack_interior,
 )
 from .model import (
@@ -103,13 +102,14 @@ class ConstantsLedger:
 # ---------------------------------------------------------------------------
 # energies
 
-def energy_packed(grid: Grid2D, params: MaterialParams, u, v, h) -> float:
+def energy_packed(grid: Grid2D, params: MaterialParams, u, v, h, el=None) -> float:
     """Total energy of packed interior u, u' and raveled nodal h: kinetic +
     elastic + magnetic, the magnetic term weighted by mu0 so the
-    dissipation identity closes for any mu0."""
+    dissipation identity closes for any mu0; el, if given, is -A_el u."""
     wv = grid.vector_weights
-    a_el = elastic_matrix(grid, params.mu, params.lam)
-    return 0.5 * float(params.rho_m * np.dot(wv * v, v) + np.dot(wv * u, a_el @ u)
+    if el is None:
+        el = -(elastic_matrix(grid, params.mu, params.lam) @ u)
+    return 0.5 * float(params.rho_m * np.dot(wv * v, v) - np.dot(wv * u, el)
                        + params.mu0 * np.dot(grid.weights.ravel() * h, h))
 
 
@@ -251,9 +251,9 @@ def energy_identity_residual(
         r += params.mu0 * params.nu1 * grad_edge_inner(h, h, g)
         r += float(np.dot(wv * np.concatenate(spec.pointwise(*v.reshape(2, -1))), v))
         if not forcing.is_zero:
-            (f1,), f2 = forcing.nodal(g, tm, "f1"), forcing.nodal(g, tm, "f2")
-            r -= float(np.dot(wv * pack_arrays(*f2), v))
-            r -= params.mu0 * float(np.sum(f1 * h * g.weights))
+            f2, f1 = forcing.packed(g, tm)
+            r -= float(np.dot(wv * f2, v))
+            r -= params.mu0 * float(np.sum(f1.reshape(g.shape) * h * g.weights))
         t_mid.append(tm)
         res.append(r)
     res = np.asarray(res)

@@ -208,18 +208,37 @@ class Grid2D(Schema):
         )
 
     @cached_property
+    def grad(self) -> sparse.csr_array:
+        """G: the collocated gradient of a nodal scalar at the packed interior
+        vector DOFs, the interior rows of dmat_x and dmat_y."""
+        px, py = (sparse.eye_array(n + 1, format="csr")[:, 1:-1] for n in (self.nx, self.ny))
+        return _canonical(sparse.vstack([
+            sparse.kron(self.dmat_x[1:-1], py.T), sparse.kron(px.T, self.dmat_y[1:-1])]))
+
+    @cached_property
+    def div(self) -> sparse.csr_array:
+        """D: the collocated divergence at all nodes of packed interior vector
+        DOFs, with (G h).(W_v w) + h.(W D w) = 0 to round-off."""
+        px, py = (sparse.eye_array(n + 1, format="csr")[:, 1:-1] for n in (self.nx, self.ny))
+        return _canonical(sparse.hstack([
+            sparse.kron(self.dmat_x[:, 1:-1], py), sparse.kron(px, self.dmat_y[:, 1:-1])]))
+
+    @cached_property
+    def grad_and_div(self) -> sparse.csr_array:
+        """blockdiag(G, D), so that one product maps [h; w] to [G h; D w]."""
+        return _canonical(sparse.block_diag((self.grad, self.div)))
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        """The node (row-major) of each packed interior vector DOF."""
+        return np.tile(np.arange(self.n_nodes).reshape(self.shape)[1:-1, 1:-1].ravel(), 2)
+
+    @cached_property
     def grad_div(self) -> sparse.csr_array:
-        """W^{-1} D^T W D on packed interior vector DOFs (ux, then uy), with
-        D the collocated divergence and W the trapezoid weights: the
-        quadrature adjoint of the divergence applied to it, i.e.
-        -grad(div u) on the clamped subspace."""
-        px = sparse.eye_array(self.nx + 1, format="csr")[:, 1:-1]
-        py = sparse.eye_array(self.ny + 1, format="csr")[:, 1:-1]
-        d = sparse.hstack([
-            sparse.kron(self.dmat_x[:, 1:-1], py),
-            sparse.kron(px, self.dmat_y[:, 1:-1]),
-        ]).tocsr()
-        w = sparse.diags_array(self.weights.ravel())
+        """W_v^{-1} D^T W D on packed interior vector DOFs (ux, then uy), with
+        W the trapezoid weights: the quadrature adjoint of the divergence
+        applied to it, i.e. -grad(div u) on the clamped subspace."""
+        d, w = self.div, sparse.diags_array(self.weights.ravel())
         return _canonical(sparse.diags_array(1.0 / self.vector_weights) @ (d.T @ w @ d))
 
     def neumann_modes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,25 +436,17 @@ def _same_grid(a, b) -> Grid2D:
 # ---------------------------------------------------------------------------
 # collocated derivatives (SBP pair)
 
-def _dx(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    return grid.dmat_x @ a
-
-
-def _dy(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    return a @ grid.dmat_y.T
-
-
 def gradient(h: ScalarField) -> VectorField2:
     """Second-order collocated gradient; exact on linear fields."""
     g = h.grid
-    return VectorField2(g, _dx(g, h.values), _dy(g, h.values), bc="none")
+    return VectorField2(g, g.dmat_x @ h.values, h.values @ g.dmat_y.T, bc="none")
 
 
 def divergence(w: VectorField2) -> ScalarField:
     """Collocated divergence, negative adjoint of :func:`gradient` for
     fields vanishing on the boundary."""
     g = w.grid
-    return ScalarField(g, _dx(g, w.ux) + _dy(g, w.uy), bc="none")
+    return ScalarField(g, g.dmat_x @ w.ux + w.uy @ g.dmat_y.T, bc="none")
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +540,6 @@ def lame_operator_matrix(grid: Grid2D, mu: float, lam: float) -> sparse.csr_arra
     return _canonical((lam + mu) * grid.grad_div - mu * sparse.block_diag((lap, lap)))
 
 
-def pack_arrays(ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
-    """Interior values of two nodal arrays, packed (ux row-major, then uy)."""
-    return np.concatenate([ux[1:-1, 1:-1].ravel(), uy[1:-1, 1:-1].ravel()])
-
-
 def unpack_arrays(grid: Grid2D, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodal arrays (ux, uy), zero on the boundary, of packed interior DOFs."""
     out = np.zeros((2,) + grid.shape)
@@ -542,7 +548,8 @@ def unpack_arrays(grid: Grid2D, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def pack_interior(u: VectorField2) -> np.ndarray:
-    return pack_arrays(u.ux, u.uy)
+    """Interior values of a vector field, packed (ux row-major, then uy)."""
+    return np.concatenate([u.ux[1:-1, 1:-1].ravel(), u.uy[1:-1, 1:-1].ravel()])
 
 
 def unpack_interior(grid: Grid2D, vec: np.ndarray) -> VectorField2:

@@ -32,7 +32,7 @@ from .grid import (
     VectorField2,
     lame_operator_matrix,
     pack_interior,
-    pin_boundary,
+    unpack_arrays,
     unpack_interior,
     grad_edge_inner,
     parse_section,
@@ -167,17 +167,18 @@ def _parse_term(term) -> tuple[str, TrigPoly, dict]:
 @lru_cache(maxsize=32)
 def _profile(grid: Grid2D, target: str, jx: int, jy: int, amplitude: float,
              component: int = 0) -> tuple[np.ndarray, ...]:
-    """A forcing term's spatial profile, built once per grid and shape and
-    read-only.  f1: (cosine product,), mean-zero unless (jx, jy) = (0, 0).
-    f2: (ux, uy), a sine product pinned to zero on the boundary (sin(pi) is
-    1.2e-16 in floating point), in ux for component 0 and uy for 1."""
+    """A forcing term's spatial profile in flat coordinates, built once per
+    grid and shape and read-only.  f1: (cosine product over all nodes,),
+    mean-zero unless (jx, jy) = (0, 0).  f2: (ux, uy) at the interior nodes,
+    a sine product in ux for component 0 and uy for 1, zero on the boundary."""
     x, y = grid.xy
     if target == "f1":
-        out = (amplitude * np.cos(jx * np.pi * x / grid.lx) * np.cos(jy * np.pi * y / grid.ly),)
+        out = ((amplitude * np.cos(jx * np.pi * x / grid.lx)
+                * np.cos(jy * np.pi * y / grid.ly)).ravel(),)
     else:
-        mode = pin_boundary(
-            amplitude * np.sin(jx * np.pi * x / grid.lx) * np.sin(jy * np.pi * y / grid.ly))
-        zero = np.zeros(grid.shape)
+        mode = (amplitude * np.sin(jx * np.pi * x / grid.lx)
+                * np.sin(jy * np.pi * y / grid.ly))[1:-1, 1:-1].ravel()
+        zero = np.zeros_like(mode)
         out = (mode, zero) if component == 0 else (zero, mode)
     for a in out:
         a.flags.writeable = False
@@ -212,22 +213,21 @@ class Forcing(Schema):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def nodal(self, grid: Grid2D, t: float, target: str) -> tuple[np.ndarray, ...]:
-        """The target's nodal arrays at t, (f1,) or (f2x, f2y): the sum of
-        its terms' cached read-only profiles times g(t)."""
-        acc = tuple(np.zeros(grid.shape) for _ in range(1 if target == "f1" else 2))
+    def packed(self, grid: Grid2D, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(f2, f1) at t in flat coordinates, f2 packed interior and f1
+        raveled: the sum of the terms' cached read-only profiles times g(t)."""
+        f2, f1 = np.zeros((2, grid.n_interior)), np.zeros((1, grid.n_nodes))
         for tg, g, shape in self._parsed:
-            if tg == target:
-                gt = g(t, self.period)
-                for a, p in zip(acc, _profile(grid, tg, **shape)):
-                    a += gt * p
-        return acc
+            gt = g(t, self.period)
+            for a, p in zip(f1 if tg == "f1" else f2, _profile(grid, tg, **shape)):
+                a += gt * p
+        return f2.ravel(), f1[0]
 
     def f1(self, grid: Grid2D, t: float) -> ScalarField:
-        return ScalarField(grid, *self.nodal(grid, t, "f1"), bc="none")
+        return ScalarField(grid, self.packed(grid, t)[1].reshape(grid.shape), bc="none")
 
     def f2(self, grid: Grid2D, t: float) -> VectorField2:
-        return VectorField2(grid, *self.nodal(grid, t, "f2"), bc="none")
+        return VectorField2(grid, *unpack_arrays(grid, self.packed(grid, t)[0]), bc="none")
 
     def l1_l2_norm(self, grid: Grid2D, n_steps: int = 200) -> float:
         """Time-trapezoid approximation of int_0^T |f(t)|_L2 dt over one
@@ -235,8 +235,9 @@ class Forcing(Schema):
         ts = np.linspace(0.0, self.period, n_steps + 1)
         vals = []
         for t in ts:
-            f1, f2 = self.nodal(grid, t, "f1"), self.nodal(grid, t, "f2")
-            vals.append(np.sqrt(_norm_l2(grid, *f2) ** 2 + _norm_l2(grid, *f1) ** 2))
+            f2, f1 = self.packed(grid, t)
+            vals.append(np.sqrt(_norm_l2(grid, *unpack_arrays(grid, f2)) ** 2
+                                + _norm_l2(grid, f1.reshape(grid.shape)) ** 2))
         return float(np.trapezoid(vals, ts))
 
     def l1_h1_norm(self, grid: Grid2D, n_steps: int = 200) -> float:
@@ -244,7 +245,8 @@ class Forcing(Schema):
         ts = np.linspace(0.0, self.period, n_steps + 1)
         vals = []
         for t in ts:
-            (s,), (vx, vy) = self.nodal(grid, t, "f1"), self.nodal(grid, t, "f2")
+            f2, f1 = self.packed(grid, t)
+            s, (vx, vy) = f1.reshape(grid.shape), unpack_arrays(grid, f2)
             sq = (
                 _norm_l2(grid, s) ** 2
                 + grad_edge_inner(s, s, grid)
@@ -329,6 +331,17 @@ def induction_nodal(grid: Grid2D, vx: np.ndarray, vy: np.ndarray, h: np.ndarray,
     on the boundary."""
     fac = params.b0 + h
     return -(grid.dmat_x @ (fac * vx) + (fac * vy) @ grid.dmat_y.T)
+
+
+def coupling_packed(grid: Grid2D, v: np.ndarray, h: np.ndarray,
+                    params: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling terms on packed interior u' and raveled h, from one
+    product with blockdiag(G, D): the body force -mu0 (b0 + h) G h and the
+    induction flux -D((b0 + h) u'), :func:`lorentz_nodal` at the interior
+    nodes and :func:`induction_nodal`."""
+    bh = params.b0 + h[grid.interior]
+    gh_dw = grid.grad_and_div @ np.concatenate((h, bh * v))
+    return (-params.mu0 * bh) * gh_dw[:len(v)], -gh_dw[len(v):]
 
 
 def lorentz_force(h: ScalarField, params: MaterialParams) -> VectorField2:

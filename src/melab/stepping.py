@@ -13,9 +13,13 @@ midpoint predictor.  With this splitting the per-step energy balance
 residual is O(dt^2) and mean(h) is conserved to round-off.  The classical
 RK4 rule, every term explicit, is the cross-check.
 
-One loop (``_run``) steps both coordinate systems: it counts the steps,
-reads divergence from each state's energy and hands the sampled states to
-its caller, so ``integrate`` builds fields only for the states it keeps.
+On the grid a step works on flat arrays only: a state's linear part
+(-A_el u, nu1 L h) is one product with blockdiag(-A_el, nu1 L), a force
+evaluation one with the grid's blockdiag(G, D) (``model.coupling_packed``).
+One loop (``_run``) steps both coordinate systems: it computes each state's
+linear part once, for its energy and for the step from it, reads divergence
+from that energy and hands the sampled states to its caller, so
+``integrate`` builds fields only for the states it keeps.
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ from .grid import (
     ScalarField,
     Schema,
     neumann_laplacian_matrix,
-    pack_arrays,
     pack_interior,
-    unpack_arrays,
     unpack_interior,
 )
 from .model import (
@@ -45,9 +47,8 @@ from .model import (
     GalerkinBasis,
     MaterialParams,
     State,
+    coupling_packed,
     elastic_matrix,
-    induction_nodal,
-    lorentz_nodal,
     project,
     reconstruct,
 )
@@ -149,11 +150,11 @@ def _node_order(n0: int, n1: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _implicit_ops(grid: Grid2D, dt: float, params: MaterialParams, alpha: float):
-    """The sparse explicit operators, the nodal weights w and the banded
-    Cholesky factors of the implicit matrices of the IMEX midpoint step:
-    diag(w) (I - (dt/2) nu1 Lap), symmetric in that form, over all nodes,
-    and (2 rho_m + dt alpha) I + (dt^2/2) A_el with the interior DOFs
-    interleaved (ux, uy) per node."""
+    """The linear operator blockdiag(-A_el, nu1 Lap), the nodal weights w
+    and the banded Cholesky factors of the implicit matrices of the IMEX
+    midpoint step: diag(w) (I - (dt/2) nu1 Lap), symmetric in that form,
+    over all nodes, and (2 rho_m + dt alpha) I + (dt^2/2) A_el with the
+    interior DOFs interleaved (ux, uy) per node."""
     a = 0.5 * dt
     lap = neumann_laplacian_matrix(grid)
     w = grid.weights.ravel()
@@ -162,7 +163,7 @@ def _implicit_ops(grid: Grid2D, dt: float, params: MaterialParams, alpha: float)
     ni = grid.n_interior
     m_u = (2.0 * params.rho_m + dt * alpha) * sparse.eye_array(2 * ni) + (dt * a) * a_el
     nodes = _node_order(grid.nx - 1, grid.ny - 1)
-    return (lap, a_el, w,
+    return (sparse.block_diag((-a_el, params.nu1 * lap), format="csr"), w,
             _banded_cholesky(m_h, _node_order(grid.nx + 1, grid.ny + 1)),
             _banded_cholesky(m_u, np.column_stack([nodes, nodes + ni]).ravel()))
 
@@ -171,19 +172,14 @@ def _explicit_forces(v, h, t: float, params, spec, forcing, grid):
     """Coupling + forcing + superlinear dissipation, from the packed interior
     u' and the raveled h: the packed interior acceleration and the raveled
     flux."""
-    vx, vy = unpack_arrays(grid, v)
-    h = h.reshape(grid.shape)
-    lor_x, lor_y = lorentz_nodal(grid, h, params)
-    fh = induction_nodal(grid, vx, vy, h, params)
-    f2x = f2y = pw_x = pw_y = 0.0    # scalar zeros add bit for bit as zero fields
+    fu, fh = coupling_packed(grid, v, h, params)
     if not forcing.is_zero:
-        f2x, f2y = forcing.nodal(grid, t, "f2")
-        fh = fh + forcing.nodal(grid, t, "f1")[0]
+        f2, f1 = forcing.packed(grid, t)
+        fu, fh = fu + f2, fh + f1
     if spec.kind == "power":
-        fac = spec.k1 * np.sqrt(vx**2 + vy**2) ** spec.p
-        pw_x, pw_y = fac * vx, fac * vy
-    fu = pack_arrays(lor_x + f2x - pw_x, lor_y + f2y - pw_y) / params.rho_m
-    return fu, fh.ravel()
+        vx, vy = v.reshape(2, -1)
+        fu = fu - np.tile(spec.k1 * np.sqrt(vx**2 + vy**2) ** spec.p, 2) * v
+    return fu / params.rho_m, fh
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +189,36 @@ def _explicit_forces(v, h, t: float, params, spec, forcing, grid):
 class OperatorSet:
     """What the schemes need of the system in one coordinate system, with
     (u, v, h) the displacement, the velocity and the magnetic field as flat
-    arrays: the two linear operators, the two implicit midpoint solves of
-    step dt, the explicit forces and the total energy."""
+    arrays: the linear part, the two implicit midpoint solves of step dt,
+    the explicit forces and the total energy."""
 
     rho_m: float
     alpha: float          # the linear damping, taken implicitly
-    elastic: object       # u -> -A_el u
-    diffusion: object     # h -> nu1 Lap h
+    linear: object        # (u, h) -> (el, lh) = (-A_el u, nu1 Lap h)
     solve_u: object       # b -> ((2 rho_m + dt alpha) I + (dt^2/2) A_el)^-1 b
     solve_h: object       # b -> (I - (dt/2) nu1 Lap)^-1 b
     forces: object        # (v, h, t) -> explicit (acceleration, flux)
-    energy: object        # (u, v, h) -> total energy
+    energy: object        # (u, v, h, el) -> total energy, el from linear
 
 
 def _grid_ops(grid: Grid2D, dt: float, params, spec, forcing) -> OperatorSet:
     """Packed interior u, v and raveled nodal h: the sparse products and the
     cached banded Cholesky factors."""
     alpha = spec.linear_alpha
-    lap, a_el, w, chol_h, chol_u = _implicit_ops(grid, dt, params, alpha)
+    lin, w, chol_h, chol_u = _implicit_ops(grid, dt, params, alpha)
+    n = 2 * grid.n_interior
+
+    def linear(u, h):
+        el_lh = lin @ np.concatenate((u, h))
+        return el_lh[:n], el_lh[n:]
+
     return OperatorSet(
         params.rho_m, alpha,
-        elastic=lambda u: -(a_el @ u),
-        diffusion=lambda h: params.nu1 * (lap @ h),
+        linear=linear,
         solve_u=lambda b: _cho_solve(chol_u, b),
         solve_h=lambda b: _cho_solve(chol_h, w * b),
         forces=lambda v, h, t: _explicit_forces(v, h, t, params, spec, forcing, grid),
-        energy=lambda u, v, h: energy_mod.energy_packed(grid, params, u, v, h),
+        energy=lambda u, v, h, el: energy_mod.energy_packed(grid, params, u, v, h, el),
     )
 
 
@@ -241,22 +241,22 @@ def _galerkin_ops(basis: GalerkinBasis, dt: float, params, spec, forcing) -> Ope
 
     return OperatorSet(
         params.rho_m, alpha,
-        elastic=lambda c: -(lam_el * c),
-        diffusion=lambda ct: -(lam_mag * ct),
+        linear=lambda c, ct: (-(lam_el * c), -(lam_mag * ct)),
         solve_u=lambda b: b / den_u,
         solve_h=lambda b: b / den_h,
         forces=forces,
-        energy=lambda c, cdot, ct: coeff_energy(basis, c, cdot, ct, params),
+        energy=lambda c, cdot, ct, el: 0.5 * float(
+            params.rho_m * np.dot(cdot, cdot) - np.dot(c, el) + params.mu0 * np.dot(ct, ct)),
     )
 
 
-def imex_midpoint(ops: OperatorSet, u, v, h, t: float, dt: float):
-    """One IMEX midpoint step: elasticity, diffusion and the linear damping
-    by the implicit midpoint rule, the forces at an explicit midpoint
-    predictor.  Non-finite values pass through to the result."""
+def imex_midpoint(ops: OperatorSet, u, v, h, t: float, dt: float, lin=None):
+    """One IMEX midpoint step, lin = ops.linear(u, h) if given: elasticity,
+    diffusion and the linear damping by the implicit midpoint rule, the
+    forces at an explicit midpoint predictor.  Non-finite values pass through."""
     a = 0.5 * dt
     rho = ops.rho_m
-    el, lh = ops.elastic(u), ops.diffusion(h)
+    el, lh = ops.linear(u, h) if lin is None else lin
     fu0, fh0 = ops.forces(v, h, t)
     v_hat = v + a * ((el - ops.alpha * v) / rho + fu0)
     h_hat = h + a * (lh + fh0)
@@ -265,15 +265,17 @@ def imex_midpoint(ops: OperatorSet, u, v, h, t: float, dt: float):
     return u + dt * v_mid, 2.0 * v_mid - v, ops.solve_h(h + a * lh + dt * fh)
 
 
-def explicit_rk4(ops: OperatorSet, u, v, h, t: float, dt: float):
-    """One classical fourth-order Runge-Kutta step, every term explicit."""
-    def rates(y, t):
+def explicit_rk4(ops: OperatorSet, u, v, h, t: float, dt: float, lin=None):
+    """One classical fourth-order Runge-Kutta step, every term explicit,
+    lin = ops.linear(u, h) if given."""
+    def rates(y, t, lin=None):
         u, v, h = y
+        el, lh = ops.linear(u, h) if lin is None else lin
         fu, fh = ops.forces(v, h, t)
-        return v, (ops.elastic(u) - ops.alpha * v) / ops.rho_m + fu, ops.diffusion(h) + fh
+        return v, (el - ops.alpha * v) / ops.rho_m + fu, lh + fh
 
     y = (u, v, h)
-    k1 = rates(y, t)
+    k1 = rates(y, t, lin)
     k2 = rates([x + (0.5 * dt) * k for x, k in zip(y, k1)], t + 0.5 * dt)
     k3 = rates([x + (0.5 * dt) * k for x, k in zip(y, k2)], t + 0.5 * dt)
     k4 = rates([x + dt * k for x, k in zip(y, k3)], t + dt)
@@ -284,11 +286,12 @@ def explicit_rk4(ops: OperatorSet, u, v, h, t: float, dt: float):
 SCHEMES = {"imex_midpoint": imex_midpoint, "explicit_rk4": explicit_rk4}
 
 
-def step(ops: OperatorSet, y, t: float, config: StepperConfig):
+def step(ops: OperatorSet, y, t: float, config: StepperConfig, lin=None):
     """One step dt of the config's scheme from flat coordinates y = (u, v, h)
-    at time t; non-finite values pass through.  The stepping loop calls it
-    once per step, through this module-level name."""
-    return SCHEMES[config.scheme](ops, *y, t, config.dt)
+    at time t, with lin = ops.linear(u, h) if the caller has it; non-finite
+    values pass through.  The stepping loop calls it once per step, through
+    this module-level name."""
+    return SCHEMES[config.scheme](ops, *y, t, config.dt, lin)
 
 
 def _step_count(t0: float, t_end: float, dt: float) -> int:
@@ -308,18 +311,21 @@ def _step_count(t0: float, t_end: float, dt: float) -> int:
 
 def _run(ops: OperatorSet, y, t: float, t_end: float, config: StepperConfig, record, traj):
     """The stepping loop of both integrators, over flat coordinates
-    y = (u, v, h) from t to t_end.  Each state's energy is computed once,
-    for the blow-up guard and for ``record(y, t, e)``, which gets the
-    initial state, every sample_every-th and the final one.  An energy that
+    y = (u, v, h) from t to t_end.  Each state's linear part is computed
+    once, for its energy and for the step from it, and its energy once, for
+    the blow-up guard and for ``record(y, t, e)``, which gets the initial
+    state, every sample_every-th and the final one.  An energy that
     is not finite, or that jumps by more than ENERGY_BLOWUP_FACTOR, raises
     DivergedStateError with ``traj``, its termination set, attached."""
     n_steps = _step_count(t, t_end, config.dt)
-    e = ops.energy(*y)
+    lin = ops.linear(y[0], y[2])
+    e = ops.energy(*y, lin[0])
     record(y, t, e)
     for k in range(n_steps):
-        y = step(ops, y, t, config)
+        y = step(ops, y, t, config, lin)
         t += config.dt
-        e_old, e = e, ops.energy(*y)
+        lin = ops.linear(y[0], y[2])
+        e_old, e = e, ops.energy(*y, lin[0])
         if not np.isfinite(e) or e > ENERGY_BLOWUP_FACTOR * (e_old + 1.0):
             err = DivergedStateError("energy_blowup" if np.isfinite(e) else "state", t)
             traj.termination, err.trajectory = Termination("diverged", t), traj
@@ -367,15 +373,6 @@ class CoeffTrajectory:
 
     def final(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.coeffs[-1]
-
-
-def coeff_energy(basis: GalerkinBasis, c, cdot, ct, params: MaterialParams) -> float:
-    """Total energy in eigencoordinates (mass-orthonormal modes)."""
-    return 0.5 * float(
-        params.rho_m * np.dot(cdot, cdot)
-        + np.dot(basis.elastic_vals * c, c)
-        + params.mu0 * np.dot(ct, ct)
-    )
 
 
 def state_to_coeffs(basis: GalerkinBasis, state: State):

@@ -228,6 +228,8 @@ def test_optional_modules_load_on_first_use():
 def test_disk_mode_spec_validation():
     with pytest.raises(ParameterError):
         analysis.DiskModeSpec(m=1, zeta_m=3.5)
+    with pytest.raises(ParameterError, match="not the m = 1-th"):
+        analysis.DiskModeSpec(m=1, zeta_m=analysis.bessel_j1_zero(3))
     with pytest.raises(ParameterError):
         analysis.DiskModeSpec.build(1, radial_points=10**6 + 1)
 

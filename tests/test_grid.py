@@ -182,6 +182,31 @@ def test_operator_matrices_are_canonical(nx, ny):
         assert m.format == "csr" and m.has_canonical_format
 
 
+@pytest.mark.parametrize("nx, ny, lx, ly", [(4, 4, 1.0, 1.0), (12, 12, 1.0, 1.0),
+                                          (7, 19, 0.3, 4.1), (32, 20, 2.0, 0.7)])
+def test_lame_matrix_from_cached_divergence_is_unchanged(nx, ny, lx, ly):
+    """grad_div is W_v^{-1} D^T W D with the grid's cached divergence D, and
+    it and the Lame matrix are bit for bit those built from their own
+    Kronecker product of dmat_x and dmat_y, so the eigenbasis and the banded
+    factors do not move; G, D and blockdiag(G, D) are canonical."""
+    g, ref = Grid2D(nx, ny, lx, ly), Grid2D(nx, ny, lx, ly)
+    px = sparse.eye_array(nx + 1, format="csr")[:, 1:-1]
+    py = sparse.eye_array(ny + 1, format="csr")[:, 1:-1]
+    d = sparse.hstack([sparse.kron(ref.dmat_x[:, 1:-1], py),
+                       sparse.kron(px, ref.dmat_y[:, 1:-1])]).tocsr()
+    w = sparse.diags_array(ref.weights.ravel())
+    grad_div = (sparse.diags_array(1.0 / ref.vector_weights) @ (d.T @ w @ d)).tocsr()
+    grad_div.sum_duplicates()
+    lap = ref.lap_dirichlet
+    lame = ((0.4 + 1.3) * grad_div - 1.3 * sparse.block_diag((lap, lap))).tocsr()
+    lame.sum_duplicates()
+    for got, want in ((g.grad_div, grad_div), (elastic_matrix(g, 1.3, 0.4), lame)):
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    for m in (g.grad, g.div, g.grad_and_div):
+        assert m.format == "csr" and m.has_canonical_format
+
+
 def _relative_asymmetry(m) -> float:
     return abs(m - m.T).max() / abs(m).max()
 

@@ -73,14 +73,10 @@ def test_map_dissipative_unforced(grid, basis, cfg):
 def test_map_affine_without_coupling(grid, basis, cfg, monkeypatch):
     """With the magnetic coupling switched off the one-period map is
     affine: S(z1 + z2) - S(0) = (S(z1) - S(0)) + (S(z2) - S(0))."""
-    def no_lorentz(grid, h, params):
-        return np.zeros(grid.shape), np.zeros(grid.shape)
+    def no_coupling(grid, v, h, params):
+        return np.zeros_like(v), np.zeros_like(h)
 
-    def no_induction(grid, vx, vy, h, params):
-        return np.zeros(grid.shape)
-
-    monkeypatch.setattr(stepping, "lorentz_nodal", no_lorentz)
-    monkeypatch.setattr(stepping, "induction_nodal", no_induction)
+    monkeypatch.setattr(stepping, "coupling_packed", no_coupling)
     f = small_forcing()
     z1 = random_state(grid, basis, seed=1, amplitude=0.1)
     z2 = random_state(grid, basis, seed=2, amplitude=0.1)

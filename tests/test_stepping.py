@@ -1,5 +1,7 @@
 """Time integration: convergence, conservation, reduced dynamics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -284,6 +286,40 @@ def test_one_energy_total_per_state(grid, basis, monkeypatch):
     assert len(calls) == n + 1
 
 
+def test_one_elastic_product_per_state(grid, basis, monkeypatch):
+    """n IMEX steps apply A_el n + 1 times, once per state: the step from a
+    state and its energy share one product with blockdiag(-A_el, nu1 L)."""
+    products = []
+    grid_ops, energy_packed = stepping._grid_ops, energy.energy_packed
+
+    def counting_ops(*args):
+        ops = grid_ops(*args)
+
+        def linear(u, h):
+            products.append("linear")
+            return ops.linear(u, h)
+
+        return dataclasses.replace(ops, linear=linear)
+
+    def counting_energy(grid, params, u, v, h, el=None):
+        if el is None:
+            products.append("energy")
+        return energy_packed(grid, params, u, v, h, el)
+
+    monkeypatch.setattr(stepping, "_grid_ops", counting_ops)
+    monkeypatch.setattr(energy, "energy_packed", counting_energy)
+    st = random_state(grid, basis, seed=9, amplitude=0.05)
+    n = 20
+    cfg = stepping.StepperConfig(dt=1e-2, sample_every=5)
+    for scheme in stepping.SCHEMES:
+        products.clear()
+        stepping.integrate(st, n * 1e-2, PARAMS, NONE, ZERO_F,
+                           dataclasses.replace(cfg, scheme=scheme))
+        assert products.count("energy") == 0
+        # RK4 applies it again at each of its three later stages
+        assert products.count("linear") == {"imex_midpoint": n + 1, "explicit_rk4": 4 * n + 1}[scheme]
+
+
 def test_fields_built_only_for_samples(monkeypatch):
     """Between samples a run builds no field, forced or not: runs of 40 and
     80 steps, each sampled at its start and its end, build the same
@@ -341,13 +377,13 @@ def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
     """Without forcing terms no forcing is evaluated, and the states are
     bit for bit those of a forcing whose only term is zero."""
     calls = []
-    original = Forcing.nodal
+    original = Forcing.packed
 
-    def counting(self, g, t, target):
+    def counting(self, g, t):
         calls.append(t)
-        return original(self, g, t, target)
+        return original(self, g, t)
 
-    monkeypatch.setattr(Forcing, "nodal", counting)
+    monkeypatch.setattr(Forcing, "packed", counting)
     st = random_state(grid, basis, seed=11, amplitude=0.05)
     cfg = stepping.StepperConfig(dt=1e-2, sample_every=5)
     spec = DissipationSpec(kind="linear", alpha=0.5)
@@ -358,7 +394,7 @@ def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
         {"target": "f2", "g": {"a0": 0.0}, "shape": {"amplitude": -1.0}},
     ])
     zero_forced = stepping.integrate(st, 0.1, PARAMS, spec, zero_term, cfg)
-    assert len(calls) == 4 * 10
+    assert len(calls) == 2 * 10
     for a, b in zip(unforced.samples, zero_forced.samples):
         for x, y in ((a.u.ux, b.u.ux), (a.u.uy, b.u.uy), (a.ut.ux, b.ut.ux),
                      (a.ut.uy, b.ut.uy), (a.h.values, b.h.values)):
