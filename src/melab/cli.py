@@ -315,10 +315,8 @@ def _exp_perturb(run, outdir, strict):
     _write_report(outdir, "decay", report)
     with open(outdir / "constants.json", "w") as fh:
         fh.write(consts.to_json())
-    with open(outdir / "ep_series.csv", "w") as fh:
-        fh.write("t,e_p\n")
-        for t, v in zip(pert.times, pert.ep_series):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    write_csv(outdir / "ep_series.csv", "t,e_p", row_template(len(pert.times), 2),
+              np.column_stack([pert.times, pert.ep_series]).ravel().tolist())
     return EXIT_OK if (not strict or not report["violations"]) else EXIT_CONDITION
 
 
@@ -365,10 +363,8 @@ def _exp_disk_mode(run, outdir, strict):
     _write_run_json(outdir, run.config)
     _write_report(outdir, "disk_mode", report)
     table = analysis.bessel_root_table(d["table_max"])
-    with open(outdir / "bessel_roots.csv", "w") as fh:
-        fh.write("m,zeta_m\n")
-        for m, z in table:
-            fh.write(f"{m},{z:.17g}\n")
+    write_csv(outdir / "bessel_roots.csv", "m,zeta_m", row_template(len(table), 2),
+              [x for row in table for x in row])
     return EXIT_OK
 
 

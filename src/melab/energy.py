@@ -2,8 +2,9 @@
 
 Every per-state diagnostic is a quadratic form on packed coordinates
 (u, u', h) with the matrices the integrator steps with: A_el the Lame
-matrix, L the flux Laplacian ``grid.lap_neumann``, W the trapezoid weights
-and W_v those of the packed interior DOFs:
+matrix ``grid.lame_operator_matrix``, L the flux Laplacian
+``grid.lap_neumann``, W the trapezoid weights and W_v those of the packed
+interior DOFs:
 
     E      = 1/2 (rho_m u'.(W_v u') + u.(W_v A_el u) + mu0 h.(W h))
     E1     = 1/2 (u'.(W_v A_el u') + (A_el u).(W_v A_el u) + |grad h|^2)
@@ -38,16 +39,10 @@ from .grid import (
     VectorField2,
     grad_edge_inner,
     inner,
+    lame_operator_matrix,
     pack_interior,
 )
-from .model import (
-    DissipationSpec,
-    Forcing,
-    MaterialParams,
-    State,
-    build_galerkin_basis,
-    elastic_matrix,
-)
+from .model import MaterialParams, State, build_galerkin_basis
 
 
 @dataclass
@@ -108,7 +103,7 @@ def energy_packed(grid: Grid2D, params: MaterialParams, u, v, h, el=None) -> flo
     dissipation identity closes for any mu0; el, if given, is -A_el u."""
     wv = grid.vector_weights
     if el is None:
-        el = -(elastic_matrix(grid, params.mu, params.lam) @ u)
+        el = -(lame_operator_matrix(grid, params.mu, params.lam) @ u)
     return 0.5 * float(params.rho_m * np.dot(wv * v, v) - np.dot(wv * u, el)
                        + params.mu0 * np.dot(grid.weights.ravel() * h, h))
 
@@ -121,7 +116,7 @@ def energy_total(state: State, params: MaterialParams) -> float:
 def _e1_packed(grid: Grid2D, params: MaterialParams, u, v, grad_h_sq: float) -> float:
     """Second-level energy of packed interior u, u', given |grad h|^2."""
     wv = grid.vector_weights
-    a_el = elastic_matrix(grid, params.mu, params.lam)
+    a_el = lame_operator_matrix(grid, params.mu, params.lam)
     au = a_el @ u
     return 0.5 * float(np.dot(wv * v, a_el @ v) + np.dot(wv * au, au) + grad_h_sq)
 
@@ -214,26 +209,21 @@ def energy_sample(
     )
 
 
-def energy_identity_residual(
-    traj,
-    params: MaterialParams,
-    spec: DissipationSpec | None = None,
-    forcing: Forcing | None = None,
-) -> dict:
+def energy_identity_residual(traj, params: MaterialParams) -> dict:
     """Per-interval residual of the discrete dissipation balance
 
         dE/dt + (rho(u'), u') + mu0*nu1*|grad h|^2
             = (f2, u') + mu0*(f1, h)
 
-    with midpoint (state-average) sampling between consecutive samples and
-    E from the energy log: the dissipation and forcing work are weighted
-    dot products on the packed interior u' and the nodal h.  Returns the
-    residual series and its max abs.
+    with midpoint (state-average) sampling between consecutive samples, E
+    from the energy log and the trajectory's dissipation law and forcing:
+    the dissipation and forcing work are weighted dot products on the packed
+    interior u' and the nodal h.  Returns the residual series and its max
+    abs.
     """
     if params != traj.params:
         raise ParameterError("params differ from the trajectory's energy log")
-    spec = spec if spec is not None else traj.dissipation
-    forcing = forcing if forcing is not None else traj.forcing
+    spec, forcing = traj.dissipation, traj.forcing
     samples = traj.samples
     if len(samples) < 3:
         raise ParameterError("need at least 3 trajectory samples")

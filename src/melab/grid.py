@@ -14,15 +14,18 @@ same way.  That compatibility is what turns the continuous energy balance of
 the model into a machine-checkable identity.
 
 Each operator has one definition: a sparse matrix assembled once per grid
-from 1D stencils by Kronecker products (``Grid2D.lap_neumann``,
-``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``).  Applying an operator is a
-matrix-vector product with it and the implicit solves factor it in banded
-form.  The matrices are built in canonical CSR form (sorted indices, no
-duplicates): scipy sorts a non-canonical matrix in place whenever an
-operation needs it so, after which every product with the cached matrix
-would sum in another order.  The eigenpairs of both scalar Laplacians are
-closed forms, DCT-I and DST-I tensor modes (``Grid2D.neumann_modes``,
-``Grid2D.dirichlet_modes``).
+from 1D stencils by Kronecker products (``Grid2D.ddx``/``ddy``, the SBP
+first derivatives over all nodes, whose interior rows and columns are the
+gradient G and the divergence D; ``Grid2D.lap_neumann``,
+``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``), and the Lame matrix
+``lame_operator_matrix``, cached once per grid and material.  Applying an
+operator is a matrix-vector product with it and the implicit solves factor
+it in banded form.  The matrices are built in canonical CSR form (sorted
+indices, no duplicates): scipy sorts a non-canonical matrix in place
+whenever an operation needs it so, after which every product with the
+cached matrix would sum in another order.  The eigenpairs of both scalar
+Laplacians are closed forms, DCT-I and DST-I tensor modes
+(``Grid2D.neumann_modes``, ``Grid2D.dirichlet_modes``).
 
 The module also holds the config schema (``parse_section``, ``Schema``)
 through which every parameter type reads its section of a config file, and
@@ -182,14 +185,17 @@ class Grid2D(Schema):
         return np.outer(self.wx, self.wy)
 
     @cached_property
-    def dmat_x(self) -> np.ndarray:
-        """Collocated first-derivative matrix along x (SBP: centered
-        interior, one-sided boundary rows)."""
-        return _sbp_derivative(self.nx + 1, self.dx)
+    def ddx(self) -> sparse.csr_array:
+        """d/dx over all nodes (row-major): the collocated SBP first
+        derivative (centered interior, one-sided boundary rows) along x."""
+        return _canonical(sparse.kron(_sbp_derivative(self.nx + 1, self.dx),
+                                      sparse.eye_array(self.ny + 1)))
 
     @cached_property
-    def dmat_y(self) -> np.ndarray:
-        return _sbp_derivative(self.ny + 1, self.dy)
+    def ddy(self) -> sparse.csr_array:
+        """d/dy over all nodes (row-major), the same stencil along y."""
+        return _canonical(sparse.kron(sparse.eye_array(self.nx + 1),
+                                      _sbp_derivative(self.ny + 1, self.dy)))
 
     @cached_property
     def lap_neumann(self) -> sparse.csr_array:
@@ -210,18 +216,17 @@ class Grid2D(Schema):
     @cached_property
     def grad(self) -> sparse.csr_array:
         """G: the collocated gradient of a nodal scalar at the packed interior
-        vector DOFs, the interior rows of dmat_x and dmat_y."""
-        px, py = (sparse.eye_array(n + 1, format="csr")[:, 1:-1] for n in (self.nx, self.ny))
-        return _canonical(sparse.vstack([
-            sparse.kron(self.dmat_x[1:-1], py.T), sparse.kron(px.T, self.dmat_y[1:-1])]))
+        vector DOFs, the interior rows of ddx and ddy."""
+        nodes = self.interior[:self.n_interior]
+        return _canonical(sparse.vstack([self.ddx[nodes], self.ddy[nodes]]))
 
     @cached_property
     def div(self) -> sparse.csr_array:
         """D: the collocated divergence at all nodes of packed interior vector
-        DOFs, with (G h).(W_v w) + h.(W D w) = 0 to round-off."""
-        px, py = (sparse.eye_array(n + 1, format="csr")[:, 1:-1] for n in (self.nx, self.ny))
-        return _canonical(sparse.hstack([
-            sparse.kron(self.dmat_x[:, 1:-1], py), sparse.kron(px, self.dmat_y[:, 1:-1])]))
+        DOFs, the interior columns of ddx and ddy, with
+        (G h).(W_v w) + h.(W D w) = 0 to round-off."""
+        nodes = self.interior[:self.n_interior]
+        return _canonical(sparse.hstack([self.ddx[:, nodes], self.ddy[:, nodes]]))
 
     @cached_property
     def grad_and_div(self) -> sparse.csr_array:
@@ -268,14 +273,12 @@ class Grid2D(Schema):
         return f"{self.nx}x{self.ny}:{self.lx!r}x{self.ly!r}"
 
 
-def _sbp_derivative(n: int, h: float) -> np.ndarray:
-    d = np.zeros((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1] = -0.5 / h
-        d[i, i + 1] = 0.5 / h
-    d[0, 0], d[0, 1] = -1.0 / h, 1.0 / h
-    d[-1, -2], d[-1, -1] = -1.0 / h, 1.0 / h
-    return d
+def _sbp_derivative(n: int, h: float) -> sparse.csr_array:
+    """1D collocated first derivative on n nodes spaced h: centered
+    differences inside, one-sided ones on the two end rows."""
+    d = sparse.diags_array([-0.5 / h, 0.5 / h], offsets=[-1, 1], shape=(n, n), format="lil")
+    d[0, :2] = d[-1, -2:] = [-1.0 / h, 1.0 / h]
+    return d.tocsr()
 
 
 def _flux_1d(w: np.ndarray, h: float) -> sparse.csr_array:
@@ -437,16 +440,18 @@ def _same_grid(a, b) -> Grid2D:
 # collocated derivatives (SBP pair)
 
 def gradient(h: ScalarField) -> VectorField2:
-    """Second-order collocated gradient; exact on linear fields."""
-    g = h.grid
-    return VectorField2(g, g.dmat_x @ h.values, h.values @ g.dmat_y.T, bc="none")
+    """Second-order collocated gradient, the products with the grid's ddx
+    and ddy; exact on linear fields."""
+    g, a = h.grid, h.values.ravel()
+    return VectorField2(g, (g.ddx @ a).reshape(g.shape), (g.ddy @ a).reshape(g.shape), bc="none")
 
 
 def divergence(w: VectorField2) -> ScalarField:
-    """Collocated divergence, negative adjoint of :func:`gradient` for
-    fields vanishing on the boundary."""
+    """Collocated divergence ddx w_x + ddy w_y, negative adjoint of
+    :func:`gradient` for fields vanishing on the boundary."""
     g = w.grid
-    return ScalarField(g, g.dmat_x @ w.ux + w.uy @ g.dmat_y.T, bc="none")
+    return ScalarField(g, (g.ddx @ w.ux.ravel() + g.ddy @ w.uy.ravel()).reshape(g.shape),
+                       bc="none")
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +491,13 @@ def laplacian_neumann(h: ScalarField) -> ScalarField:
 
 
 def lame_apply(u: VectorField2, mu: float, lam: float) -> VectorField2:
-    """Elastic operator  -mu*Lap(u) - (lam+mu)*grad(div u)  from the grid's
-    ``lap_dirichlet`` and ``grad_div``; symmetric positive definite on the
+    """Elastic operator  -mu*Lap(u) - (lam+mu)*grad(div u), the product with
+    :func:`lame_operator_matrix`; symmetric positive definite on the
     zero-boundary subspace.
     """
     if u.bc != "dirichlet_zero":
         raise ContractViolationError("lame_apply requires bc='dirichlet_zero'")
-    if mu <= 0 or lam <= 0:
-        raise ParameterError("Lame constants must satisfy mu > 0, lambda > 0")
-    g = u.grid
-    v = pack_interior(u)
-    lap_v = (g.lap_dirichlet @ v.reshape(2, g.n_interior).T).T.ravel()
-    return unpack_interior(g, (lam + mu) * (g.grad_div @ v) - mu * lap_v)
+    return unpack_interior(u.grid, lame_operator_matrix(u.grid, mu, lam) @ pack_interior(u))
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +531,16 @@ def neumann_laplacian_matrix(grid: Grid2D) -> sparse.csr_array:
     return grid.lap_neumann
 
 
+@lru_cache(maxsize=8)
 def lame_operator_matrix(grid: Grid2D, mu: float, lam: float) -> sparse.csr_array:
-    """Sparse matrix of lame_apply on interior vector DOFs, ordered
-    (ux interior row-major, then uy interior)."""
+    """The Lame matrix A_el = (lam+mu) grad_div - mu blockdiag(Lap_D, Lap_D)
+    on interior vector DOFs, ordered (ux interior row-major, then uy
+    interior): assembled once per grid and material and shared, not copied,
+    by lame_apply, the eigenbasis, the energy and the implicit solves."""
     if mu <= 0 or lam <= 0:
         raise ParameterError("Lame constants must satisfy mu > 0, lambda > 0")
     lap = grid.lap_dirichlet
     return _canonical((lam + mu) * grid.grad_div - mu * sparse.block_diag((lap, lap)))
-
-
-def unpack_arrays(grid: Grid2D, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal arrays (ux, uy), zero on the boundary, of packed interior DOFs."""
-    out = np.zeros((2,) + grid.shape)
-    out[:, 1:-1, 1:-1] = vec.reshape(2, grid.nx - 1, grid.ny - 1)
-    return out[0], out[1]
 
 
 def pack_interior(u: VectorField2) -> np.ndarray:
@@ -553,7 +549,10 @@ def pack_interior(u: VectorField2) -> np.ndarray:
 
 
 def unpack_interior(grid: Grid2D, vec: np.ndarray) -> VectorField2:
-    return VectorField2(grid, *unpack_arrays(grid, vec), bc="dirichlet_zero")
+    """The clamped vector field of packed interior DOFs."""
+    out = np.zeros((2,) + grid.shape)
+    out[:, 1:-1, 1:-1] = vec.reshape(2, grid.nx - 1, grid.ny - 1)
+    return VectorField2(grid, out[0], out[1], bc="dirichlet_zero")
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ The governing equations on the rectangle are
     rho_m u'' = -L u - rho(u') - mu0 (b0 + h) grad h + f2
     h'        = nu1 Lap h - div((b0 + h) u') + f1
 
-with L the elastic operator of :func:`melab.grid.lame_apply`, u clamped on
-the boundary and h carrying zero normal flux.  The coupling terms are
-assembled from the mimetic operators so their energy contributions cancel
-exactly at the semi-discrete level.
+with L the elastic operator, the grid's cached Lame matrix
+:func:`melab.grid.lame_operator_matrix`, u clamped on the boundary and h
+carrying zero normal flux.  The coupling terms are products with the grid's
+SBP derivatives (G and D in the step, ddx and ddy in the field forms), so
+their energy contributions cancel exactly at the semi-discrete level.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .grid import (
     ScalarField,
     Schema,
     VectorField2,
-    lame_operator_matrix,
-    pack_interior,
-    unpack_arrays,
-    unpack_interior,
     grad_edge_inner,
+    lame_operator_matrix,
+    norm_l2,
+    pack_interior,
     parse_section,
+    unpack_interior,
 )
 
 
@@ -185,6 +186,10 @@ def _profile(grid: Grid2D, target: str, jx: int, jy: int, amplitude: float,
     return out
 
 
+# time-trapezoid intervals over one period of the forcing norms
+FORCING_NORM_STEPS = 200
+
+
 @dataclass
 class Forcing(Schema):
     """T-periodic forcing as a sum of separable terms g(t)*phi(x, y).
@@ -227,40 +232,33 @@ class Forcing(Schema):
         return ScalarField(grid, self.packed(grid, t)[1].reshape(grid.shape), bc="none")
 
     def f2(self, grid: Grid2D, t: float) -> VectorField2:
-        return VectorField2(grid, *unpack_arrays(grid, self.packed(grid, t)[0]), bc="none")
+        f2 = unpack_interior(grid, self.packed(grid, t)[0])
+        f2.bc = "none"
+        return f2
 
-    def l1_l2_norm(self, grid: Grid2D, n_steps: int = 200) -> float:
+    def l1_l2_norm(self, grid: Grid2D) -> float:
         """Time-trapezoid approximation of int_0^T |f(t)|_L2 dt over one
         period (both components combined)."""
-        ts = np.linspace(0.0, self.period, n_steps + 1)
-        vals = []
-        for t in ts:
-            f2, f1 = self.packed(grid, t)
-            vals.append(np.sqrt(_norm_l2(grid, *unpack_arrays(grid, f2)) ** 2
-                                + _norm_l2(grid, f1.reshape(grid.shape)) ** 2))
+        ts = np.linspace(0.0, self.period, FORCING_NORM_STEPS + 1)
+        vals = [np.sqrt(norm_l2(self.f2(grid, t)) ** 2 + norm_l2(self.f1(grid, t)) ** 2)
+                for t in ts]
         return float(np.trapezoid(vals, ts))
 
-    def l1_h1_norm(self, grid: Grid2D, n_steps: int = 200) -> float:
+    def l1_h1_norm(self, grid: Grid2D) -> float:
         """int_0^T ||f(t)||_H1 dt with the discrete H1 norm."""
-        ts = np.linspace(0.0, self.period, n_steps + 1)
+        ts = np.linspace(0.0, self.period, FORCING_NORM_STEPS + 1)
         vals = []
         for t in ts:
-            f2, f1 = self.packed(grid, t)
-            s, (vx, vy) = f1.reshape(grid.shape), unpack_arrays(grid, f2)
+            f1, f2 = self.f1(grid, t), self.f2(grid, t)
             sq = (
-                _norm_l2(grid, s) ** 2
-                + grad_edge_inner(s, s, grid)
-                + _norm_l2(grid, vx, vy) ** 2
-                + grad_edge_inner(vx, vx, grid)
-                + grad_edge_inner(vy, vy, grid)
+                norm_l2(f1) ** 2
+                + grad_edge_inner(f1.values, f1.values, grid)
+                + norm_l2(f2) ** 2
+                + grad_edge_inner(f2.ux, f2.ux, grid)
+                + grad_edge_inner(f2.uy, f2.uy, grid)
             )
             vals.append(np.sqrt(sq))
         return float(np.trapezoid(vals, ts))
-
-
-def _norm_l2(grid: Grid2D, *arrays) -> float:
-    """``norm_l2`` of the scalar (one nodal array) or vector (two) field."""
-    return float(np.sqrt(max(float(np.sum(sum(a * a for a in arrays) * grid.weights)), 0.0)))
 
 
 @dataclass
@@ -316,47 +314,37 @@ class State:
 # ---------------------------------------------------------------------------
 # coupling terms
 
-def lorentz_nodal(grid: Grid2D, h: np.ndarray,
-                  params: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
-    """Magnetic body-force contribution -mu0*(b0 + h)*grad h on the
-    right-hand side of the elastic equation, on nodal arrays (x, y)."""
-    fac = -params.mu0 * (params.b0 + h)
-    return fac * (grid.dmat_x @ h), fac * (h @ grid.dmat_y.T)
-
-
-def induction_nodal(grid: Grid2D, vx: np.ndarray, vy: np.ndarray, h: np.ndarray,
-                    params: MaterialParams) -> np.ndarray:
-    """Right-hand-side contribution -div((b0 + h) u') of the magnetic
-    equation on nodal arrays; integrates to zero because the flux vanishes
-    on the boundary."""
-    fac = params.b0 + h
-    return -(grid.dmat_x @ (fac * vx) + (fac * vy) @ grid.dmat_y.T)
-
-
 def coupling_packed(grid: Grid2D, v: np.ndarray, h: np.ndarray,
                     params: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
     """The coupling terms on packed interior u' and raveled h, from one
     product with blockdiag(G, D): the body force -mu0 (b0 + h) G h and the
-    induction flux -D((b0 + h) u'), :func:`lorentz_nodal` at the interior
-    nodes and :func:`induction_nodal`."""
+    induction flux -D((b0 + h) u'), :func:`lorentz_force` at the interior
+    nodes and :func:`induction_term`."""
     bh = params.b0 + h[grid.interior]
     gh_dw = grid.grad_and_div @ np.concatenate((h, bh * v))
     return (-params.mu0 * bh) * gh_dw[:len(v)], -gh_dw[len(v):]
 
 
 def lorentz_force(h: ScalarField, params: MaterialParams) -> VectorField2:
-    """Field form of :func:`lorentz_nodal`."""
+    """Magnetic body-force contribution -mu0*(b0 + h)*grad h on the
+    right-hand side of the elastic equation, from the grid's ddx and ddy."""
     if h.bc != "neumann":
         raise ContractViolationError("lorentz_force requires a Neumann field")
-    return VectorField2(h.grid, *lorentz_nodal(h.grid, h.values, params), bc="none")
+    g, a = h.grid, h.values.ravel()
+    fac = -params.mu0 * (params.b0 + a)
+    return VectorField2(g, *((fac * (d @ a)).reshape(g.shape) for d in (g.ddx, g.ddy)),
+                        bc="none")
 
 
 def induction_term(ut: VectorField2, h: ScalarField, params: MaterialParams) -> ScalarField:
-    """Field form of :func:`induction_nodal`."""
+    """Right-hand-side contribution -div((b0 + h) u') of the magnetic
+    equation, from the grid's ddx and ddy; integrates to zero because the
+    flux vanishes on the boundary."""
     if ut.bc != "dirichlet_zero":
         raise ContractViolationError("induction_term requires dirichlet_zero u'")
-    return ScalarField(ut.grid, induction_nodal(ut.grid, ut.ux, ut.uy, h.values, params),
-                       bc="none")
+    g, fac = ut.grid, params.b0 + h.values.ravel()
+    return ScalarField(g, -(g.ddx @ (fac * ut.ux.ravel()) + g.ddy @ (fac * ut.uy.ravel()))
+                       .reshape(g.shape), bc="none")
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +476,6 @@ class GalerkinBasis:
         )
 
 
-@lru_cache(maxsize=8)
-def elastic_matrix(grid: Grid2D, mu: float, lam: float):
-    """The Lame matrix A_el of (grid, mu, lam), assembled once and shared by
-    the eigenbasis, the energy and the implicit solves."""
-    return lame_operator_matrix(grid, mu, lam)
-
-
 def build_galerkin_basis(
     grid: Grid2D,
     params: MaterialParams,
@@ -521,7 +502,7 @@ def build_galerkin_basis(
         raise ParameterError(f"{m} of {n} elastic modes need a dense eigensolve "
                              f"(limit {MAX_DENSE_DOF} DOF)")
 
-    a_el = elastic_matrix(grid, params.mu, params.lam)
+    a_el = lame_operator_matrix(grid, params.mu, params.lam)
     if dense:
         vals, vecs = scipy.linalg.eigh(a_el.toarray(), subset_by_index=(0, m - 1))
     else:

@@ -42,17 +42,13 @@ def _require_periodic_setup(spec: DissipationSpec, forcing: Forcing) -> None:
         )
 
 
-def difference_state(a: State, b: State) -> State:
-    """Perturbation triple (v, v', b) = a - b as a State at a.t."""
-    g = a.grid
-    if b.grid != g:
+def _difference_energy(a: State, b: State, params: MaterialParams) -> float:
+    """The total energy of the perturbation triple (v, v', b) = a - b, taken
+    on packed coordinates."""
+    if b.grid != a.grid:
         raise ParameterError("states live on different grids")
-    return State(
-        VectorField2(g, a.u.ux - b.u.ux, a.u.uy - b.u.uy, bc="dirichlet_zero"),
-        VectorField2(g, a.ut.ux - b.ut.ux, a.ut.uy - b.ut.uy, bc="dirichlet_zero"),
-        ScalarField(g, a.h.values - b.h.values, bc="neumann"),
-        a.t,
-    )
+    return energy_mod.energy_packed(a.grid, params,
+                                    *(x - y for x, y in zip(a.packed(), b.packed())))
 
 
 def energy_norm(state: State, params: MaterialParams) -> float:
@@ -60,7 +56,7 @@ def energy_norm(state: State, params: MaterialParams) -> float:
 
 
 def energy_distance(a: State, b: State, params: MaterialParams) -> float:
-    return energy_norm(difference_state(a, b), params)
+    return float(np.sqrt(max(_difference_energy(a, b, params), 0.0)))
 
 
 @dataclass
@@ -265,8 +261,8 @@ def run_perturbation(
     pert_traj = integrate(zp, t_end, params, spec, forcing, config)
     if len(base_traj.samples) != len(pert_traj.samples):
         raise MelabError("base and perturbed trajectories sampled differently")
-    diffs = [difference_state(sp, sb) for sb, sp in zip(base_traj.samples, pert_traj.samples)]
-    eps = [energy_mod.energy_perturbation(d.u, d.ut, d.h, params) for d in diffs]
+    eps = [_difference_energy(sp, sb, params)
+           for sb, sp in zip(base_traj.samples, pert_traj.samples)]
     c_h = energy_mod.accumulate_ch(base_traj)
     return PerturbationRun(orbit, base_traj.times, np.asarray(eps), base_traj, pert_traj, c_h)
 
@@ -276,7 +272,6 @@ def check_decay_bound(
     consts: energy_mod.ConstantsLedger,
     alpha: float,
     nu1: float,
-    fit_window: tuple[float, float] | None = None,
 ) -> dict:
     """Pointwise check of E_p(t) <= 2(2+alpha) E_p(0) exp(-C1 t + 4 C_h/nu1),
     with C1 taken from the ledger and C_h measured along the base orbit."""
@@ -291,9 +286,7 @@ def check_decay_bound(
     r2 = None
     if ep0 > 0 and np.all(run.ep_series > 0):
         try:
-            fitted_rate, r2 = energy_mod.decay_rate_fit(
-                run.times, run.ep_series, window=fit_window
-            )
+            fitted_rate, r2 = energy_mod.decay_rate_fit(run.times, run.ep_series)
         except ParameterError:
             pass
     return {

@@ -36,6 +36,7 @@ from .grid import (
     ParameterError,
     ScalarField,
     Schema,
+    lame_operator_matrix,
     neumann_laplacian_matrix,
     pack_interior,
     unpack_interior,
@@ -48,7 +49,6 @@ from .model import (
     MaterialParams,
     State,
     coupling_packed,
-    elastic_matrix,
     project,
     reconstruct,
 )
@@ -159,7 +159,7 @@ def _implicit_ops(grid: Grid2D, dt: float, params: MaterialParams, alpha: float)
     lap = neumann_laplacian_matrix(grid)
     w = grid.weights.ravel()
     m_h = sparse.diags_array(w) @ (sparse.eye_array(grid.n_nodes) - (a * params.nu1) * lap)
-    a_el = elastic_matrix(grid, params.mu, params.lam)
+    a_el = lame_operator_matrix(grid, params.mu, params.lam)
     ni = grid.n_interior
     m_u = (2.0 * params.rho_m + dt * alpha) * sparse.eye_array(2 * ni) + (dt * a) * a_el
     nodes = _node_order(grid.nx - 1, grid.ny - 1)

@@ -1,6 +1,8 @@
-"""Field-level references for the packed diagnostics: each quadratic form
-written with the field API and the edge quadrature, independent of the
-assembled matrices the diagnostics use."""
+"""Field-level references for the packed diagnostics and the operators:
+each quadratic form written with the field API and the edge quadrature, and
+the collocated derivative, the coupling terms and the Lame operator applied
+with the dense first-derivative stencil or per component, independent of the
+assembled matrices the library uses."""
 
 import numpy as np
 
@@ -14,8 +16,52 @@ from melab.grid import (
     inner,
     lame_apply,
     laplacian_neumann,
+    pack_interior,
     pin_boundary,
+    unpack_interior,
 )
+
+
+def sbp_derivative(n: int, h: float) -> np.ndarray:
+    """Dense collocated first derivative on n nodes spaced h, entry by entry:
+    centered inside, one-sided on the two end rows."""
+    d = np.zeros((n, n))
+    for i in range(1, n - 1):
+        d[i, i - 1] = -0.5 / h
+        d[i, i + 1] = 0.5 / h
+    d[0, 0], d[0, 1] = -1.0 / h, 1.0 / h
+    d[-1, -2], d[-1, -1] = -1.0 / h, 1.0 / h
+    return d
+
+
+def derivative_matrices(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The dense stencils along x and y, acting on the first and second index
+    of a nodal array."""
+    return sbp_derivative(grid.nx + 1, grid.dx), sbp_derivative(grid.ny + 1, grid.dy)
+
+
+def lorentz_nodal(grid, h: np.ndarray, params) -> tuple[np.ndarray, np.ndarray]:
+    """Magnetic body force -mu0*(b0 + h)*grad h on nodal arrays (x, y)."""
+    dx, dy = derivative_matrices(grid)
+    fac = -params.mu0 * (params.b0 + h)
+    return fac * (dx @ h), fac * (h @ dy.T)
+
+
+def induction_nodal(grid, vx: np.ndarray, vy: np.ndarray, h: np.ndarray, params) -> np.ndarray:
+    """Induction flux -div((b0 + h) u') on nodal arrays."""
+    dx, dy = derivative_matrices(grid)
+    fac = params.b0 + h
+    return -(dx @ (fac * vx) + (fac * vy) @ dy.T)
+
+
+def lame_by_component(u: VectorField2, mu: float, lam: float) -> VectorField2:
+    """-mu*Lap(u) - (lam+mu)*grad(div u) as (lam+mu) grad_div u minus mu
+    times the Dirichlet Laplacian of each component, with no assembled
+    Lame matrix."""
+    g = u.grid
+    v = pack_interior(u)
+    lap_v = (g.lap_dirichlet @ v.reshape(2, g.n_interior).T).T.ravel()
+    return unpack_interior(g, (lam + mu) * (g.grad_div @ v) - mu * lap_v)
 
 
 def bilinear_a2(u: VectorField2, w: VectorField2, mu: float, lam: float) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from melab import cli
+from melab import analysis, cli
 
 
 def run_cli(args):
@@ -157,6 +157,33 @@ def test_find_periodic_zero_forcing(tmp_path):
     assert np.all(z[:, 2] == 0.0)
 
 
+def test_perturb_experiment(tmp_path):
+    """melab perturb on a forced, linearly damped 8 x 8 run: ep_series.csv
+    holds t,e_p rows with 17 significant digits, one per sample from t = 0
+    to t_end, starting at the report's E_p(0), and the decay report has no
+    violations."""
+    doc = {
+        "experiment": "perturb",
+        "grid": {"nx": 8, "ny": 8},
+        "dissipation": {"kind": "linear", "alpha": 1.0},
+        "forcing": {"period": 1.0, "terms": [
+            {"target": "f2", "g": {"sin": [0.05]}, "shape": {"jx": 1, "jy": 1}}]},
+        "stepper": {"dt": 0.01, "sample_every": 10},
+        "basis": {"m": 4, "m_magnetic": 4},
+        "t_end": 3.0,
+    }
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert run_cli(["perturb", "--config", cfg, "--output", str(out)]) == 0
+    text = (out / "ep_series.csv").read_text()
+    rows = np.loadtxt(out / "ep_series.csv", delimiter=",", skiprows=1)
+    assert len(rows) == 31
+    assert text == "t,e_p\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in rows)
+    assert np.abs(rows[:, 0] - np.linspace(0.0, 3.0, 31)).max() <= 1e-12
+    rep = json.loads((out / "reports" / "decay.json").read_text())
+    assert rows[0, 1] == rep["ep0"] > 0 and rep["violations"] == []
+
+
 def test_find_periodic_strict_refusal(tmp_path):
     doc = {
         "experiment": "find-periodic",
@@ -197,8 +224,9 @@ def test_disk_mode_experiment(tmp_path):
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "out"
     assert run_cli(["disk-mode", "--config", cfg, "--output", str(out)]) == 0
-    lines = (out / "bessel_roots.csv").read_text().splitlines()
-    assert lines[0] == "m,zeta_m" and len(lines) == 4
+    table = analysis.bessel_root_table(3)
+    assert (out / "bessel_roots.csv").read_text() == "m,zeta_m\n" + "".join(
+        f"{m},{z:.17g}\n" for m, z in table)
 
 
 def test_disk_mode_radial_points_bounded(tmp_path, capsys):

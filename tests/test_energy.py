@@ -14,6 +14,7 @@ from melab.grid import (
     VectorField2,
     divergence,
     grad_edge_inner,
+    lame_operator_matrix,
     norm_l2,
     pin_boundary,
     unpack_interior,
@@ -24,7 +25,6 @@ from melab.model import (
     MaterialParams,
     State,
     build_galerkin_basis,
-    elastic_matrix,
     random_state,
 )
 from melab import analysis, energy, stepping
@@ -77,7 +77,8 @@ def edge_energy(grid, params, ux, uy, vx, vy, h):
     w = grid.weights
     kin = params.rho_m * float(np.sum((vx * vx + vy * vy) * w))
     el = params.mu * (grad_edge_inner(ux, ux, grid) + grad_edge_inner(uy, uy, grid))
-    dv = grid.dmat_x @ ux + uy @ grid.dmat_y.T
+    dmat_x, dmat_y = field_reference.derivative_matrices(grid)
+    dv = dmat_x @ ux + uy @ dmat_y.T
     el += (params.lam + params.mu) * float(np.sum(dv * dv * w))
     mag = params.mu0 * float(np.sum(h * h * w))
     return 0.5 * (kin + el + mag)
@@ -161,7 +162,7 @@ def test_packed_diagnostics_are_the_field_forms(cells, sides, rho_m, mu, lam, mu
              for _ in range(2))
     s = State(u, ut, ScalarField(g, 0.1 * rng.standard_normal(g.shape), bc="neumann"))
     pu, pv, ph = s.packed()
-    a_el, lap = elastic_matrix(g, mu, lam), g.lap_neumann
+    a_el, lap = lame_operator_matrix(g, mu, lam), g.lap_neumann
     wv, w = g.vector_weights, g.weights.ravel()
 
     got = energy.energy_sample(s, params)

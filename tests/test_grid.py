@@ -32,10 +32,9 @@ from melab.grid import (
     save_vector_csv,
     write_csv,
 )
-from melab.model import elastic_matrix
 from melab.grid import _cosine_modes, _flux_1d, _second_difference, _sine_modes
 
-from field_reference import bilinear_a2
+from field_reference import bilinear_a2, derivative_matrices, lame_by_component
 
 
 def random_scalar(grid, rng, bc="neumann"):
@@ -164,11 +163,13 @@ def test_lame_symmetry_and_a2_consistency(grid, seed):
 @identity_settings
 @given(grid=random_grids, seed=seeds)
 def test_lame_operator_matrix_matches_apply(grid, seed):
-    """The assembled matrix on packed interior DOFs is lame_apply."""
+    """The assembled matrix on packed interior DOFs, and lame_apply, are the
+    Lame operator applied per component."""
     u = random_vector(grid, np.random.default_rng(seed))
-    ref = pack_interior(lame_apply(u, 1.0, 0.7))
-    out = lame_operator_matrix(grid, 1.0, 0.7) @ pack_interior(u)
-    assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    ref = pack_interior(lame_by_component(u, 1.0, 0.7))
+    for out in (lame_operator_matrix(grid, 1.0, 0.7) @ pack_interior(u),
+                pack_interior(lame_apply(u, 1.0, 0.7))):
+        assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("nx, ny", [(4, 4), (12, 7), (6, 31)])
@@ -177,8 +178,8 @@ def test_operator_matrices_are_canonical(nx, ny):
     duplicates, so no scipy operation that needs that form (abs, a shifted
     factorization) reorders it in place."""
     g = Grid2D(nx, ny, 1.0, 0.6)
-    for m in (g.lap_neumann, g.lap_dirichlet, g.grad_div, neumann_laplacian_matrix(g),
-              lame_operator_matrix(g, 1.0, 0.7), elastic_matrix(g, 1.0, 0.7)):
+    for m in (g.ddx, g.ddy, g.lap_neumann, g.lap_dirichlet, g.grad_div,
+              neumann_laplacian_matrix(g), lame_operator_matrix(g, 1.0, 0.7)):
         assert m.format == "csr" and m.has_canonical_format
 
 
@@ -186,21 +187,22 @@ def test_operator_matrices_are_canonical(nx, ny):
                                           (7, 19, 0.3, 4.1), (32, 20, 2.0, 0.7)])
 def test_lame_matrix_from_cached_divergence_is_unchanged(nx, ny, lx, ly):
     """grad_div is W_v^{-1} D^T W D with the grid's cached divergence D, and
-    it and the Lame matrix are bit for bit those built from their own
-    Kronecker product of dmat_x and dmat_y, so the eigenbasis and the banded
-    factors do not move; G, D and blockdiag(G, D) are canonical."""
+    it and the Lame matrix are bit for bit those built from a Kronecker
+    product of the dense entry-by-entry stencil, so the eigenbasis and the
+    banded factors do not move; G, D and blockdiag(G, D) are canonical."""
     g, ref = Grid2D(nx, ny, lx, ly), Grid2D(nx, ny, lx, ly)
     px = sparse.eye_array(nx + 1, format="csr")[:, 1:-1]
     py = sparse.eye_array(ny + 1, format="csr")[:, 1:-1]
-    d = sparse.hstack([sparse.kron(ref.dmat_x[:, 1:-1], py),
-                       sparse.kron(px, ref.dmat_y[:, 1:-1])]).tocsr()
+    dmat_x, dmat_y = derivative_matrices(ref)
+    d = sparse.hstack([sparse.kron(dmat_x[:, 1:-1], py),
+                       sparse.kron(px, dmat_y[:, 1:-1])]).tocsr()
     w = sparse.diags_array(ref.weights.ravel())
     grad_div = (sparse.diags_array(1.0 / ref.vector_weights) @ (d.T @ w @ d)).tocsr()
     grad_div.sum_duplicates()
     lap = ref.lap_dirichlet
     lame = ((0.4 + 1.3) * grad_div - 1.3 * sparse.block_diag((lap, lap))).tocsr()
     lame.sum_duplicates()
-    for got, want in ((g.grad_div, grad_div), (elastic_matrix(g, 1.3, 0.4), lame)):
+    for got, want in ((g.grad_div, grad_div), (lame_operator_matrix(g, 1.3, 0.4), lame)):
         for part in ("data", "indices", "indptr"):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
     for m in (g.grad, g.div, g.grad_and_div):

@@ -16,6 +16,8 @@ from melab.grid import (
     ParameterError,
     ScalarField,
     VectorField2,
+    divergence,
+    gradient,
     inner,
     lame_operator_matrix,
     mean,
@@ -38,6 +40,8 @@ from melab.model import (
     validate_kc,
 )
 from melab.stepping import SCHEMES, StepperConfig
+
+import field_reference
 
 
 PARAMS = MaterialParams(rho_m=1.2, mu=1.0, lam=0.5, nu1=0.1, mu0=0.8, b0=1.5)
@@ -86,11 +90,12 @@ def test_coupling_energy_cancellation(grid, params, seed):
        k1=st.floats(0.0, 2.0), p=st.floats(3.0, 4.0), seed=st.integers(0, 2**32 - 1))
 def test_packed_coupling_matches_nodal_fields(n, lx, ly, params, k1, p, seed):
     """The step's forces on packed coordinates (one product with
-    blockdiag(G, D), the cached forcing profiles, the power law) are
-    lorentz_nodal and induction_nodal plus forcing and damping on nodal
-    arrays, over the interior, within 1e-14 of the size of their terms.  The
-    packed pair exchanges energy exactly, and W (D w) sums to zero, which
-    keeps mean(h)."""
+    blockdiag(G, D), the cached forcing profiles, the power law) are the
+    reference coupling terms with the dense stencil, plus forcing and
+    damping on nodal arrays, over the interior, within 1e-14 of the size of
+    their terms; so are gradient, divergence, lorentz_force and
+    induction_term over all nodes.  The packed pair exchanges energy
+    exactly, and W (D w) sums to zero, which keeps mean(h)."""
     g = Grid2D(n[0], n[1], lx, ly)
     rng = np.random.default_rng(seed)
     h = rng.standard_normal(g.shape)
@@ -109,18 +114,33 @@ def test_packed_coupling_matches_nodal_fields(n, lx, ly, params, k1, p, seed):
 
     f2, f1 = forcing.f2(g, t), forcing.f1(g, t)
     fac = k1 * np.sqrt(vx**2 + vy**2) ** p
+    lorentz = field_reference.lorentz_nodal(g, h, params)
+    induction = field_reference.induction_nodal(g, vx, vy, h, params)
     want_u = [(lor + f - fac * c) / params.rho_m
-              for lor, f, c in zip(model.lorentz_nodal(g, h, params), (f2.ux, f2.uy), (vx, vy))]
-    want_h = model.induction_nodal(g, vx, vy, h, params) + f1.values
+              for lor, f, c in zip(lorentz, (f2.ux, f2.uy), (vx, vy))]
+    want_h = induction + f1.values
     inv_h = 1.0 / min(g.dx, g.dy)
-    scale_u = (params.mu0 * np.abs(params.b0 + h).max() * np.abs(h).max() * inv_h
-               + max(np.abs(f2.ux).max(), np.abs(f2.uy).max()) + np.abs(fac).max()) / params.rho_m
-    scale_h = np.abs(params.b0 + h).max() * max(np.abs(vx).max(), np.abs(vy).max()) * inv_h
-    scale_h += np.abs(f1.values).max()
+    scale_gh = np.abs(h).max() * inv_h
+    scale_dw = max(np.abs(vx).max(), np.abs(vy).max()) * inv_h
+    scale_lor = params.mu0 * np.abs(params.b0 + h).max() * scale_gh
+    scale_ind = np.abs(params.b0 + h).max() * scale_dw
+    scale_u = (scale_lor + max(np.abs(f2.ux).max(), np.abs(f2.uy).max())
+               + np.abs(fac).max()) / params.rho_m
+    scale_h = scale_ind + np.abs(f1.values).max()
     got_x, got_y = fu.reshape(2, n[0] - 1, n[1] - 1)
     assert np.abs(got_x - want_u[0][1:-1, 1:-1]).max() <= 1e-14 * scale_u
     assert np.abs(got_y - want_u[1][1:-1, 1:-1]).max() <= 1e-14 * scale_u
     assert np.abs(fh - want_h.ravel()).max() <= 1e-14 * scale_h
+
+    dmat_x, dmat_y = field_reference.derivative_matrices(g)
+    hf, w = ScalarField(g, h, bc="neumann"), VectorField2(g, vx, vy, bc="dirichlet_zero")
+    gh, lor = gradient(hf), lorentz_force(hf, params)
+    assert np.abs(gh.ux - dmat_x @ h).max() <= 1e-14 * scale_gh
+    assert np.abs(gh.uy - h @ dmat_y.T).max() <= 1e-14 * scale_gh
+    assert np.abs(divergence(w).values - (dmat_x @ vx + vy @ dmat_y.T)).max() <= 1e-14 * scale_dw
+    assert np.abs(lor.ux - lorentz[0]).max() <= 1e-14 * scale_lor
+    assert np.abs(lor.uy - lorentz[1]).max() <= 1e-14 * scale_lor
+    assert np.abs(induction_term(w, hf, params).values - induction).max() <= 1e-14 * scale_ind
 
     cu, ch = model.coupling_packed(g, v, h.ravel(), params)
     lhs = float(np.dot(g.vector_weights * cu, v))
@@ -335,7 +355,7 @@ def test_lanczos_basis_at_64():
     b = build_galerkin_basis(g, PARAMS, m=8, m_magnetic=8)
     assert 2 * g.n_interior > model.MAX_DENSE_DOF
     assert np.all(np.diff(b.elastic_vals) >= 0)
-    a = model.elastic_matrix(g, PARAMS.mu, PARAMS.lam)
+    a = lame_operator_matrix(g, PARAMS.mu, PARAMS.lam)
     ev = b.elastic_vecs
     scale = abs(a).sum(axis=1).max() * np.linalg.norm(ev, axis=0).max()
     assert np.abs(a @ ev - ev * b.elastic_vals).max() <= 1e-12 * scale
@@ -348,7 +368,7 @@ def test_dense_basis_beyond_limit_refused_before_assembly(monkeypatch):
     def no_assembly(*args):
         raise AssertionError("the Lame matrix was built")
 
-    monkeypatch.setattr(model, "elastic_matrix", no_assembly)
+    monkeypatch.setattr(model, "lame_operator_matrix", no_assembly)
     g = Grid2D(64, 64, 1.0, 1.0)
     with pytest.raises(ParameterError, match="dense eigensolve"):
         build_galerkin_basis(g, PARAMS, m=g.n_interior, m_magnetic=1)
