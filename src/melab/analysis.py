@@ -241,7 +241,7 @@ def property_p_scan(grid: Grid2D, params: MaterialParams, m_modes: int) -> dict:
 
 def lasalle_report(traj) -> dict:
     """Finite-horizon trends of an unforced, mechanically undamped run:
-    h-norms, velocity divergence, and total energy (from the energy log),
+    h-norms, velocity divergence, and the recorded total energy,
     with fitted rates.  |h| is a W-weighted dot and |div u'|^2 the form
     u'.(W_v grad_div u') on the packed state.  Descriptive only; no
     infinite-time claim is asserted."""
@@ -252,11 +252,11 @@ def lasalle_report(traj) -> dict:
     w, wv = g.weights.ravel(), g.vector_weights
     hs = [s.h.values.ravel() for s in samples]
     vs = [pack_interior(s.ut) for s in samples]
-    ts = np.array([s.t for s in samples])
+    ts = np.array(traj.times)
     h_l2 = np.sqrt([np.dot(w * h, h) for h in hs])
-    grad_h = np.array([np.sqrt(rec.grad_h_sq) for rec in traj.energy_log])
+    grad_h = np.sqrt([energy_mod.grad_h_squared(s.h) for s in samples])
     div_ut = np.sqrt([max(np.dot(wv * (g.grad_div @ v), v), 0.0) for v in vs])
-    e = np.array([rec.e_total for rec in traj.energy_log])
+    e = np.array(traj.energies)
     e_increase = float(np.max(np.diff(e), initial=0.0))
     monotone = bool(e_increase <= 1e-9 * max(e[0], 1.0))
     out = {

@@ -17,7 +17,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -151,31 +151,8 @@ def _initial_state(run: _Run) -> State:
 # ---------------------------------------------------------------------------
 # artifact writing
 
-def _energy_rows(traj: Trajectory) -> list[list[float]]:
-    """energy.csv rows: the trajectory's energy log with the Lyapunov
-    functional g and the energy-balance residual filled in."""
-    params = traj.params
-    spec = traj.dissipation
-    alpha = spec.linear_alpha
-    eps = None
-    if alpha > 0:
-        c_omega = energy_mod.poincare_constant(traj.samples[0].grid, params)
-        eps = energy_mod.admissible_shift(alpha, params.nu1, c_omega)
-    res = None
-    if len(traj.samples) >= 3:
-        res = energy_mod.energy_identity_residual(traj, params)
-    rows = []
-    for k, (s, rec) in enumerate(zip(traj.samples, traj.energy_log)):
-        g_val = energy_mod.lyapunov_g(s, eps, alpha, params, e_total=rec.e_total) if eps else 0.0
-        r = float(res["residual"][k - 1]) if (res is not None and k >= 1) else 0.0
-        rows.append(replace(rec, g_eps=g_val).row(residual=r))
-    return rows
-
-
-def _write_energy_csv(path: Path, rows) -> None:
-    header = energy_mod.CSV_HEADER
-    write_csv(path, header, row_template(len(rows), header.count(",") + 1),
-              [v for row in rows for v in row])
+def _write_energy_csv(path: Path, rows: np.ndarray) -> None:
+    write_csv(path, energy_mod.CSV_HEADER, row_template(*rows.shape), rows.ravel().tolist())
 
 
 def _write_snapshots(outdir: Path, traj: Trajectory) -> None:
@@ -233,7 +210,7 @@ def _archive_trajectory(outdir: Path, config: dict, traj: Trajectory, extra=None
     if extra:
         info.update(extra)
     _write_run_json(outdir, config, info)
-    _write_energy_csv(outdir / "energy.csv", _energy_rows(traj))
+    _write_energy_csv(outdir / "energy.csv", energy_mod.energy_table(traj))
     _write_snapshots(outdir, traj)
 
 
@@ -306,7 +283,7 @@ def _exp_perturb(run, outdir, strict):
     except DivergedStateError:
         return EXIT_DIVERGED
     ep0 = float(pert.ep_series[0])
-    c_e = max(rec.e1 for rec in pert.base_traj.energy_log)
+    c_e = max(energy_mod.energy_e1(s, params) for s in pert.base_traj.samples)
     consts = energy_mod.assemble_constants(
         grid, params, spec.alpha, basis=basis, c_e=c_e, c_h=pert.c_h, ep0=ep0
     )
@@ -412,22 +389,39 @@ _RUNNERS = {
 # replay verification
 
 def replay(archive_dir) -> dict:
-    """Recompute the energy diagnostics from the stored snapshots and
-    cross-check against energy.csv; mismatch beyond 1e-10 is reported with
-    the first differing row."""
+    """Rebuild the stored snapshots, recompute energy.csv from them with
+    the archive writer's ``energy.energy_table`` and cross-check it against
+    the stored one; a mismatch beyond 1e-10 is reported with the first
+    differing row.  An archive file that does not parse raises MelabError
+    naming the file."""
     arc = Path(archive_dir)
-    with open(arc / "run.json") as fh:
-        run = _parse_config(json.load(fh)["config"])
+    path = arc / "run.json"
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise MelabError(f"{path}: not JSON: {err}") from None
+    if not isinstance(doc, dict) or "config" not in doc:
+        raise MelabError(f"{path}: no 'config' section")
+    run = _parse_config(doc["config"])
     grid = run.grid
-    stored = np.loadtxt(arc / "energy.csv", delimiter=",", skiprows=1, ndmin=2)
+    path, n_cols = arc / "energy.csv", energy_mod.CSV_HEADER.count(",") + 1
+    try:
+        stored = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as err:
+        raise MelabError(f"{path}: {err}") from None
+    if stored.shape[1] != n_cols:
+        raise MelabError(f"{path}: {stored.shape[1]} columns, expected {n_cols}")
     samples = []
     for k in range(stored.shape[0]):
         u = load_vector_csv(arc / "snapshots" / f"{k:04d}_u.csv", grid, bc="dirichlet_zero")
         ut = load_vector_csv(arc / "snapshots" / f"{k:04d}_ut.csv", grid, bc="dirichlet_zero")
         h = load_scalar_csv(arc / "snapshots" / f"{k:04d}_h.csv", grid, bc="neumann")
         samples.append(State(u, ut, h, float(stored[k, 0])))
-    traj = Trajectory(samples=samples, params=run.params, dissipation=run.spec, forcing=run.forcing)
-    rows = np.asarray(_energy_rows(traj))
+    traj = Trajectory(samples, [s.t for s in samples],
+                      [energy_mod.energy_total(s, run.params) for s in samples],
+                      params=run.params, dissipation=run.spec, forcing=run.forcing)
+    rows = energy_mod.energy_table(traj)
     diff = np.abs(rows - stored)
     bad = np.argwhere(diff > 1e-10)
     if len(bad):
@@ -482,7 +476,7 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
         try:
             report = replay(target)
-        except (OSError, ValueError, KeyError, MelabError) as err:
+        except (OSError, MelabError) as err:
             print(f"corrupt archive: {err}", file=sys.stderr)
             return EXIT_VALIDATION
         print(json.dumps(report, indent=2))

@@ -20,6 +20,9 @@ is off by 3.5e-7.  The edge sum is the form whose flux difference is L, so
 the reported dissipation pairs exactly with the discrete diffusion operator
 and the per-step energy balance closes to the integrator's truncation error
 rather than to the mesh width.
+
+A trajectory records each sample's time and energy; ``energy_table`` computes
+the other columns of energy.csv from the samples, for archive and replay.
 """
 
 from __future__ import annotations
@@ -45,23 +48,6 @@ from .grid import (
 from .model import MaterialParams, State, build_galerkin_basis
 
 
-@dataclass
-class EnergySample:
-    t: float
-    e_total: float
-    e1: float
-    e_p: float = 0.0
-    g_eps: float = 0.0
-    grad_h_sq: float = 0.0
-    lh_tilde_sq: float = 0.0
-
-    def row(self, residual: float = 0.0) -> list[float]:
-        return [
-            self.t, self.e_total, self.e1, self.e_p, self.g_eps,
-            self.grad_h_sq, self.lh_tilde_sq, residual,
-        ]
-
-
 CSV_HEADER = "t,e_total,e1,e_p,g,grad_h_sq,lh_sq,residual"
 
 
@@ -82,9 +68,6 @@ class ConstantsLedger:
         if name not in self.entries:
             raise KeyError(f"constant {name!r} not in ledger")
         return self.entries[name]["value"]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
 
     def to_json(self) -> str:
         return json.dumps(self.entries, indent=2, sort_keys=True)
@@ -191,24 +174,6 @@ def lh_tilde_squared(h: ScalarField) -> float:
     return _lh_sq_packed(h.grid, h.values.ravel())
 
 
-def energy_sample(
-    state: State, params: MaterialParams, e_total: float | None = None
-) -> EnergySample:
-    """The per-state diagnostics of a trajectory's energy log, from the
-    state packed once; ``e_total`` is the state's energy when the caller
-    has already computed it."""
-    g = state.grid
-    u, v, h = state.packed()
-    grad_h_sq = grad_h_squared(state.h)
-    return EnergySample(
-        t=state.t,
-        e_total=energy_packed(g, params, u, v, h) if e_total is None else e_total,
-        e1=_e1_packed(g, params, u, v, grad_h_sq),
-        grad_h_sq=grad_h_sq,
-        lh_tilde_sq=_lh_sq_packed(g, h),
-    )
-
-
 def energy_identity_residual(traj, params: MaterialParams) -> dict:
     """Per-interval residual of the discrete dissipation balance
 
@@ -216,28 +181,27 @@ def energy_identity_residual(traj, params: MaterialParams) -> dict:
             = (f2, u') + mu0*(f1, h)
 
     with midpoint (state-average) sampling between consecutive samples, E
-    from the energy log and the trajectory's dissipation law and forcing:
+    the trajectory's recorded energies and its dissipation law and forcing:
     the dissipation and forcing work are weighted dot products on the packed
     interior u' and the nodal h.  Returns the residual series and its max
     abs.
     """
     if params != traj.params:
-        raise ParameterError("params differ from the trajectory's energy log")
+        raise ParameterError("params differ from the trajectory's")
     spec, forcing = traj.dissipation, traj.forcing
-    samples = traj.samples
-    if len(samples) < 3:
-        raise ParameterError("need at least 3 trajectory samples")
+    samples, times, energies = traj.samples, traj.times, traj.energies
+    if len(samples) < 2:
+        raise ParameterError("need at least 2 trajectory samples")
     g = samples[0].grid
     wv = g.vector_weights
-    energies = [rec.e_total for rec in traj.energy_log]
     vs = [pack_interior(s.ut) for s in samples]
     t_mid, res = [], []
     for k in range(len(samples) - 1):
         a, b = samples[k], samples[k + 1]
         v = 0.5 * (vs[k] + vs[k + 1])
         h = 0.5 * (a.h.values + b.h.values)
-        tm = 0.5 * (a.t + b.t)
-        r = (energies[k + 1] - energies[k]) / (b.t - a.t)
+        tm = 0.5 * (times[k] + times[k + 1])
+        r = (energies[k + 1] - energies[k]) / (times[k + 1] - times[k])
         r += params.mu0 * params.nu1 * grad_edge_inner(h, h, g)
         r += float(np.dot(wv * np.concatenate(spec.pointwise(*v.reshape(2, -1))), v))
         if not forcing.is_zero:
@@ -254,13 +218,35 @@ def energy_identity_residual(traj, params: MaterialParams) -> dict:
     }
 
 
+def energy_table(traj) -> np.ndarray:
+    """The rows of energy.csv, in CSV_HEADER order, of a grid trajectory:
+    per sample its time and recorded energy E, then E1, e_p (0), the
+    shifted functional g (0 without linear damping), |grad h|^2, |Lh|^2 and
+    the energy-balance residual of the interval that ends there (0 on the
+    first row)."""
+    params, samples = traj.params, traj.samples
+    alpha = traj.dissipation.linear_alpha
+    eps = None
+    if alpha > 0:
+        eps = admissible_shift(alpha, params.nu1, poincare_constant(samples[0].grid, params))
+    res = energy_identity_residual(traj, params)["residual"] if len(samples) > 1 else []
+    rows = []
+    for s, t, e, r in zip(samples, traj.times, traj.energies, [0.0, *res]):
+        u, v, h = s.packed()
+        grad_h_sq = grad_h_squared(s.h)
+        rows.append([t, e, _e1_packed(s.grid, params, u, v, grad_h_sq), 0.0,
+                     lyapunov_g(s, eps, alpha, params, e_total=e) if eps else 0.0,
+                     grad_h_sq, _lh_sq_packed(s.grid, h), float(r)])
+    return np.array(rows)
+
+
 def accumulate_ch(traj) -> float:
     """Supremum over the sampled horizon of int_0^t |Lap h|^2 ds (time
-    trapezoid over the energy log); nondecreasing in the horizon."""
-    ts = np.array([rec.t for rec in traj.energy_log])
-    vals = np.array([rec.lh_tilde_sq for rec in traj.energy_log])
+    trapezoid over the samples); nondecreasing in the horizon."""
+    ts = np.array(traj.times)
     if len(ts) < 2:
         return 0.0
+    vals = np.array([lh_tilde_squared(s.h) for s in traj.samples])
     partial = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts))])
     return float(partial.max())
 

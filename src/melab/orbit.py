@@ -264,7 +264,8 @@ def run_perturbation(
     eps = [_difference_energy(sp, sb, params)
            for sb, sp in zip(base_traj.samples, pert_traj.samples)]
     c_h = energy_mod.accumulate_ch(base_traj)
-    return PerturbationRun(orbit, base_traj.times, np.asarray(eps), base_traj, pert_traj, c_h)
+    return PerturbationRun(orbit, np.array(base_traj.times), np.asarray(eps), base_traj, pert_traj,
+                           c_h)
 
 
 def check_decay_bound(

@@ -18,8 +18,8 @@ On the grid a step works on flat arrays only: a state's linear part
 evaluation one with the grid's blockdiag(G, D) (``model.coupling_packed``).
 One loop (``_run``) steps both coordinate systems: it computes each state's
 linear part once, for its energy and for the step from it, reads divergence
-from that energy and hands the sampled states to its caller, so
-``integrate`` builds fields only for the states it keeps.
+from that energy and records the kept samples with their times and
+energies, so ``integrate`` builds fields only for the states it keeps.
 """
 
 from __future__ import annotations
@@ -84,34 +84,19 @@ class Termination:
 
 @dataclass
 class Trajectory:
-    """Sampled states and their energy log, the only store of per-state
-    diagnostics; built from bare samples, it fills the log itself."""
+    """Sampled states, their times and their total energies; a sample is a
+    ``State`` on the grid, a coefficient triple in eigencoordinates."""
 
     samples: list = field(default_factory=list)
-    energy_log: list = field(default_factory=list)
+    times: list = field(default_factory=list)
+    energies: list = field(default_factory=list)
     config: StepperConfig | None = None
     params: MaterialParams | None = None
     dissipation: DissipationSpec | None = None
     forcing: Forcing | None = None
     termination: Termination | None = None
 
-    def __post_init__(self):
-        if self.samples and not self.energy_log:
-            if self.params is None:
-                raise ParameterError("a trajectory with samples needs params for its energy log")
-            self.energy_log = [energy_mod.energy_sample(s, self.params) for s in self.samples]
-
-    def record(self, state: State, e_total: float) -> None:
-        """Append a sample, kept as given, and its log entry; e_total is the
-        state's energy."""
-        self.samples.append(state)
-        self.energy_log.append(energy_mod.energy_sample(state, self.params, e_total))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def final(self) -> State:
+    def final(self):
         return self.samples[-1]
 
 
@@ -309,14 +294,20 @@ def _step_count(t0: float, t_end: float, dt: float) -> int:
     return n_steps
 
 
-def _run(ops: OperatorSet, y, t: float, t_end: float, config: StepperConfig, record, traj):
+def _run(ops: OperatorSet, y, t: float, t_end: float, config: StepperConfig, sample, traj):
     """The stepping loop of both integrators, over flat coordinates
     y = (u, v, h) from t to t_end.  Each state's linear part is computed
     once, for its energy and for the step from it, and its energy once, for
-    the blow-up guard and for ``record(y, t, e)``, which gets the initial
-    state, every sample_every-th and the final one.  An energy that
-    is not finite, or that jumps by more than ENERGY_BLOWUP_FACTOR, raises
-    DivergedStateError with ``traj``, its termination set, attached."""
+    the blow-up guard and for ``traj``, which records ``sample(y, t)``, t and
+    e of the initial state, every sample_every-th and the final one.  An
+    energy that is not finite, or that jumps by more than
+    ENERGY_BLOWUP_FACTOR, raises DivergedStateError with ``traj``, its
+    termination set, attached."""
+    def record(y, t, e):
+        traj.samples.append(sample(y, t))
+        traj.times.append(t)
+        traj.energies.append(e)
+
     n_steps = _step_count(t, t_end, config.dt)
     lin = ops.linear(y[0], y[2])
     e = ops.energy(*y, lin[0])
@@ -350,30 +341,19 @@ def integrate(
     g = state0.grid
     traj = Trajectory(config=config, params=params, dissipation=spec, forcing=forcing)
 
-    def record(y, t, e):
+    def sample(y, t):
         u, v, h = y
-        traj.record(State(unpack_interior(g, u), unpack_interior(g, v),
-                          ScalarField(g, h.reshape(g.shape), bc="neumann"), t), e)
+        return State(unpack_interior(g, u), unpack_interior(g, v),
+                     ScalarField(g, h.reshape(g.shape), bc="neumann"), t)
 
     y0 = (pack_interior(state0.u), pack_interior(state0.ut), state0.h.values.flatten())
-    _run(_grid_ops(g, config.dt, params, spec, forcing), y0, state0.t, t_end, config, record,
+    _run(_grid_ops(g, config.dt, params, spec, forcing), y0, state0.t, t_end, config, sample,
          traj)
     return traj
 
 
 # ---------------------------------------------------------------------------
 # reduced (spectral) integration
-
-@dataclass
-class CoeffTrajectory:
-    times: list = field(default_factory=list)
-    coeffs: list = field(default_factory=list)     # (c, cdot, ctilde) triples
-    energy_log: list = field(default_factory=list)
-    termination: Termination | None = None
-
-    def final(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.coeffs[-1]
-
 
 def state_to_coeffs(basis: GalerkinBasis, state: State):
     return project(basis, state.u), project(basis, state.ut), project(basis, state.h)
@@ -396,21 +376,15 @@ def integrate_galerkin(
     spec: DissipationSpec,
     forcing: Forcing,
     config: StepperConfig,
-) -> CoeffTrajectory:
+) -> Trajectory:
     """Reduced dynamics: the grid's scheme in eigencoordinates, where the
     linear terms act diagonally through the eigenvalues and the forces go
     reconstruct -> grid forces -> project, stepped by the grid's loop and
-    guarded by its divergence test."""
+    guarded by its divergence test; the samples are coefficient triples."""
     y0 = tuple(np.array(x, dtype=float) for x in coeffs0)
     if [x.shape for x in y0] != [(basis.m,), (basis.m,), (basis.m_magnetic,)]:
         raise ParameterError("coefficient dimensions do not match basis")
-    traj = CoeffTrajectory()
-
-    def record(y, t, e):
-        traj.times.append(t)
-        traj.coeffs.append(y)
-        traj.energy_log.append(e)
-
-    _run(_galerkin_ops(basis, config.dt, params, spec, forcing), y0, 0.0, t_end, config, record,
-         traj)
+    traj = Trajectory(config=config, params=params, dissipation=spec, forcing=forcing)
+    _run(_galerkin_ops(basis, config.dt, params, spec, forcing), y0, 0.0, t_end, config,
+         lambda y, t: y, traj)
     return traj

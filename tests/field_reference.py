@@ -107,14 +107,14 @@ def identity_residual(traj, params):
     spec, forcing = traj.dissipation, traj.forcing
     res, scale = [], []
     for a, b, ea, eb in zip(traj.samples[:-1], traj.samples[1:],
-                            traj.energy_log[:-1], traj.energy_log[1:]):
+                            traj.energies[:-1], traj.energies[1:]):
         g = a.grid
         ut = VectorField2(g, 0.5 * (a.ut.ux + b.ut.ux), 0.5 * (a.ut.uy + b.ut.uy),
                           bc="dirichlet_zero")
         h = ScalarField(g, 0.5 * (a.h.values + b.h.values), bc="neumann")
         tm = 0.5 * (a.t + b.t)
         terms = [
-            (eb.e_total - ea.e_total) / (b.t - a.t),
+            (eb - ea) / (b.t - a.t),
             params.mu0 * params.nu1 * grad_edge_inner(h.values, h.values, g),
             inner(dissipation_eval(spec, ut), ut),
             -inner(forcing.f2(g, tm), ut),

@@ -401,6 +401,76 @@ def test_replay_malformed_snapshot_exits_2(tmp_path, capsys, damage):
     assert expect in capsys.readouterr().err
 
 
+DAMPED_FORCED = {**FORCED, "initial": SIM_CONFIG["initial"],
+                 "dissipation": {"kind": "linear", "alpha": 0.5}}
+
+
+def test_damped_forced_archive_replays(tmp_path):
+    """A linear-damped, forced run's archive, whose g column and forcing
+    work are not zero, replays as verified."""
+    cfg = write_config(tmp_path, "c.json", DAMPED_FORCED)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    rows = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 3 and np.all(rows[:, 4] != 0) and np.all(rows[1:, 7] != 0)
+    assert cli.replay(out) == {"verified": True, "rows": 3}
+
+
+def test_two_sample_archive_has_its_residual(tmp_path):
+    """A run sampled at its start and its end writes the residual of its one
+    interval: row 1 of its energy.csv is, byte for byte, row 1 of the same
+    run continued to a third sample."""
+    lines = []
+    for t_end in (0.05, 0.1):
+        cfg = write_config(tmp_path, f"c{t_end}.json", {**DAMPED_FORCED, "t_end": t_end})
+        out = tmp_path / f"out{t_end}"
+        assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        lines.append((out / "energy.csv").read_text().splitlines())
+    assert [len(x) for x in lines] == [3, 4]
+    assert lines[0][2] == lines[1][2]
+    assert float(lines[0][2].split(",")[-1]) != 0.0
+
+
+def _drop_last_column(text):
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("run.json", lambda text: text[: len(text) // 2]),
+    ("run.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                          if k != "config"})),
+    ("energy.csv", lambda text: text.replace("\n0.", "\nzero.", 1)),
+    ("energy.csv", _drop_last_column),
+], ids=["run.json not JSON", "run.json without config", "energy.csv unparsable",
+        "energy.csv with 7 columns"])
+def test_replay_damaged_archive_exits_2(tmp_path, capsys, name, damage):
+    """A run.json or energy.csv that does not parse is a validation error
+    naming the file."""
+    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    path = out / name
+    path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    assert run_cli(["replay", "--output", str(out)]) == 2
+    assert f"{path}: " in capsys.readouterr().err
+
+
+def test_replay_bug_is_not_a_validation_error(tmp_path, monkeypatch):
+    """A programming error inside replay propagates instead of being
+    reported as a corrupt archive."""
+    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+
+    def broken(traj):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli.energy_mod, "energy_table", broken)
+    with pytest.raises(KeyError):
+        run_cli(["replay", "--output", str(out)])
+
+
 def test_bug_is_not_a_validation_error(tmp_path, monkeypatch):
     """A programming error in a runner propagates instead of exiting 2."""
     def broken(run, outdir, strict):

@@ -133,6 +133,15 @@ def _smooth_state(g, rng, amplitude, m=6):
                  ScalarField(g, h.reshape(g.shape), bc="neumann"))
 
 
+def _table_row(state, params):
+    """The energy.csv row of the one-sample trajectory of state, by column
+    name."""
+    traj = stepping.Trajectory([state], [state.t], [energy.energy_total(state, params)],
+                               params=params, dissipation=DissipationSpec(),
+                               forcing=Forcing.zero())
+    return dict(zip(energy.CSV_HEADER.split(","), energy.energy_table(traj)[0]))
+
+
 def _abs_product(m, x):
     """|m| |x|."""
     return abs(m) @ np.abs(x)
@@ -165,15 +174,15 @@ def test_packed_diagnostics_are_the_field_forms(cells, sides, rho_m, mu, lam, mu
     a_el, lap = lame_operator_matrix(g, mu, lam), g.lap_neumann
     wv, w = g.vector_weights, g.weights.ravel()
 
-    got = energy.energy_sample(s, params)
-    assert got.grad_h_sq == grad_edge_inner(s.h.values, s.h.values, g)
+    got = _table_row(s, params)
+    assert got["grad_h_sq"] == grad_edge_inner(s.h.values, s.h.values, g)
     e1_scale = 0.5 * (_abs_form(a_el, wv, pv) + float(np.dot(wv, _abs_product(a_el, pu) ** 2))
-                      + got.grad_h_sq)
-    assert abs(got.e1 - field_reference.energy_e1(s, params)) <= 1e-12 * e1_scale
+                      + got["grad_h_sq"])
+    assert abs(got["e1"] - field_reference.energy_e1(s, params)) <= 1e-12 * e1_scale
     lh_scale = float(np.dot(w, _abs_product(lap, ph) ** 2))
-    assert abs(got.lh_tilde_sq - field_reference.lh_squared(s.h)) <= 1e-12 * lh_scale
-    assert energy.energy_e1(s, params) == got.e1
-    assert energy.lh_tilde_squared(s.h) == got.lh_tilde_sq
+    assert abs(got["lh_sq"] - field_reference.lh_squared(s.h)) <= 1e-12 * lh_scale
+    assert energy.energy_e1(s, params) == got["e1"]
+    assert energy.lh_tilde_squared(s.h) == got["lh_sq"]
 
     spec = DissipationSpec(kind="power", alpha=0.5, k1=1.0, p=3.5)
     traj = stepping.integrate(_smooth_state(g, rng, 0.1), 4e-3, params, spec,
@@ -187,6 +196,9 @@ def test_packed_diagnostics_are_the_field_forms(cells, sides, rho_m, mu, lam, mu
         div_sq = norm_l2(divergence(x.ut)) ** 2
         assert abs(rep["div_ut_l2"][k] ** 2 - div_sq) <= 1e-12 * _abs_form(g.grad_div, wv, v)
         assert rep["h_l2"][k] == pytest.approx(norm_l2(x.h), rel=1e-12)
+        assert rep["grad_h_l2"][k] ** 2 == pytest.approx(
+            grad_edge_inner(x.h.values, x.h.values, g), rel=1e-12)
+        assert rep["energy"][k] == energy.energy_total(x, params)
 
 
 def test_grad_h_sq_keeps_its_digits_under_a_large_mean():
@@ -199,14 +211,14 @@ def test_grad_h_sq_keeps_its_digits_under_a_large_mean():
 
     def grad_h_sq(h):
         state = State(rest, rest, ScalarField(g, h, bc="neumann"))
-        return energy.energy_sample(state, PARAMS).grad_h_sq
+        return _table_row(state, PARAMS)["grad_h_sq"]
 
     assert grad_h_sq(100.0 + delta) == pytest.approx(grad_h_sq(delta), rel=1e-9)
 
 
 def test_diagnostics_build_no_fields(monkeypatch, grid, basis):
-    """The per-state diagnostics work on packed arrays: the energy log
-    entry, the energy-balance residual and the LaSalle report construct no
+    """The per-state diagnostics work on packed arrays: the energy.csv
+    table, the energy-balance residual and the LaSalle report construct no
     ScalarField or VectorField2."""
     s = random_state(grid, basis, seed=6, amplitude=0.1)
     traj = stepping.integrate(s, 0.05, PARAMS, DissipationSpec(kind="power", alpha=0.5),
@@ -217,7 +229,7 @@ def test_diagnostics_build_no_fields(monkeypatch, grid, basis):
             built.append(type(self).__name__)
             check(self)
         monkeypatch.setattr(cls, "__post_init__", counting)
-    for diagnostic in (lambda: energy.energy_sample(s, PARAMS),
+    for diagnostic in (lambda: energy.energy_table(traj),
                        lambda: energy.energy_identity_residual(traj, PARAMS),
                        lambda: analysis.lasalle_report(traj)):
         diagnostic()
@@ -272,11 +284,18 @@ def test_ledger_roundtrip():
         led.set("bad", 1.0, "guessed")
 
 
-def test_energy_sample_row():
-    s = energy.EnergySample(t=1.0, e_total=2.0, e1=3.0)
-    row = s.row(residual=0.5)
-    assert len(row) == len(energy.CSV_HEADER.split(","))
-    assert row[0] == 1.0 and row[-1] == 0.5
+def test_energy_sample_row(grid, basis):
+    """energy.csv has one row per sample and one column per CSV_HEADER
+    name: the first is the sample time, the last the residual of the
+    interval ending at the sample, 0 on the first row."""
+    st = random_state(grid, basis, seed=2, amplitude=0.05)
+    cfg = stepping.StepperConfig(dt=1e-2, sample_every=2)
+    traj = stepping.integrate(st, 0.06, PARAMS, DissipationSpec(kind="none"), Forcing.zero(), cfg)
+    table = energy.energy_table(traj)
+    assert table.shape == (4, len(energy.CSV_HEADER.split(",")))
+    assert list(table[:, 0]) == traj.times
+    assert table[0, -1] == 0.0
+    assert list(table[1:, -1]) == list(energy.energy_identity_residual(traj, PARAMS)["residual"])
 
 
 def test_identity_residual_unforced(grid, basis):
@@ -369,8 +388,13 @@ def test_accumulate_ch_monotone(grid, basis):
     cfg = stepping.StepperConfig(dt=2e-3, sample_every=5)
     traj = stepping.integrate(st, 0.3, PARAMS, DissipationSpec(kind="none"), Forcing.zero(), cfg)
     full = energy.accumulate_ch(traj)
+    lh = np.array([field_reference.lh_squared(s.h) for s in traj.samples])
+    ts = np.array([s.t for s in traj.samples])
+    want = np.max(np.cumsum(np.concatenate([[0.0], 0.5 * (lh[1:] + lh[:-1]) * np.diff(ts)])))
+    assert full == pytest.approx(want, rel=1e-10)
+    half = len(traj.samples) // 2
     traj_short = stepping.Trajectory(
-        samples=traj.samples[: len(traj.samples) // 2],
+        traj.samples[:half], traj.times[:half], traj.energies[:half],
         params=PARAMS, dissipation=traj.dissipation, forcing=traj.forcing,
     )
     assert full >= energy.accumulate_ch(traj_short) - 1e-15

@@ -74,7 +74,8 @@ def test_sampling_controls(grid, basis):
     traj = stepping.integrate(st, 0.5, PARAMS, NONE, ZERO_F, cfg)
     assert len(traj.samples) == 6  # t=0 plus every 10th of 50 steps
     assert traj.samples[-1].t == pytest.approx(0.5, abs=1e-12)
-    assert len(traj.energy_log) == len(traj.samples)
+    assert len(traj.times) == len(traj.energies) == len(traj.samples)
+    assert traj.times == [s.t for s in traj.samples]
 
 
 def test_second_order_self_convergence(grid, basis):
@@ -117,7 +118,7 @@ def test_unforced_damped_energy_decays(grid, basis):
     spec = DissipationSpec(kind="linear", alpha=1.0)
     cfg = stepping.StepperConfig(dt=2e-3, sample_every=50)
     traj = stepping.integrate(st, 1.0, PARAMS, spec, ZERO_F, cfg)
-    es = [s.e_total for s in traj.energy_log]
+    es = traj.energies
     assert all(b <= a + 1e-12 for a, b in zip(es[:-1], es[1:]))
     assert es[-1] < 0.5 * es[0]
 
@@ -127,7 +128,7 @@ def test_power_dissipation_decays(grid, basis):
     spec = DissipationSpec(kind="power", alpha=0.2, k0=0.5, k1=1.0, p=3.0, r_rho=1.0, k_c=0.2)
     cfg = stepping.StepperConfig(dt=2e-3, sample_every=100)
     traj = stepping.integrate(st, 0.5, PARAMS, spec, ZERO_F, cfg)
-    es = [s.e_total for s in traj.energy_log]
+    es = traj.energies
     assert es[-1] < es[0]
 
 
@@ -178,7 +179,7 @@ def test_overflowing_step_is_divergence(scheme, amplitude):
     assert err.value.term == "state" and err.value.t == 0.5
     red = err.value.trajectory
     assert red.termination.kind == "diverged" and red.termination.t == 0.5
-    assert red.times == [0.0] and len(red.coeffs) == len(red.energy_log) == 1
+    assert red.times == [0.0] and len(red.samples) == len(red.energies) == 1
     with pytest.raises(ParameterError):
         ScalarField(g, np.full(g.shape, np.inf), bc="neumann")
 
@@ -218,7 +219,7 @@ def test_galerkin_truncation_energy_bounded(grid, basis):
     spec = DissipationSpec(kind="linear", alpha=0.5)
     red = stepping.integrate_galerkin(c0, basis, 0.5, PARAMS, spec, ZERO_F, cfg)
     assert red.termination.kind == "completed"
-    assert red.energy_log[-1] <= red.energy_log[0] * 1.001
+    assert red.energies[-1] <= red.energies[0] * 1.001
 
 
 def test_coeff_dimension_checked(grid, basis):
@@ -270,7 +271,7 @@ def test_both_integrators_refuse_negative_horizon():
 
 def test_one_energy_total_per_state(grid, basis, monkeypatch):
     """n steps sampled every k compute the energy of each of the n + 1
-    states once: the blow-up guard and the energy log share it."""
+    states once: the blow-up guard and the trajectory share it."""
     calls = []
     original = energy.energy_packed
 
@@ -283,7 +284,7 @@ def test_one_energy_total_per_state(grid, basis, monkeypatch):
     n, k = 20, 5
     cfg = stepping.StepperConfig(dt=1e-2, sample_every=k)
     traj = stepping.integrate(st, n * 1e-2, PARAMS, NONE, ZERO_F, cfg)
-    assert len(traj.energy_log) == n // k + 1
+    assert len(traj.energies) == n // k + 1
     assert len(calls) == n + 1
 
 
@@ -353,25 +354,26 @@ def test_fields_built_only_for_samples(monkeypatch):
 
 
 def test_energy_log_of_bare_samples_matches_integrate(grid, basis):
-    """A trajectory rebuilt from bare samples, as replay does, fills the
-    same energy log as the integrator, bit for bit."""
+    """A trajectory rebuilt from bare samples as replay rebuilds it, each
+    state's energy_total as its energy, gives the integrator's energy.csv
+    table bit for bit, its g column and forcing work included."""
     st = random_state(grid, basis, seed=10, amplitude=0.05)
     spec = DissipationSpec(kind="linear", alpha=0.5)
     forcing = Forcing(period=0.2, terms=[
         {"target": "f1", "g": {"a0": 0.0, "cos": [], "sin": [1.0]},
          "shape": {"jx": 1, "jy": 1, "amplitude": 0.2}},
+        {"target": "f2", "g": {"cos": [1.0]}, "shape": {"amplitude": 0.1, "component": 1}},
     ])
     cfg = stepping.StepperConfig(dt=1e-2, sample_every=3)
     traj = stepping.integrate(st, 0.2, PARAMS, spec, forcing, cfg)
-    rebuilt = stepping.Trajectory(samples=list(traj.samples), params=PARAMS)
-    assert len(rebuilt.energy_log) == len(traj.energy_log) == len(traj.samples)
-    for got, want in zip(rebuilt.energy_log, traj.energy_log):
-        assert vars(got) == vars(want)
-
-
-def test_bare_samples_need_params(grid):
-    with pytest.raises(ParameterError):
-        stepping.Trajectory(samples=[State.zero(grid)])
+    samples = list(traj.samples)
+    rebuilt = stepping.Trajectory(samples, [s.t for s in samples],
+                                  [energy.energy_total(s, PARAMS) for s in samples],
+                                  params=PARAMS, dissipation=spec, forcing=forcing)
+    table = energy.energy_table(traj)
+    assert table.shape[0] == len(traj.samples)
+    assert np.all(table[:, 4] != 0)
+    assert energy.energy_table(rebuilt).tobytes() == table.tobytes()
 
 
 def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
@@ -586,8 +588,9 @@ def test_basis_build_leaves_the_cached_operators_alone():
 
     def run():
         traj = stepping.integrate(state, 0.02, params, NONE, ZERO_F, cfg)
-        return [a.tobytes() for s in traj.samples
-                for a in (s.u.ux, s.u.uy, s.ut.ux, s.ut.uy, s.h.values)], traj.energy_log
+        states = [a.tobytes() for s in traj.samples
+                  for a in (s.u.ux, s.u.uy, s.ut.ux, s.ut.uy, s.h.values)]
+        return states, energy.energy_table(traj).tobytes()
 
     before = run()
     assert 2 * g.n_interior >= model.LANCZOS_MIN_DOF    # the build runs eigsh
