@@ -6,7 +6,9 @@ Each run writes a self-describing artifact directory: run.json (the config
 as parsed, every default filled in, plus versions and BLAS/LAPACK builds),
 energy.csv, snapshots/, reports/*.json.  Exit codes:
 0 completed, 2 validation error, 3 divergence, 4 failed condition check
-under --strict.
+under --strict.  A divergence, in any experiment, prints one
+"diverged: <message>" line and archives the run that diverged, up to its
+last finite sample, so that it replays.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -155,13 +157,18 @@ def _write_energy_csv(path: Path, rows: np.ndarray) -> None:
     write_csv(path, energy_mod.CSV_HEADER, row_template(*rows.shape), rows.ravel().tolist())
 
 
-def _write_snapshots(outdir: Path, traj: Trajectory) -> None:
-    snap = outdir / "snapshots"
-    snap.mkdir(parents=True, exist_ok=True)
-    for k, s in enumerate(traj.samples):
-        save_vector_csv(snap / f"{k:04d}_u.csv", s.u)
-        save_vector_csv(snap / f"{k:04d}_ut.csv", s.ut)
-        save_scalar_csv(snap / f"{k:04d}_h.csv", s.h)
+def _save_state(directory: Path, stem: str, s: State) -> None:
+    """Write a state as the CSV triple <stem>u.csv, <stem>ut.csv, <stem>h.csv."""
+    save_vector_csv(directory / f"{stem}u.csv", s.u)
+    save_vector_csv(directory / f"{stem}ut.csv", s.ut)
+    save_scalar_csv(directory / f"{stem}h.csv", s.h)
+
+
+def _load_state(directory: Path, stem: str, grid: Grid2D, t: float) -> State:
+    """Read the CSV triple that _save_state wrote back into a state at time t."""
+    return State(load_vector_csv(directory / f"{stem}u.csv", grid, bc="dirichlet_zero"),
+                 load_vector_csv(directory / f"{stem}ut.csv", grid, bc="dirichlet_zero"),
+                 load_scalar_csv(directory / f"{stem}h.csv", grid, bc="neumann"), t)
 
 
 def _build_dependency(module, dep: str) -> str:
@@ -171,7 +178,6 @@ def _build_dependency(module, dep: str) -> str:
 
 
 def _write_run_json(outdir: Path, config: dict, extra: dict | None = None) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     doc = {
         "config": config,
         "versions": {
@@ -185,48 +191,54 @@ def _write_run_json(outdir: Path, config: dict, extra: dict | None = None) -> No
     }
     if extra:
         doc.update(extra)
-    with open(outdir / "run.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
+    _write_json(outdir / "run.json", doc)
 
 
 def _write_report(outdir: Path, name: str, doc: dict) -> None:
-    rep = outdir / "reports"
-    rep.mkdir(parents=True, exist_ok=True)
-    with open(rep / f"{name}.json", "w") as fh:
+    _write_json(outdir / "reports" / f"{name}.json", doc)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """The one JSON writer of an archive: run.json, reports, orbit.json,
+    constants.json.  It makes the file's directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
 
 
 def _json_default(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     return str(obj)
 
 
 def _archive_trajectory(outdir: Path, config: dict, traj: Trajectory, extra=None) -> None:
-    term = {"kind": traj.termination.kind, "t": traj.termination.t} if traj.termination else None
-    info = {"termination": term}
+    info = {"termination": asdict(traj.termination) if traj.termination else None}
     if extra:
         info.update(extra)
     _write_run_json(outdir, config, info)
     _write_energy_csv(outdir / "energy.csv", energy_mod.energy_table(traj))
-    _write_snapshots(outdir, traj)
+    snap = outdir / "snapshots"
+    snap.mkdir(exist_ok=True)
+    for k, s in enumerate(traj.samples):
+        _save_state(snap, f"{k:04d}_", s)
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
-def _exp_simulate(run, outdir, strict):
-    state0 = _initial_state(run)
-    try:
-        traj = integrate(
-            state0, run.config["t_end"], run.params, run.spec, run.forcing, run.stepper)
-    except DivergedStateError as err:
-        if err.trajectory is not None:
-            _archive_trajectory(outdir, run.config, err.trajectory)
-        return EXIT_DIVERGED
+def _exp_integrate(run, outdir, strict):
+    """simulate and lasalle: integrate from the initial state to t_end and
+    archive the run; lasalle, which needs no forcing and no mechanical
+    damping, also writes its limit-set report."""
+    lasalle = run.config["experiment"] == "lasalle"
+    if lasalle and (run.spec.kind != "none" or not run.forcing.is_zero):
+        raise ParameterError("the limit-set experiment needs no forcing and no mechanical damping")
+    traj = integrate(
+        _initial_state(run), run.config["t_end"], run.params, run.spec, run.forcing, run.stepper)
     _archive_trajectory(outdir, run.config, traj)
+    if lasalle:
+        _write_report(outdir, "lasalle", analysis.lasalle_report(traj))
     return EXIT_OK
 
 
@@ -241,47 +253,34 @@ def _exp_find_periodic(run, outdir, strict):
     if strict:
         rc = _r_critical_from_config(run)
         if not rc.admissible:
-            _write_report(outdir, "r_critical", {
-                "value": rc.value, "denominator": rc.denominator,
-                "admissible": False, "diagnostic": rc.diagnostic,
-            })
+            _write_report(outdir, "r_critical", asdict(rc))
             print(f"refusing under --strict: {rc.diagnostic}", file=sys.stderr)
             return EXIT_CONDITION
-    z0 = _initial_state(run)
-    try:
-        po = orbit_mod.find_periodic(
-            z0, run.params, run.spec, run.forcing, run.stepper,
-            tol=run.config["tol"], max_iter=run.config["max_iter"],
-        )
-    except DivergedStateError:
-        return EXIT_DIVERGED
+    po = orbit_mod.find_periodic(
+        _initial_state(run), run.params, run.spec, run.forcing, run.stepper,
+        tol=run.config["tol"], max_iter=run.config["max_iter"],
+    )
     _archive_trajectory(outdir, run.config, po.trajectory, extra={"orbit": po.to_report()})
-    with open(outdir / "orbit.json", "w") as fh:
-        json.dump(po.to_report(), fh, indent=2, sort_keys=True)
-    save_vector_csv(outdir / "zstar_u.csv", po.z_star.u)
-    save_vector_csv(outdir / "zstar_ut.csv", po.z_star.ut)
-    save_scalar_csv(outdir / "zstar_h.csv", po.z_star.h)
+    _write_json(outdir / "orbit.json", po.to_report())
+    _save_state(outdir, "zstar_", po.z_star)
     return EXIT_OK
 
 
 def _exp_perturb(run, outdir, strict):
     grid, params, spec, forcing = run.grid, run.params, run.spec, run.forcing
     pconf = run.config["perturbation"]
-    try:
-        po = orbit_mod.find_periodic(
-            State.zero(grid), params, spec, forcing, run.stepper,
-            tol=run.config["tol"], max_iter=run.config["max_iter"],
-        )
-        basis = _basis(run)
-        seed_state = random_state(
-            grid, basis, seed=pconf["seed"], amplitude=pconf["amplitude"], mean_zero_h=True,
-        )
-        pert = orbit_mod.run_perturbation(
-            po, seed_state.u, seed_state.ut, seed_state.h, run.config["t_end"],
-            params, spec, forcing, run.stepper,
-        )
-    except DivergedStateError:
-        return EXIT_DIVERGED
+    po = orbit_mod.find_periodic(
+        State.zero(grid), params, spec, forcing, run.stepper,
+        tol=run.config["tol"], max_iter=run.config["max_iter"],
+    )
+    basis = _basis(run)
+    seed_state = random_state(
+        grid, basis, seed=pconf["seed"], amplitude=pconf["amplitude"], mean_zero_h=True,
+    )
+    pert = orbit_mod.run_perturbation(
+        po, seed_state.u, seed_state.ut, seed_state.h, run.config["t_end"],
+        params, spec, forcing, run.stepper,
+    )
     ep0 = float(pert.ep_series[0])
     c_e = max(energy_mod.energy_e1(s, params) for s in pert.base_traj.samples)
     consts = energy_mod.assemble_constants(
@@ -290,26 +289,10 @@ def _exp_perturb(run, outdir, strict):
     report = orbit_mod.check_decay_bound(pert, consts, spec.alpha, params.nu1)
     _write_run_json(outdir, run.config, {"orbit": po.to_report()})
     _write_report(outdir, "decay", report)
-    with open(outdir / "constants.json", "w") as fh:
-        fh.write(consts.to_json())
+    _write_json(outdir / "constants.json", consts.entries)
     write_csv(outdir / "ep_series.csv", "t,e_p", row_template(len(pert.times), 2),
               np.column_stack([pert.times, pert.ep_series]).ravel().tolist())
     return EXIT_OK if (not strict or not report["violations"]) else EXIT_CONDITION
-
-
-def _exp_lasalle(run, outdir, strict):
-    if run.spec.kind != "none" or not run.forcing.is_zero:
-        raise ParameterError("the limit-set experiment needs no forcing and no mechanical damping")
-    state0 = _initial_state(run)
-    try:
-        traj = integrate(
-            state0, run.config["t_end"], run.params, run.spec, run.forcing, run.stepper)
-    except DivergedStateError:
-        return EXIT_DIVERGED
-    report = analysis.lasalle_report(traj)
-    _archive_trajectory(outdir, run.config, traj)
-    _write_report(outdir, "lasalle", report)
-    return EXIT_OK
 
 
 def _exp_check_conditions(run, outdir, strict):
@@ -320,11 +303,7 @@ def _exp_check_conditions(run, outdir, strict):
     stab = analysis.condition_stability(params.nu1, cond["c_e"], cond["c_omega"], cond["c_small"])
     doc = {"regularity": reg, "stability": stab}
     if spec.kind == "linear" and spec.alpha > 0:
-        rc = _r_critical_from_config(run)
-        doc["r_critical"] = {
-            "value": rc.value, "denominator": rc.denominator,
-            "admissible": rc.admissible, "diagnostic": rc.diagnostic,
-        }
+        doc["r_critical"] = asdict(_r_critical_from_config(run))
     _write_run_json(outdir, run.config)
     _write_report(outdir, "conditions", doc)
     all_ok = reg["satisfied"] and stab["satisfied"] and doc.get(
@@ -374,10 +353,10 @@ def _exp_botsenyuk(run, outdir, strict):
 
 
 _RUNNERS = {
-    "simulate": _exp_simulate,
+    "simulate": _exp_integrate,
     "find-periodic": _exp_find_periodic,
     "perturb": _exp_perturb,
-    "lasalle": _exp_lasalle,
+    "lasalle": _exp_integrate,
     "check-conditions": _exp_check_conditions,
     "disk-mode": _exp_disk_mode,
     "eigenbasis": _exp_eigenbasis,
@@ -392,8 +371,9 @@ def replay(archive_dir) -> dict:
     """Rebuild the stored snapshots, recompute energy.csv from them with
     the archive writer's ``energy.energy_table`` and cross-check it against
     the stored one; a mismatch beyond 1e-10 is reported with the first
-    differing row.  An archive file that does not parse raises MelabError
-    naming the file."""
+    differing row.  An archive file that does not parse, an energy.csv
+    without rows, or one whose row count differs from the number of
+    snapshot triples raises MelabError naming the file."""
     arc = Path(archive_dir)
     path = arc / "run.json"
     with open(path) as fh:
@@ -404,20 +384,22 @@ def replay(archive_dir) -> dict:
     if not isinstance(doc, dict) or "config" not in doc:
         raise MelabError(f"{path}: no 'config' section")
     run = _parse_config(doc["config"])
-    grid = run.grid
     path, n_cols = arc / "energy.csv", energy_mod.CSV_HEADER.count(",") + 1
+    lines = path.read_text().splitlines()[1:]
+    if not lines:
+        raise MelabError(f"{path}: no rows")
     try:
-        stored = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        stored = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as err:
         raise MelabError(f"{path}: {err}") from None
     if stored.shape[1] != n_cols:
         raise MelabError(f"{path}: {stored.shape[1]} columns, expected {n_cols}")
-    samples = []
-    for k in range(stored.shape[0]):
-        u = load_vector_csv(arc / "snapshots" / f"{k:04d}_u.csv", grid, bc="dirichlet_zero")
-        ut = load_vector_csv(arc / "snapshots" / f"{k:04d}_ut.csv", grid, bc="dirichlet_zero")
-        h = load_scalar_csv(arc / "snapshots" / f"{k:04d}_h.csv", grid, bc="neumann")
-        samples.append(State(u, ut, h, float(stored[k, 0])))
+    snap = arc / "snapshots"
+    n_snap = len(list(snap.glob("*_h.csv")))
+    if n_snap != len(stored):
+        raise MelabError(f"{path}: {len(stored)} rows, but {n_snap} snapshot triples")
+    samples = [_load_state(snap, f"{k:04d}_", run.grid, float(stored[k, 0]))
+               for k in range(len(stored))]
     traj = Trajectory(samples, [s.t for s in samples],
                       [energy_mod.energy_total(s, run.params) for s in samples],
                       params=run.params, dissipation=run.spec, forcing=run.forcing)
@@ -440,10 +422,15 @@ def replay(archive_dir) -> dict:
 # entry point
 
 def _run_single(experiment: str, config: dict, outdir: Path, strict: bool) -> int:
+    """Run one experiment; a divergence prints one line and archives the
+    trajectory that diverged when the error carries one."""
     try:
-        return _RUNNERS[experiment](_parse_config(config, experiment), outdir, strict)
+        run = _parse_config(config, experiment)
+        return _RUNNERS[experiment](run, outdir, strict)
     except DivergedStateError as err:
         print(f"diverged: {err}", file=sys.stderr)
+        if err.trajectory is not None:
+            _archive_trajectory(outdir, run.config, err.trajectory)
         return EXIT_DIVERGED
     except MelabError as err:
         print(f"validation error: {err}", file=sys.stderr)
@@ -468,6 +455,9 @@ def main(argv=None) -> int:
     parser.add_argument("--strict", action="store_true")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print("--jobs must be at least 1", file=sys.stderr)
+        return EXIT_VALIDATION
 
     if args.experiment == "replay":
         target = args.output or args.config
@@ -505,8 +495,10 @@ def main(argv=None) -> int:
             (args.experiment, config, entry, str(outdir / f"sweep_{i:03d}"), args.strict)
             for i, entry in enumerate(top["sweep"])
         ]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # no more workers than sweep entries or CPUs: a pool forks them all at once
+        workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 codes = list(pool.map(_run_sweep_entry, payloads))
         else:
             codes = [_run_sweep_entry(p) for p in payloads]

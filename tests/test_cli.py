@@ -104,6 +104,41 @@ def test_overflow_exits_diverged(tmp_path, scheme):
     assert len((out / "energy.csv").read_text().splitlines()) == 2
 
 
+# The overflow data of test_overflow_exits_diverged, in each experiment
+# that integrates besides simulate.  perturb's orbit is the rest state and
+# its perturbation blows up in the first explicit RK4 step: one of 1e150
+# would be refused as not mean-zero.
+_PERIODIC = {"dissipation": {"kind": "linear", "alpha": 1.0},
+             "forcing": {"period": 1.0, "terms": []}}
+_OVERFLOW = {
+    "lasalle": {},
+    "find-periodic": _PERIODIC,
+    "perturb": {**_PERIODIC, "stepper": {"dt": 0.5, "scheme": "explicit_rk4", "sample_every": 1},
+                "perturbation": {"amplitude": 1.0}},
+}
+
+
+@pytest.mark.parametrize("experiment", list(_OVERFLOW))
+def test_divergence_prints_one_line_and_archives(tmp_path, capsys, experiment):
+    """A divergence in any experiment exits 3, writes one 'diverged:' line
+    to stderr and leaves an archive of the run that diverged, which
+    replays as verified."""
+    doc = {**SIM_CONFIG, "experiment": experiment, "grid": {"nx": 8, "ny": 8},
+           "stepper": {"dt": 0.5, "sample_every": 1},
+           "initial": {"kind": "random", "amplitude": 1e150, "n_modes": 4}, "t_end": 5.0,
+           **_OVERFLOW[experiment]}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli([experiment, "--config", cfg, "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("diverged: "), err
+    run = json.loads((out / "run.json").read_text())
+    assert run["termination"] == {"kind": "diverged", "t": 0.5}
+    assert cli.replay(out) == {"verified": True, "rows": 1}
+
+
 def test_unreadable_config():
     assert run_cli(["simulate", "--config", "/nonexistent.json"]) == 2
 
@@ -320,6 +355,53 @@ def test_sweep_parallel(tmp_path):
     assert a["m"] == 1 and b["m"] == 2
 
 
+class _SerialPool:
+    """A ProcessPoolExecutor stand-in that records its size and maps in
+    this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, expect", [(8, [2]), (1, [])])
+def test_sweep_pool_sized_by_entries_and_cpus(tmp_path, monkeypatch, cpus, expect):
+    """--jobs 64 over a 2-entry sweep starts no more workers than entries
+    or CPUs, and runs in this process when that is one."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    doc = {"experiment": "disk-mode",
+           "disk_mode": {"m": 1, "radial_points": 200, "table_max": 1},
+           "sweep": [{"seed": 1}, {"seed": 2}]}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert run_cli(["disk-mode", "--config", cfg, "--output", str(out), "--jobs", "64"]) == 0
+    assert _SerialPool.sizes == expect
+    assert (out / "sweep_001" / "reports" / "disk_mode.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    doc = {"experiment": "disk-mode", "disk_mode": {"m": 1, "radial_points": 200,
+                                                    "table_max": 1}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert run_cli(["disk-mode", "--config", cfg, "--output", str(out), "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replay_corrupt_archive(tmp_path):
     (tmp_path / "arc").mkdir()
     assert run_cli(["replay", "--output", str(tmp_path / "arc")]) == 2
@@ -435,17 +517,23 @@ def _drop_last_column(text):
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
 
 
-@pytest.mark.parametrize("name, damage", [
-    ("run.json", lambda text: text[: len(text) // 2]),
+@pytest.mark.parametrize("name, damage, message", [
+    ("run.json", lambda text: text[: len(text) // 2], ""),
     ("run.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                          if k != "config"})),
-    ("energy.csv", lambda text: text.replace("\n0.", "\nzero.", 1)),
-    ("energy.csv", _drop_last_column),
+                                          if k != "config"}), ""),
+    ("energy.csv", lambda text: text.replace("\n0.", "\nzero.", 1), ""),
+    ("energy.csv", _drop_last_column, ""),
+    ("energy.csv", lambda text: "".join(text.splitlines(keepends=True)[:3]),
+     "2 rows, but 3 snapshot triples"),
+    ("energy.csv", lambda text: text.splitlines(keepends=True)[0], "no rows"),
+    ("energy.csv", lambda text: "", "no rows"),
 ], ids=["run.json not JSON", "run.json without config", "energy.csv unparsable",
-        "energy.csv with 7 columns"])
-def test_replay_damaged_archive_exits_2(tmp_path, capsys, name, damage):
-    """A run.json or energy.csv that does not parse is a validation error
-    naming the file."""
+        "energy.csv with 7 columns", "energy.csv cut to 2 of 3 rows",
+        "energy.csv header only", "energy.csv empty"])
+def test_replay_damaged_archive_exits_2(tmp_path, capsys, name, damage, message):
+    """A run.json or energy.csv that does not parse, an energy.csv without
+    rows and one with fewer rows than snapshot triples are validation
+    errors naming the file."""
     cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
     out = tmp_path / "out"
     assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
@@ -453,7 +541,7 @@ def test_replay_damaged_archive_exits_2(tmp_path, capsys, name, damage):
     path.write_text(damage(path.read_text()))
     capsys.readouterr()
     assert run_cli(["replay", "--output", str(out)]) == 2
-    assert f"{path}: " in capsys.readouterr().err
+    assert f"{path}: {message}" in capsys.readouterr().err
 
 
 def test_replay_bug_is_not_a_validation_error(tmp_path, monkeypatch):
