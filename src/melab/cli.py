@@ -4,11 +4,13 @@
 
 Each run writes a self-describing artifact directory: run.json (the config
 as parsed, every default filled in, plus versions and BLAS/LAPACK builds),
-energy.csv, snapshots/, reports/*.json.  Exit codes:
+energy.csv, snapshots/, reports/*.json.  An experiment writes its data files
+and returns an _Outcome; _run_single writes run.json and the reports of
+every outcome, a --strict refusal's included, and maps it to an exit code:
 0 completed, 2 validation error, 3 divergence, 4 failed condition check
-under --strict.  A divergence, in any experiment, prints one
-"diverged: <message>" line and archives the run that diverged, up to its
-last finite sample, so that it replays.
+under --strict.  A divergence prints one "diverged: <message>" line and
+archives the run that diverged, up to its last finite sample, so that it
+replays.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +179,7 @@ def _build_dependency(module, dep: str) -> str:
     return f"{d.get('name', 'unknown')} {d.get('version', '')}".strip()
 
 
-def _write_run_json(outdir: Path, config: dict, extra: dict | None = None) -> None:
+def _write_run_json(outdir: Path, config: dict, extra: dict) -> None:
     doc = {
         "config": config,
         "versions": {
@@ -188,14 +190,9 @@ def _write_run_json(outdir: Path, config: dict, extra: dict | None = None) -> No
             **{f"{m.__name__}_{dep}": _build_dependency(m, dep)
                for m in (np, scipy) for dep in ("blas", "lapack")},
         },
+        **extra,
     }
-    if extra:
-        doc.update(extra)
     _write_json(outdir / "run.json", doc)
-
-
-def _write_report(outdir: Path, name: str, doc: dict) -> None:
-    _write_json(outdir / "reports" / f"{name}.json", doc)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -212,16 +209,27 @@ def _json_default(obj):
     return str(obj)
 
 
-def _archive_trajectory(outdir: Path, config: dict, traj: Trajectory, extra=None) -> None:
-    info = {"termination": asdict(traj.termination) if traj.termination else None}
-    if extra:
-        info.update(extra)
-    _write_run_json(outdir, config, info)
-    _write_energy_csv(outdir / "energy.csv", energy_mod.energy_table(traj))
+def _archive_trajectory(outdir: Path, traj: Trajectory) -> dict:
+    """Write energy.csv and one snapshot triple per sample, in place of an
+    earlier run's; returns the trajectory's run.json entry."""
     snap = outdir / "snapshots"
-    snap.mkdir(exist_ok=True)
+    snap.mkdir(parents=True, exist_ok=True)
+    for old in snap.glob("[0-9]*_*.csv"):
+        old.unlink()
+    _write_energy_csv(outdir / "energy.csv", energy_mod.energy_table(traj))
     for k, s in enumerate(traj.samples):
         _save_state(snap, f"{k:04d}_", s)
+    return {"termination": asdict(traj.termination)}
+
+
+@dataclass
+class _Outcome:
+    """An experiment's result: its run.json entries beyond config and
+    versions, its reports by name, and whether its checks passed."""
+
+    record: dict = field(default_factory=dict)
+    reports: dict = field(default_factory=dict)
+    passed: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +238,14 @@ def _archive_trajectory(outdir: Path, config: dict, traj: Trajectory, extra=None
 def _exp_integrate(run, outdir, strict):
     """simulate and lasalle: integrate from the initial state to t_end and
     archive the run; lasalle, which needs no forcing and no mechanical
-    damping, also writes its limit-set report."""
+    damping, also reports on the limit set."""
     lasalle = run.config["experiment"] == "lasalle"
     if lasalle and (run.spec.kind != "none" or not run.forcing.is_zero):
         raise ParameterError("the limit-set experiment needs no forcing and no mechanical damping")
     traj = integrate(
         _initial_state(run), run.config["t_end"], run.params, run.spec, run.forcing, run.stepper)
-    _archive_trajectory(outdir, run.config, traj)
-    if lasalle:
-        _write_report(outdir, "lasalle", analysis.lasalle_report(traj))
-    return EXIT_OK
+    reports = {"lasalle": analysis.lasalle_report(traj)} if lasalle else {}
+    return _Outcome(_archive_trajectory(outdir, traj), reports)
 
 
 def _r_critical_from_config(run):
@@ -253,17 +259,16 @@ def _exp_find_periodic(run, outdir, strict):
     if strict:
         rc = _r_critical_from_config(run)
         if not rc.admissible:
-            _write_report(outdir, "r_critical", asdict(rc))
             print(f"refusing under --strict: {rc.diagnostic}", file=sys.stderr)
-            return EXIT_CONDITION
+            return _Outcome(reports={"r_critical": asdict(rc)}, passed=False)
     po = orbit_mod.find_periodic(
         _initial_state(run), run.params, run.spec, run.forcing, run.stepper,
         tol=run.config["tol"], max_iter=run.config["max_iter"],
     )
-    _archive_trajectory(outdir, run.config, po.trajectory, extra={"orbit": po.to_report()})
+    record = _archive_trajectory(outdir, po.trajectory)
     _write_json(outdir / "orbit.json", po.to_report())
     _save_state(outdir, "zstar_", po.z_star)
-    return EXIT_OK
+    return _Outcome({**record, "orbit": po.to_report()})
 
 
 def _exp_perturb(run, outdir, strict):
@@ -287,12 +292,10 @@ def _exp_perturb(run, outdir, strict):
         grid, params, spec.alpha, basis=basis, c_e=c_e, c_h=pert.c_h, ep0=ep0
     )
     report = orbit_mod.check_decay_bound(pert, consts, spec.alpha, params.nu1)
-    _write_run_json(outdir, run.config, {"orbit": po.to_report()})
-    _write_report(outdir, "decay", report)
     _write_json(outdir / "constants.json", consts.entries)
     write_csv(outdir / "ep_series.csv", "t,e_p", row_template(len(pert.times), 2),
               np.column_stack([pert.times, pert.ep_series]).ravel().tolist())
-    return EXIT_OK if (not strict or not report["violations"]) else EXIT_CONDITION
+    return _Outcome({"orbit": po.to_report()}, {"decay": report}, not report["violations"])
 
 
 def _exp_check_conditions(run, outdir, strict):
@@ -302,40 +305,35 @@ def _exp_check_conditions(run, outdir, strict):
         cond["e1_0"], forcing.l1_h1_norm(run.grid), params.nu1, cond["c_mu"])
     stab = analysis.condition_stability(params.nu1, cond["c_e"], cond["c_omega"], cond["c_small"])
     doc = {"regularity": reg, "stability": stab}
+    passed = reg["satisfied"] and stab["satisfied"]
     if spec.kind == "linear" and spec.alpha > 0:
-        doc["r_critical"] = asdict(_r_critical_from_config(run))
-    _write_run_json(outdir, run.config)
-    _write_report(outdir, "conditions", doc)
-    all_ok = reg["satisfied"] and stab["satisfied"] and doc.get(
-        "r_critical", {"admissible": True}
-    )["admissible"]
-    return EXIT_OK if (all_ok or not strict) else EXIT_CONDITION
+        rc = _r_critical_from_config(run)
+        doc["r_critical"], passed = asdict(rc), passed and rc.admissible
+    return _Outcome(reports={"conditions": doc}, passed=passed)
 
 
 def _exp_disk_mode(run, outdir, strict):
     d = run.config["disk_mode"]
     spec = analysis.DiskModeSpec.build(m=d["m"], radial_points=d["radial_points"])
     report = analysis.disk_mode_residual(spec, run.params)
-    _write_run_json(outdir, run.config)
-    _write_report(outdir, "disk_mode", report)
     table = analysis.bessel_root_table(d["table_max"])
+    outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "bessel_roots.csv", "m,zeta_m", row_template(len(table), 2),
               [x for row in table for x in row])
-    return EXIT_OK
+    return _Outcome(reports={"disk_mode": report})
 
 
 def _exp_eigenbasis(run, outdir, strict):
     basis = _basis(run)
-    _write_run_json(outdir, run.config)
+    outdir.mkdir(parents=True, exist_ok=True)
     basis.save(outdir / "basis.npz")
-    _write_report(outdir, "eigenbasis", {
+    return _Outcome(reports={"eigenbasis": {
         "grid_signature": run.grid.signature(),
         "m": basis.m,
         "m_magnetic": basis.m_magnetic,
         "elastic_eigenvalues": basis.elastic_vals,
         "magnetic_eigenvalues": basis.magnetic_vals,
-    })
-    return EXIT_OK
+    }})
 
 
 def _exp_botsenyuk(run, outdir, strict):
@@ -346,10 +344,8 @@ def _exp_botsenyuk(run, outdir, strict):
         t_grid=np.asarray(b["t"]), x=np.asarray(b["x"]), gamma=np.asarray(b["gamma"]), a=b["a"],
     )
     report = analysis.botsenyuk_check(inp)
-    _write_run_json(outdir, run.config)
-    _write_report(outdir, "botsenyuk", report)
     ok = report["admissible"] and report.get("conclusion_holds", False)
-    return EXIT_OK if (ok or not strict) else EXIT_CONDITION
+    return _Outcome(reports={"botsenyuk": report}, passed=ok)
 
 
 _RUNNERS = {
@@ -422,19 +418,23 @@ def replay(archive_dir) -> dict:
 # entry point
 
 def _run_single(experiment: str, config: dict, outdir: Path, strict: bool) -> int:
-    """Run one experiment; a divergence prints one line and archives the
-    trajectory that diverged when the error carries one."""
+    """Run one experiment and write its record: run.json and the reports
+    of its outcome, or, on a divergence, one 'diverged:' line and the
+    archive of the trajectory that diverged."""
     try:
         run = _parse_config(config, experiment)
-        return _RUNNERS[experiment](run, outdir, strict)
+        outcome = _RUNNERS[experiment](run, outdir, strict)
+        code = EXIT_CONDITION if strict and not outcome.passed else EXIT_OK
     except DivergedStateError as err:
         print(f"diverged: {err}", file=sys.stderr)
-        if err.trajectory is not None:
-            _archive_trajectory(outdir, run.config, err.trajectory)
-        return EXIT_DIVERGED
+        outcome, code = _Outcome(_archive_trajectory(outdir, err.trajectory)), EXIT_DIVERGED
     except MelabError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    _write_run_json(outdir, run.config, outcome.record)
+    for name, doc in outcome.reports.items():
+        _write_json(outdir / "reports" / f"{name}.json", doc)
+    return code
 
 
 def _run_sweep_entry(payload):

@@ -27,7 +27,6 @@ the other columns of energy.csv from the samples, for archive and replay.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -68,13 +67,6 @@ class ConstantsLedger:
         if name not in self.entries:
             raise KeyError(f"constant {name!r} not in ledger")
         return self.entries[name]["value"]
-
-    def to_json(self) -> str:
-        return json.dumps(self.entries, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstantsLedger":
-        return cls(entries=json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,6 @@ def assemble_constants(
     c_e: float | None = None,
     c_h: float | None = None,
     ep0: float | None = None,
-    c_mu: float = 1.0,
 ) -> ConstantsLedger:
     """Measure the discrete inequality constants used by the smallness
     conditions and the perturbation decay bound.
@@ -299,7 +290,6 @@ def assemble_constants(
     ledger = ConstantsLedger()
     c_omega = poincare_constant(grid, params) if basis is None else _poincare_of(basis)
     ledger.set("c_omega", c_omega, "measured")
-    ledger.set("c_mu", c_mu, "configured")
     eps = admissible_shift(alpha, params.nu1, c_omega)
     ledger.set("eps", eps, "measured")
     lam_n1 = float(grid.neumann_modes(2)[0][1])

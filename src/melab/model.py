@@ -167,22 +167,22 @@ def _parse_term(term) -> tuple[str, TrigPoly, dict]:
 
 @lru_cache(maxsize=32)
 def _profile(grid: Grid2D, target: str, jx: int, jy: int, amplitude: float,
-             component: int = 0) -> tuple[np.ndarray, ...]:
-    """A forcing term's spatial profile in flat coordinates, built once per
-    grid and shape and read-only.  f1: (cosine product over all nodes,),
-    mean-zero unless (jx, jy) = (0, 0).  f2: (ux, uy) at the interior nodes,
-    a sine product in ux for component 0 and uy for 1, zero on the boundary."""
+             component: int = 0) -> np.ndarray:
+    """A forcing term's spatial profile in the flat layout of Forcing.packed,
+    f2 packed interior then f1 over all nodes, built once per grid and shape
+    and read-only.  f1: a cosine product, mean-zero unless (jx, jy) = (0, 0).
+    f2: a sine product in ux for component 0 and uy for 1, zero on the
+    boundary."""
     x, y = grid.xy
+    n = grid.n_interior
+    out = np.zeros(2 * n + grid.n_nodes)
     if target == "f1":
-        out = ((amplitude * np.cos(jx * np.pi * x / grid.lx)
-                * np.cos(jy * np.pi * y / grid.ly)).ravel(),)
+        out[2 * n:] = (amplitude * np.cos(jx * np.pi * x / grid.lx)
+                       * np.cos(jy * np.pi * y / grid.ly)).ravel()
     else:
-        mode = (amplitude * np.sin(jx * np.pi * x / grid.lx)
-                * np.sin(jy * np.pi * y / grid.ly))[1:-1, 1:-1].ravel()
-        zero = np.zeros_like(mode)
-        out = (mode, zero) if component == 0 else (zero, mode)
-    for a in out:
-        a.flags.writeable = False
+        mode = amplitude * np.sin(jx * np.pi * x / grid.lx) * np.sin(jy * np.pi * y / grid.ly)
+        out[component * n:(component + 1) * n] = mode[1:-1, 1:-1].ravel()
+    out.flags.writeable = False
     return out
 
 
@@ -221,12 +221,10 @@ class Forcing(Schema):
     def packed(self, grid: Grid2D, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(f2, f1) at t in flat coordinates, f2 packed interior and f1
         raveled: the sum of the terms' cached read-only profiles times g(t)."""
-        f2, f1 = np.zeros((2, grid.n_interior)), np.zeros((1, grid.n_nodes))
+        out = np.zeros(2 * grid.n_interior + grid.n_nodes)
         for tg, g, shape in self._parsed:
-            gt = g(t, self.period)
-            for a, p in zip(f1 if tg == "f1" else f2, _profile(grid, tg, **shape)):
-                a += gt * p
-        return f2.ravel(), f1[0]
+            out += g(t, self.period) * _profile(grid, tg, **shape)
+        return out[:2 * grid.n_interior], out[2 * grid.n_interior:]
 
     def f1(self, grid: Grid2D, t: float) -> ScalarField:
         return ScalarField(grid, self.packed(grid, t)[1].reshape(grid.shape), bc="none")
@@ -285,9 +283,6 @@ class State:
     def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat coordinates (u, u', h): packed interior u and u', raveled h."""
         return pack_interior(self.u), pack_interior(self.ut), self.h.values.ravel()
-
-    def copy(self) -> "State":
-        return State(self.u.copy(), self.ut.copy(), self.h.copy(), self.t)
 
     def with_time(self, t: float) -> "State":
         return State(self.u.copy(), self.ut.copy(), self.h.copy(), t)

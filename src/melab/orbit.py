@@ -248,7 +248,7 @@ def run_perturbation(
     g = orbit.z_star.grid
     if v0.grid != g or v1.grid != g or b0.grid != g:
         raise ParameterError("perturbation fields must share the orbit grid")
-    if abs(mean(ScalarField(g, b0.values))) > 1e-10:
+    if abs(mean(ScalarField(g, b0.values))) > 1e-12 * np.max(np.abs(b0.values)):
         raise ParameterError("b0 must be mean-zero")
     z0 = orbit.z_star.with_time(0.0)
     zp = State(

@@ -294,6 +294,7 @@ def _step_count(t0: float, t_end: float, dt: float) -> int:
     return n_steps
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run(ops: OperatorSet, y, t: float, t_end: float, config: StepperConfig, sample, traj):
     """The stepping loop of both integrators, over flat coordinates
     y = (u, v, h) from t to t_end.  Each state's linear part is computed
@@ -302,7 +303,7 @@ def _run(ops: OperatorSet, y, t: float, t_end: float, config: StepperConfig, sam
     e of the initial state, every sample_every-th and the final one.  An
     energy that is not finite, or that jumps by more than
     ENERGY_BLOWUP_FACTOR, raises DivergedStateError with ``traj``, its
-    termination set, attached."""
+    termination set, attached; the overflow itself warns nothing."""
     def record(y, t, e):
         traj.samples.append(sample(y, t))
         traj.times.append(t)

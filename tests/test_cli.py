@@ -97,8 +97,7 @@ def test_overflow_exits_diverged(tmp_path, scheme):
     doc["t_end"] = 5.0
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 3
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 3
     run = json.loads((out / "run.json").read_text())
     assert run["termination"] == {"kind": "diverged", "t": 0.5}
     assert len((out / "energy.csv").read_text().splitlines()) == 2
@@ -130,8 +129,7 @@ def test_divergence_prints_one_line_and_archives(tmp_path, capsys, experiment):
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "o"
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run_cli([experiment, "--config", cfg, "--output", str(out)]) == 3
+    assert run_cli([experiment, "--config", cfg, "--output", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("diverged: "), err
     run = json.loads((out / "run.json").read_text())
@@ -594,3 +592,86 @@ def test_run_json_records_resolved_config(tmp_path):
         for dep in ("blas", "lapack"):
             assert versions[f"{module.__name__}_{dep}"] == (
                 f"{deps[dep]['name']} {deps[dep]['version']}")
+
+
+_STRICT_REFUSALS = {
+    "find-periodic": ({"grid": {"nx": 8, "ny": 8}, "material": {"nu1": 0.2},
+                       "dissipation": {"kind": "linear", "alpha": 1.0},
+                       "forcing": {"period": 0.5, "terms": [
+                           {"target": "f2", "g": {"cos": [1.0]}, "shape": {"amplitude": 0.05}}]},
+                       "stepper": {"dt": 0.01, "sample_every": 25},
+                       "r_critical_consts": {"C2": 5.0}}, "r_critical"),
+    "check-conditions": ({"material": {"nu1": 0.05},
+                          "conditions": {"e1_0": 10.0, "c_e": 5.0}}, "conditions"),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_STRICT_REFUSALS))
+def test_strict_refusal_writes_its_record(tmp_path, experiment):
+    """A run refused under --strict exits 4 and still leaves its record:
+    run.json with the resolved config beside the report that refused it."""
+    doc, report = _STRICT_REFUSALS[experiment]
+    cfg = write_config(tmp_path, "c.json", {"experiment": experiment, **doc})
+    out = tmp_path / "o"
+    assert run_cli([experiment, "--config", cfg, "--output", str(out), "--strict"]) == 4
+    run = json.loads((out / "run.json").read_text())
+    assert run["config"]["experiment"] == experiment and "numpy" in run["versions"]
+    assert "termination" not in run
+    assert (out / "reports" / f"{report}.json").exists()
+    assert run_cli([experiment, "--config", cfg, "--output", str(tmp_path / "lax")]) == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {**SIM_CONFIG, "experiment": "lasalle", "forcing": FORCED["forcing"]},
+    {**SIM_CONFIG, "experiment": "lasalle", "t_end": 0.0},
+    {"experiment": "botsenyuk"},
+], ids=["lasalle with forcing", "lasalle of one sample", "botsenyuk without its section"])
+def test_validation_error_in_experiment_writes_nothing(tmp_path, capsys, doc):
+    """A config that an experiment refuses exits 2 and leaves no output
+    directory, also when the refusal comes after the run: a one-sample
+    lasalle run has no trend to report."""
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    assert run_cli([doc["experiment"], "--config", cfg, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("validation error: ")
+    assert not out.exists()
+
+
+def test_rewritten_archive_holds_only_its_snapshots(tmp_path):
+    """A shorter run written into the output of a longer one leaves only its
+    own snapshot triples, and the archive replays as verified."""
+    out = tmp_path / "o"
+    for t_end in (0.1, 0.05):
+        cfg = write_config(tmp_path, f"c{t_end}.json", {
+            **SIM_CONFIG, "stepper": {"dt": 0.025, "sample_every": 2}, "t_end": t_end})
+        assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+        f"{k:04d}_{f}.csv" for k in range(2) for f in ("h", "u", "ut")]
+    assert cli.replay(out) == {"verified": True, "rows": 2}
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("simulate", {}),
+    ("perturb", {**_PERIODIC, "perturbation": {"amplitude": 1e150}}),
+])
+def test_overflow_stderr_is_one_line(tmp_path, experiment, extra):
+    """An overflowing run, in its own process with numpy's default error
+    handling, writes exactly one 'diverged:' line to stderr and no numpy
+    warning, and its archive replays as verified.  perturb's perturbation of
+    amplitude 1e150 is mean-zero to round-off and is accepted."""
+    doc = {**SIM_CONFIG, "experiment": experiment, "grid": {"nx": 8, "ny": 8},
+           "stepper": {"dt": 0.5, "sample_every": 1},
+           "initial": {"kind": "random", "amplitude": 1e150, "n_modes": 4}, "t_end": 5.0,
+           **extra}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "o"
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "melab.cli", experiment, "--config", cfg,
+                           "--output", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("diverged: "), err
+    assert cli.replay(out) == {"verified": True, "rows": 1}

@@ -27,7 +27,7 @@ from melab.model import (
     build_galerkin_basis,
     random_state,
 )
-from melab import analysis, energy, stepping
+from melab import analysis, cli, energy, stepping
 
 import field_reference
 from field_reference import bilinear_a2
@@ -271,14 +271,15 @@ def test_poincare_constant_sharp(grid, basis):
         assert r <= c + 1e-12
 
 
-def test_ledger_roundtrip():
+def test_ledger_roundtrip(tmp_path):
+    """A ledger's entries survive the archive's JSON writer."""
     led = energy.ConstantsLedger()
     led.set("c_omega", 0.3, "measured")
     led.set("c_mu", 1.0, "configured")
-    text = led.to_json()
-    again = energy.ConstantsLedger.from_json(text)
+    cli._write_json(tmp_path / "constants.json", led.entries)
+    doc = json.loads((tmp_path / "constants.json").read_text())
+    again = energy.ConstantsLedger(entries=doc)
     assert again.value("c_omega") == 0.3
-    doc = json.loads(text)
     assert doc["c_mu"]["provenance"] == "configured"
     with pytest.raises(Exception):
         led.set("bad", 1.0, "guessed")
@@ -408,6 +409,14 @@ def test_assemble_constants(grid, basis):
         assert led.value(name) >= 0
     assert led.entries["c_omega"]["provenance"] == "measured"
     assert led.value("c_big1") <= led.value("c_big0") / (2.0 + 1.0) + 1e-12
+
+
+def test_ledger_holds_only_measured_constants(grid, basis):
+    """assemble_constants records what it measures and nothing configured."""
+    led = energy.assemble_constants(grid, PARAMS, alpha=1.0, basis=basis,
+                                    c_e=0.5, c_h=0.2, ep0=1e-4)
+    assert set(led.entries) == {"c_omega", "eps", "c_e", "c_h_int", "eta", "c_big0", "c_big1"}
+    assert {e["provenance"] for e in led.entries.values()} == {"measured"}
 
 
 @pytest.mark.parametrize("extra", [{}, {"c_e": 0.01}, {"c_e": 0.01, "c_h": 0.2, "ep0": 1e-4}])

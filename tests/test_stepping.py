@@ -430,8 +430,8 @@ def test_forcing_profiles_built_once_per_grid(grid, basis):
         v = forcing.f2(g, t)
         assert v.uy.tobytes() == (np.zeros(g.shape) + gt2 * s2).tobytes()
         assert not v.ux.any()
-        for a in model._profile(g, "f2", **forcing.terms[1]["shape"]):
-            assert not a.flags.writeable
+        for term in forcing.terms:
+            assert not model._profile(g, term["target"], **term["shape"]).flags.writeable
 
 
 # ---------------------------------------------------------------------------
