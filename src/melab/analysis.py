@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grid import Grid2D, MelabError, ParameterError, pack_interior
+from .grid import Grid2D, ParameterError, pack_interior
 from .model import MaterialParams
 from . import energy as energy_mod
 

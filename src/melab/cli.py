@@ -129,12 +129,13 @@ def _parse_config(raw: dict, experiment: str | None = None) -> _Run:
 
 
 def _resolve_output(args, output_dir: str | None) -> Path:
+    """--output, then the config's output_dir, then $MELAB_OUTPUT/<experiment>,
+    then melab-runs/<experiment>."""
     if args.output:
         return Path(args.output)
-    env = os.environ.get("MELAB_OUTPUT")
-    if env:
-        return Path(env) / args.experiment
-    return Path(output_dir) if output_dir is not None else Path("melab-runs") / args.experiment
+    if output_dir is not None:
+        return Path(output_dir)
+    return Path(os.environ.get("MELAB_OUTPUT") or "melab-runs") / args.experiment
 
 
 def _basis(run: _Run):

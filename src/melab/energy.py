@@ -52,16 +52,15 @@ CSV_HEADER = "t,e_total,e1,e_p,g,grad_h_sq,lh_sq,residual"
 
 @dataclass
 class ConstantsLedger:
-    """Named inequality constants with provenance (measured vs configured)."""
+    """Named inequality constants, each recorded with provenance
+    "measured": every value is computed from the grid and the parameters."""
 
     entries: dict = field(default_factory=dict)
 
-    def set(self, name: str, value: float, provenance: str) -> None:
+    def set(self, name: str, value: float) -> None:
         if value < 0:
             raise ParameterError(f"constant {name} must be nonnegative, got {value}")
-        if provenance not in ("measured", "configured"):
-            raise ParameterError("provenance must be 'measured' or 'configured'")
-        self.entries[name] = {"value": float(value), "provenance": provenance}
+        self.entries[name] = {"value": float(value), "provenance": "measured"}
 
     def value(self, name: str) -> float:
         if name not in self.entries:
@@ -243,15 +242,12 @@ def accumulate_ch(traj) -> float:
     return float(partial.max())
 
 
-def decay_rate_fit(ts, values, window: tuple[float, float] | None = None) -> tuple[float, float]:
+def decay_rate_fit(ts, values) -> tuple[float, float]:
     """Least-squares slope of log(value) against t; returns (rate, r^2)."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window is not None:
-        keep = (ts >= window[0]) & (ts <= window[1])
-        ts, values = ts[keep], values[keep]
     if len(ts) < 10:
-        raise ParameterError("decay fit needs at least 10 points in the window")
+        raise ParameterError("decay fit needs at least 10 points")
     if np.any(values <= 0):
         raise ParameterError("decay fit requires positive values")
     logs = np.log(values)
@@ -289,9 +285,9 @@ def assemble_constants(
     """
     ledger = ConstantsLedger()
     c_omega = poincare_constant(grid, params) if basis is None else _poincare_of(basis)
-    ledger.set("c_omega", c_omega, "measured")
+    ledger.set("c_omega", c_omega)
     eps = admissible_shift(alpha, params.nu1, c_omega)
-    ledger.set("eps", eps, "measured")
+    ledger.set("eps", eps)
     lam_n1 = float(grid.neumann_modes(2)[0][1])
 
     def c_big0(eta):
@@ -304,17 +300,17 @@ def assemble_constants(
     # admissible eta for the perturbation functional
     eta = 0.5 * min(1.0, alpha / (2.0 * c_omega**2)) if alpha > 0 else 0.0
     if c_e is not None:
-        ledger.set("c_e", c_e, "measured")
+        ledger.set("c_e", c_e)
     if c_h is not None:
-        ledger.set("c_h_int", c_h, "measured")
+        ledger.set("c_h_int", c_h)
         if ep0 is not None and ep0 > 0 and c_h > 0 and eta > 0:
             # keep eta inside the admissible list's third entry
             cap = c_big0(eta) / (c_h * np.sqrt(2.0 * ep0))
             eta = min(eta, 0.5 * cap) if cap > 0 else eta
-    ledger.set("eta", eta, "measured")
-    ledger.set("c_big0", c_big0(eta), "measured")
+    ledger.set("eta", eta)
+    ledger.set("c_big0", c_big0(eta))
 
     if c_h is not None and ep0 is not None:
         c_big1 = (ledger.value("c_big0") - c_h * np.sqrt(2.0 * ep0) * eta) / (2.0 + alpha)
-        ledger.set("c_big1", max(c_big1, 0.0), "measured")
+        ledger.set("c_big1", max(c_big1, 0.0))
     return ledger

@@ -284,6 +284,12 @@ class State:
         """Flat coordinates (u, u', h): packed interior u and u', raveled h."""
         return pack_interior(self.u), pack_interior(self.ut), self.h.values.ravel()
 
+    @classmethod
+    def from_packed(cls, grid: Grid2D, u, v, h, t: float) -> "State":
+        """The state of flat coordinates (u, u', h), inverse of :meth:`packed`."""
+        return cls(unpack_interior(grid, u), unpack_interior(grid, v),
+                   ScalarField(grid, h.reshape(grid.shape), bc="neumann"), t)
+
     def with_time(self, t: float) -> "State":
         return State(self.u.copy(), self.ut.copy(), self.h.copy(), t)
 
@@ -451,11 +457,15 @@ class GalerkinBasis:
     magnetic_vals: np.ndarray      # (m_magnetic,)
     magnetic_vecs: np.ndarray      # (n_nodes, m_magnetic)
 
-    def elastic_mode(self, j: int) -> VectorField2:
-        return unpack_interior(self.grid, self.elastic_vecs[:, j])
+    def project(self, u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mass-orthogonal coefficients (c, ct) of packed interior u and
+        raveled nodal h, the trapezoid-weighted products with the modes."""
+        return (self.elastic_vecs.T @ (self.grid.vector_weights * u),
+                self.magnetic_vecs.T @ (self.grid.weights.ravel() * h))
 
-    def magnetic_mode(self, k: int) -> ScalarField:
-        return ScalarField(self.grid, self.magnetic_vecs[:, k].reshape(self.grid.shape), bc="neumann")
+    def lift(self, c: np.ndarray, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Packed interior u and raveled nodal h of the coefficients (c, ct)."""
+        return self.elastic_vecs @ c, self.magnetic_vecs @ ct
 
     def save(self, path) -> None:
         np.savez(
@@ -557,36 +567,6 @@ def _certify_mode_count(a: sparse.csr_array, vals: np.ndarray) -> None:
                          f"the Lame matrix has {below}")
 
 
-def project(basis: GalerkinBasis, field_) -> np.ndarray:
-    """Mass-orthogonal coefficients of a field in the basis span."""
-    if isinstance(field_, VectorField2):
-        if field_.grid != basis.grid:
-            raise DomainMismatchError("field grid does not match basis grid")
-        return basis.elastic_vecs.T @ (basis.grid.vector_weights * pack_interior(field_))
-    if isinstance(field_, ScalarField):
-        if field_.grid != basis.grid:
-            raise DomainMismatchError("field grid does not match basis grid")
-        ws = basis.grid.weights.ravel()
-        return basis.magnetic_vecs.T @ (ws * field_.values.ravel())
-    raise DomainMismatchError("project() accepts ScalarField or VectorField2")
-
-
-def reconstruct(basis: GalerkinBasis, coeffs: np.ndarray, kind: str = "elastic"):
-    """Field represented by the coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if kind == "elastic":
-        if coeffs.shape != (basis.m,):
-            raise DomainMismatchError(f"expected {basis.m} elastic coefficients")
-        return unpack_interior(basis.grid, basis.elastic_vecs @ coeffs)
-    if kind == "magnetic":
-        if coeffs.shape != (basis.m_magnetic,):
-            raise DomainMismatchError(f"expected {basis.m_magnetic} magnetic coefficients")
-        return ScalarField(
-            basis.grid, (basis.magnetic_vecs @ coeffs).reshape(basis.grid.shape), bc="neumann"
-        )
-    raise ParameterError("kind must be 'elastic' or 'magnetic'")
-
-
 def random_state(
     grid: Grid2D,
     basis: GalerkinBasis,
@@ -611,7 +591,6 @@ def random_state(
     ch[:mmag] = rng.standard_normal(mmag)
     if mean_zero_h:
         ch[0] = 0.0  # drop the constant magnetic mode
-    u = reconstruct(basis, amplitude * cu, "elastic")
-    ut = reconstruct(basis, amplitude * cv, "elastic")
-    h = reconstruct(basis, amplitude * ch, "magnetic")
-    return State(u, ut, h, 0.0)
+    ct = amplitude * ch
+    (u, h), (v, _) = basis.lift(amplitude * cu, ct), basis.lift(amplitude * cv, ct)
+    return State.from_packed(basis.grid, u, v, h, 0.0)

@@ -79,11 +79,9 @@ class PeriodicOrbit:
 
 @dataclass
 class PerturbationRun:
-    base: PeriodicOrbit
     times: np.ndarray
     ep_series: np.ndarray
     base_traj: Trajectory
-    pert_traj: Trajectory
     c_h: float
 
 
@@ -248,7 +246,7 @@ def run_perturbation(
     g = orbit.z_star.grid
     if v0.grid != g or v1.grid != g or b0.grid != g:
         raise ParameterError("perturbation fields must share the orbit grid")
-    if abs(mean(ScalarField(g, b0.values))) > 1e-12 * np.max(np.abs(b0.values)):
+    if abs(mean(b0)) > 1e-12 * np.max(np.abs(b0.values)):
         raise ParameterError("b0 must be mean-zero")
     z0 = orbit.z_star.with_time(0.0)
     zp = State(
@@ -264,8 +262,7 @@ def run_perturbation(
     eps = [_difference_energy(sp, sb, params)
            for sb, sp in zip(base_traj.samples, pert_traj.samples)]
     c_h = energy_mod.accumulate_ch(base_traj)
-    return PerturbationRun(orbit, np.array(base_traj.times), np.asarray(eps), base_traj, pert_traj,
-                           c_h)
+    return PerturbationRun(np.array(base_traj.times), np.asarray(eps), base_traj, c_h)
 
 
 def check_decay_bound(

@@ -32,14 +32,13 @@ import scipy.linalg
 from scipy import sparse
 
 from .grid import (
+    DomainMismatchError,
     Grid2D,
     ParameterError,
-    ScalarField,
     Schema,
     lame_operator_matrix,
     neumann_laplacian_matrix,
     pack_interior,
-    unpack_interior,
 )
 from .model import (
     DissipationSpec,
@@ -49,8 +48,6 @@ from .model import (
     MaterialParams,
     State,
     coupling_packed,
-    project,
-    reconstruct,
 )
 from . import energy as energy_mod
 
@@ -90,7 +87,6 @@ class Trajectory:
     samples: list = field(default_factory=list)
     times: list = field(default_factory=list)
     energies: list = field(default_factory=list)
-    config: StepperConfig | None = None
     params: MaterialParams | None = None
     dissipation: DissipationSpec | None = None
     forcing: Forcing | None = None
@@ -209,20 +205,17 @@ def _grid_ops(grid: Grid2D, dt: float, params, spec, forcing) -> OperatorSet:
 
 def _galerkin_ops(basis: GalerkinBasis, dt: float, params, spec, forcing) -> OperatorSet:
     """Eigencoordinates: the linear operators are diagonal in the
-    eigenvalues, the forces go reconstruct -> grid forces -> project."""
-    g = basis.grid
+    eigenvalues, the forces go lift -> grid forces -> project."""
     a = 0.5 * dt
     alpha = spec.linear_alpha
     lam_el = basis.elastic_vals
     lam_mag = basis.magnetic_vals - 1.0     # nu1-scaled decay rates
     den_u = 2.0 * params.rho_m + dt * alpha + dt * a * lam_el
     den_h = 1.0 + a * lam_mag
-    ws = g.weights.ravel()
 
     def forces(v, h, t):
-        fu, fh = _explicit_forces(basis.elastic_vecs @ v, basis.magnetic_vecs @ h, t,
-                                  params, spec, forcing, g)
-        return basis.elastic_vecs.T @ (g.vector_weights * fu), basis.magnetic_vecs.T @ (ws * fh)
+        return basis.project(*_explicit_forces(*basis.lift(v, h), t, params, spec, forcing,
+                                               basis.grid))
 
     return OperatorSet(
         params.rho_m, alpha,
@@ -340,16 +333,10 @@ def integrate(
     only for the sampled states.  Divergence raises DivergedStateError
     with the trajectory so far attached."""
     g = state0.grid
-    traj = Trajectory(config=config, params=params, dissipation=spec, forcing=forcing)
-
-    def sample(y, t):
-        u, v, h = y
-        return State(unpack_interior(g, u), unpack_interior(g, v),
-                     ScalarField(g, h.reshape(g.shape), bc="neumann"), t)
-
+    traj = Trajectory(params=params, dissipation=spec, forcing=forcing)
     y0 = (pack_interior(state0.u), pack_interior(state0.ut), state0.h.values.flatten())
-    _run(_grid_ops(g, config.dt, params, spec, forcing), y0, state0.t, t_end, config, sample,
-         traj)
+    _run(_grid_ops(g, config.dt, params, spec, forcing), y0, state0.t, t_end, config,
+         lambda y, t: State.from_packed(g, *y, t), traj)
     return traj
 
 
@@ -357,16 +344,20 @@ def integrate(
 # reduced (spectral) integration
 
 def state_to_coeffs(basis: GalerkinBasis, state: State):
-    return project(basis, state.u), project(basis, state.ut), project(basis, state.h)
+    """Coefficients (c, c', ct) of a state on the basis grid."""
+    if state.grid != basis.grid:
+        raise DomainMismatchError("state grid does not match basis grid")
+    u, v, h = state.packed()
+    (c, ct), (cdot, _) = basis.project(u, h), basis.project(v, h)
+    return c, cdot, ct
 
 
 def coeffs_to_state(basis: GalerkinBasis, c, cdot, ct, t: float) -> State:
-    return State(
-        reconstruct(basis, c, "elastic"),
-        reconstruct(basis, cdot, "elastic"),
-        reconstruct(basis, ct, "magnetic"),
-        t,
-    )
+    """The state at time t of the coefficients (c, c', ct)."""
+    if [np.shape(x) for x in (c, cdot, ct)] != [(basis.m,), (basis.m,), (basis.m_magnetic,)]:
+        raise DomainMismatchError("coefficient dimensions do not match basis")
+    (u, h), (v, _) = basis.lift(c, ct), basis.lift(cdot, ct)
+    return State.from_packed(basis.grid, u, v, h, t)
 
 
 def integrate_galerkin(
@@ -380,12 +371,12 @@ def integrate_galerkin(
 ) -> Trajectory:
     """Reduced dynamics: the grid's scheme in eigencoordinates, where the
     linear terms act diagonally through the eigenvalues and the forces go
-    reconstruct -> grid forces -> project, stepped by the grid's loop and
+    lift -> grid forces -> project, stepped by the grid's loop and
     guarded by its divergence test; the samples are coefficient triples."""
     y0 = tuple(np.array(x, dtype=float) for x in coeffs0)
     if [x.shape for x in y0] != [(basis.m,), (basis.m,), (basis.m_magnetic,)]:
         raise ParameterError("coefficient dimensions do not match basis")
-    traj = Trajectory(config=config, params=params, dissipation=spec, forcing=forcing)
+    traj = Trajectory(params=params, dissipation=spec, forcing=forcing)
     _run(_galerkin_ops(basis, config.dt, params, spec, forcing), y0, 0.0, t_end, config,
          lambda y, t: y, traj)
     return traj

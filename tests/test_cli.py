@@ -324,6 +324,20 @@ def test_env_var_output_root(tmp_path, monkeypatch):
     assert (tmp_path / "root" / "disk-mode" / "bessel_roots.csv").exists()
 
 
+def test_config_output_dir_precedes_env_var(tmp_path, monkeypatch):
+    """--output wins over the config's output_dir, which wins over
+    $MELAB_OUTPUT."""
+    doc = {"experiment": "disk-mode", "output_dir": str(tmp_path / "from_config"),
+           "disk_mode": {"m": 1, "radial_points": 200, "table_max": 1}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    monkeypatch.setenv("MELAB_OUTPUT", str(tmp_path / "from_env"))
+    assert run_cli(["disk-mode", "--config", cfg]) == 0
+    assert (tmp_path / "from_config" / "bessel_roots.csv").exists()
+    assert not (tmp_path / "from_env").exists()
+    assert run_cli(["disk-mode", "--config", cfg, "--output", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "bessel_roots.csv").exists()
+
+
 def test_sweep_serial(tmp_path):
     doc = {
         "experiment": "check-conditions",

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from melab import model, stepping
 from melab.grid import (
+    DomainMismatchError,
     Grid2D,
     MelabError,
     ParameterError,
@@ -24,6 +25,7 @@ from melab.grid import (
     neumann_laplacian_matrix,
     norm_l2,
     pin_boundary,
+    unpack_interior,
 )
 from melab.model import (
     DissipationSpec,
@@ -33,9 +35,7 @@ from melab.model import (
     build_galerkin_basis,
     induction_term,
     lorentz_force,
-    project,
     random_state,
-    reconstruct,
     validate_h2,
     validate_kc,
 )
@@ -238,13 +238,19 @@ def test_state_contracts(grid):
 
 
 def test_basis_orthonormal(grid, basis):
+    def elastic_mode(j):
+        return unpack_interior(grid, basis.elastic_vecs[:, j])
+
+    def magnetic_mode(k):
+        return ScalarField(grid, basis.magnetic_vecs[:, k].reshape(grid.shape), bc="neumann")
+
     for j in range(basis.m):
         for k in range(j, basis.m):
-            ip = inner(basis.elastic_mode(j), basis.elastic_mode(k))
+            ip = inner(elastic_mode(j), elastic_mode(k))
             assert ip == pytest.approx(1.0 if j == k else 0.0, abs=1e-10)
     for j in range(basis.m_magnetic):
         for k in range(j, basis.m_magnetic):
-            ip = inner(basis.magnetic_mode(j), basis.magnetic_mode(k))
+            ip = inner(magnetic_mode(j), magnetic_mode(k))
             assert ip == pytest.approx(1.0 if j == k else 0.0, abs=1e-10)
 
 
@@ -258,11 +264,40 @@ def test_basis_eigenvalue_ordering(grid, basis):
 def test_projection_roundtrip(grid, basis):
     rng = np.random.default_rng(6)
     c = rng.standard_normal(basis.m)
-    u = reconstruct(basis, c, "elastic")
-    assert np.allclose(project(basis, u), c, atol=1e-10)
     ch = rng.standard_normal(basis.m_magnetic)
-    h = reconstruct(basis, ch, "magnetic")
-    assert np.allclose(project(basis, h), ch, atol=1e-10)
+    pc, pch = basis.project(*basis.lift(c, ch))
+    assert np.allclose(pc, c, atol=1e-10)
+    assert np.allclose(pch, ch, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(random_grids, st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@example(Grid2D(24, 24, 1.0, 1.0), 8, 4, 0)      # 1058 unknowns: Lanczos
+def test_basis_maps_invert(grid, m, m_magnetic, seed):
+    """The projection of the lift, and state_to_coeffs after
+    coeffs_to_state, return the coefficients."""
+    b = build_galerkin_basis(grid, PARAMS, m=m, m_magnetic=m_magnetic)
+    rng = np.random.default_rng(seed)
+    c, cdot, ct = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal(m_magnetic)
+    for got, want in zip(b.project(*b.lift(c, ct)), (c, ct)):
+        assert np.abs(got - want).max() <= 1e-12
+    back = stepping.state_to_coeffs(b, stepping.coeffs_to_state(b, c, cdot, ct, 0.5))
+    for got, want in zip(back, (c, cdot, ct)):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_state_conversions_refuse_mismatches(grid, basis):
+    """A state on another grid, even one with the same node count, and
+    coefficients of the wrong length are refused."""
+    for other in (Grid2D(grid.nx + 2, grid.ny, grid.lx, grid.ly),
+                  Grid2D(grid.nx, grid.ny, 2.0 * grid.lx, grid.ly)):
+        with pytest.raises(DomainMismatchError):
+            stepping.state_to_coeffs(basis, State.zero(other))
+    c, ct = np.zeros(basis.m), np.zeros(basis.m_magnetic)
+    for bad in ((c[:-1], c, ct), (c, np.zeros(basis.m + 1), ct), (c, c, ct[:-1]),
+                (c, c, ct[:, None])):
+        with pytest.raises(DomainMismatchError):
+            stepping.coeffs_to_state(basis, *bad, 0.0)
 
 
 def test_basis_cache_roundtrip(tmp_path, grid, basis):
