@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grid import Grid2D, ParameterError, pack_interior
+from .grid import Grid2D, ParameterError, grad_edge_inner
 from .model import MaterialParams
 from . import energy as energy_mod
 
@@ -250,11 +250,10 @@ def lasalle_report(traj) -> dict:
         raise ParameterError("trajectory too short")
     g = samples[0].grid
     w, wv = g.weights.ravel(), g.vector_weights
-    hs = [s.h.values.ravel() for s in samples]
-    vs = [pack_interior(s.ut) for s in samples]
+    _, vs, hs = zip(*(s.y for s in samples))
     ts = np.array(traj.times)
     h_l2 = np.sqrt([np.dot(w * h, h) for h in hs])
-    grad_h = np.sqrt([energy_mod.grad_h_squared(s.h) for s in samples])
+    grad_h = np.sqrt([grad_edge_inner(h, h, g) for h in hs])
     div_ut = np.sqrt([max(np.dot(wv * (g.grad_div @ v), v), 0.0) for v in vs])
     e = np.array(traj.energies)
     e_increase = float(np.max(np.diff(e), initial=0.0))

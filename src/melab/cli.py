@@ -88,6 +88,8 @@ _TOP = {
     **{name: ("dict", {}) for name in _SECTIONS}, "botsenyuk": ("dict", None),
 }
 _STEPPING = ("simulate", "find-periodic", "perturb", "lasalle")
+# retired dissipation keys, which replay drops from older archives' run.json
+_RETIRED_DISSIPATION_KEYS = ("k0", "r_rho", "k_c")
 
 
 @dataclass
@@ -169,9 +171,10 @@ def _save_state(directory: Path, stem: str, s: State) -> None:
 
 def _load_state(directory: Path, stem: str, grid: Grid2D, t: float) -> State:
     """Read the CSV triple that _save_state wrote back into a state at time t."""
-    return State(load_vector_csv(directory / f"{stem}u.csv", grid, bc="dirichlet_zero"),
-                 load_vector_csv(directory / f"{stem}ut.csv", grid, bc="dirichlet_zero"),
-                 load_scalar_csv(directory / f"{stem}h.csv", grid, bc="neumann"), t)
+    return State.from_fields(
+        load_vector_csv(directory / f"{stem}u.csv", grid, bc="dirichlet_zero"),
+        load_vector_csv(directory / f"{stem}ut.csv", grid, bc="dirichlet_zero"),
+        load_scalar_csv(directory / f"{stem}h.csv", grid, bc="neumann"), t)
 
 
 def _build_dependency(module, dep: str) -> str:
@@ -378,8 +381,12 @@ def replay(archive_dir) -> dict:
             doc = json.load(fh)
         except ValueError as err:
             raise MelabError(f"{path}: not JSON: {err}") from None
-    if not isinstance(doc, dict) or "config" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         raise MelabError(f"{path}: no 'config' section")
+    dissipation = doc["config"].get("dissipation")
+    if isinstance(dissipation, dict):
+        for key in _RETIRED_DISSIPATION_KEYS:
+            dissipation.pop(key, None)
     run = _parse_config(doc["config"])
     path, n_cols = arc / "energy.csv", energy_mod.CSV_HEADER.count(",") + 1
     lines = path.read_text().splitlines()[1:]

@@ -1,10 +1,10 @@
 """Energy functionals, inequality constants and decay diagnostics.
 
-Every per-state diagnostic is a quadratic form on packed coordinates
-(u, u', h) with the matrices the integrator steps with: A_el the Lame
-matrix ``grid.lame_operator_matrix``, L the flux Laplacian
-``grid.lap_neumann``, W the trapezoid weights and W_v those of the packed
-interior DOFs:
+Every per-state diagnostic is a quadratic form on a state's flat
+coordinates ``State.y`` = (u, u', h), with the matrices the integrator
+steps with: A_el the Lame matrix ``grid.lame_operator_matrix``, L the flux
+Laplacian ``grid.lap_neumann``, W the trapezoid weights and W_v those of
+the packed interior DOFs:
 
     E      = 1/2 (rho_m u'.(W_v u') + u.(W_v A_el u) + mu0 h.(W h))
     E1     = 1/2 (u'.(W_v A_el u') + (A_el u).(W_v A_el u) + |grad h|^2)
@@ -21,6 +21,10 @@ the reported dissipation pairs exactly with the discrete diffusion operator
 and the per-step energy balance closes to the integrator's truncation error
 rather than to the mesh width.
 
+The (u', u) and |u|^2 sums of ``lyapunov_g`` and the f1 work of
+``energy_identity_residual`` stay sums over the nodal arrays, bit for bit
+what the field forms gave.
+
 A trajectory records each sample's time and energy; ``energy_table`` computes
 the other columns of energy.csv from the samples, for archive and replay.
 """
@@ -33,16 +37,14 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
-    ContractViolationError,
     Grid2D,
     MelabError,
     ParameterError,
     ScalarField,
     VectorField2,
     grad_edge_inner,
-    inner,
+    interior_nodal,
     lame_operator_matrix,
-    pack_interior,
 )
 from .model import MaterialParams, State, build_galerkin_basis
 
@@ -83,8 +85,8 @@ def energy_packed(grid: Grid2D, params: MaterialParams, u, v, h, el=None) -> flo
 
 
 def energy_total(state: State, params: MaterialParams) -> float:
-    """Field form of :func:`energy_packed`."""
-    return energy_packed(state.grid, params, *state.packed())
+    """:func:`energy_packed` of a state."""
+    return energy_packed(state.grid, params, *state.y)
 
 
 def _e1_packed(grid: Grid2D, params: MaterialParams, u, v, grad_h_sq: float) -> float:
@@ -104,18 +106,16 @@ def _lh_sq_packed(grid: Grid2D, h) -> float:
 def energy_e1(state: State, params: MaterialParams) -> float:
     """Second-level energy: elastic norm of u', squared elastic operator of
     u, and the gradient seminorm of h."""
-    u, v, _ = state.packed()
-    return _e1_packed(state.grid, params, u, v, grad_h_squared(state.h))
+    u, v, h = state.y
+    return _e1_packed(state.grid, params, u, v, grad_edge_inner(h, h, state.grid))
 
 
 def energy_perturbation(
     v: VectorField2, vt: VectorField2, b: ScalarField, params: MaterialParams
 ) -> float:
-    """Perturbation energy of the triple (v, v', b), v and v' clamped: the
-    total energy's form, rho_m-weighted kinetic term included."""
-    if v.bc != "dirichlet_zero" or vt.bc != "dirichlet_zero":
-        raise ContractViolationError("energy_perturbation requires dirichlet_zero v, v'")
-    return energy_packed(v.grid, params, pack_interior(v), pack_interior(vt), b.values.ravel())
+    """Perturbation energy of the triple (v, v', b), v and v' clamped and b
+    Neumann: the total energy's form, rho_m-weighted kinetic term included."""
+    return energy_total(State.from_fields(v, vt, b), params)
 
 
 def lyapunov_g(
@@ -130,8 +130,10 @@ def lyapunov_g(
     if eps_or_eta <= 0:
         raise ParameterError("eps/eta must be positive")
     base = energy_total(state, params) if e_total is None else e_total
-    cross = inner(state.ut, state.u)
-    return base + eps_or_eta * cross + 0.5 * alpha * eps_or_eta * inner(state.u, state.u)
+    w = state.grid.weights
+    (ux, uy), (vx, vy) = (interior_nodal(state.grid, x) for x in state.y[:2])
+    cross, u_sq = float(np.sum((vx * ux + vy * uy) * w)), float(np.sum((ux * ux + uy * uy) * w))
+    return base + eps_or_eta * cross + 0.5 * alpha * eps_or_eta * u_sq
 
 
 @lru_cache(maxsize=8)
@@ -185,12 +187,11 @@ def energy_identity_residual(traj, params: MaterialParams) -> dict:
         raise ParameterError("need at least 2 trajectory samples")
     g = samples[0].grid
     wv = g.vector_weights
-    vs = [pack_interior(s.ut) for s in samples]
     t_mid, res = [], []
     for k in range(len(samples) - 1):
-        a, b = samples[k], samples[k + 1]
-        v = 0.5 * (vs[k] + vs[k + 1])
-        h = 0.5 * (a.h.values + b.h.values)
+        (_, va, ha), (_, vb, hb) = samples[k].y, samples[k + 1].y
+        v = 0.5 * (va + vb)
+        h = (0.5 * (ha + hb)).reshape(g.shape)
         tm = 0.5 * (times[k] + times[k + 1])
         r = (energies[k + 1] - energies[k]) / (times[k + 1] - times[k])
         r += params.mu0 * params.nu1 * grad_edge_inner(h, h, g)
@@ -223,8 +224,8 @@ def energy_table(traj) -> np.ndarray:
     res = energy_identity_residual(traj, params)["residual"] if len(samples) > 1 else []
     rows = []
     for s, t, e, r in zip(samples, traj.times, traj.energies, [0.0, *res]):
-        u, v, h = s.packed()
-        grad_h_sq = grad_h_squared(s.h)
+        u, v, h = s.y
+        grad_h_sq = grad_edge_inner(h, h, s.grid)
         rows.append([t, e, _e1_packed(s.grid, params, u, v, grad_h_sq), 0.0,
                      lyapunov_g(s, eps, alpha, params, e_total=e) if eps else 0.0,
                      grad_h_sq, _lh_sq_packed(s.grid, h), float(r)])
@@ -237,7 +238,7 @@ def accumulate_ch(traj) -> float:
     ts = np.array(traj.times)
     if len(ts) < 2:
         return 0.0
-    vals = np.array([lh_tilde_squared(s.h) for s in traj.samples])
+    vals = np.array([_lh_sq_packed(s.grid, s.y[2]) for s in traj.samples])
     partial = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts))])
     return float(partial.max())
 

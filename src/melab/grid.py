@@ -362,9 +362,6 @@ class ScalarField:
             raise ContractViolationError(f"unknown scalar bc {self.bc!r}")
         _require_finite(self.values, "scalar field")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.bc)
-
     @classmethod
     def from_function(cls, grid: Grid2D, fn, bc: str = "none") -> "ScalarField":
         x, y = grid.xy
@@ -403,9 +400,6 @@ class VectorField2:
                     raise ContractViolationError(
                         "dirichlet_zero field has nonzero boundary values"
                     )
-
-    def copy(self) -> "VectorField2":
-        return VectorField2(self.grid, self.ux.copy(), self.uy.copy(), self.bc)
 
     @classmethod
     def from_functions(cls, grid: Grid2D, fx, fy, bc: str = "none") -> "VectorField2":
@@ -467,11 +461,12 @@ def _edge_diff_y(grid: Grid2D, a: np.ndarray) -> np.ndarray:
 
 
 def grad_edge_inner(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> float:
-    """Edge-quadrature inner product of the two nodal fields' gradients.
+    """Edge-quadrature inner product of the gradients of nodal a and b, raveled or not.
 
     This is the quadratic form whose flux-difference operator is exactly
     :func:`laplacian_neumann` (up to sign), so (lap h, g) = -grad_edge_inner.
     """
+    a, b = a.reshape(grid.shape), b.reshape(grid.shape)
     ex = _edge_diff_x(grid, a) * _edge_diff_x(grid, b)
     ey = _edge_diff_y(grid, a) * _edge_diff_y(grid, b)
     sx = float(np.sum(ex * (grid.dx * grid.wy[None, :])))
@@ -548,11 +543,17 @@ def pack_interior(u: VectorField2) -> np.ndarray:
     return np.concatenate([u.ux[1:-1, 1:-1].ravel(), u.uy[1:-1, 1:-1].ravel()])
 
 
-def unpack_interior(grid: Grid2D, vec: np.ndarray) -> VectorField2:
-    """The clamped vector field of packed interior DOFs."""
+def interior_nodal(grid: Grid2D, vec: np.ndarray) -> np.ndarray:
+    """The nodal (ux, uy) arrays, stacked and zero on the boundary, of
+    packed interior DOFs."""
     out = np.zeros((2,) + grid.shape)
     out[:, 1:-1, 1:-1] = vec.reshape(2, grid.nx - 1, grid.ny - 1)
-    return VectorField2(grid, out[0], out[1], bc="dirichlet_zero")
+    return out
+
+
+def unpack_interior(grid: Grid2D, vec: np.ndarray) -> VectorField2:
+    """The clamped vector field of packed interior DOFs."""
+    return VectorField2(grid, *interior_nodal(grid, vec), bc="dirichlet_zero")
 
 
 # ---------------------------------------------------------------------------

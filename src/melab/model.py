@@ -32,6 +32,7 @@ from .grid import (
     Schema,
     VectorField2,
     grad_edge_inner,
+    interior_nodal,
     lame_operator_matrix,
     norm_l2,
     pack_interior,
@@ -76,8 +77,11 @@ class DissipationSpec(Schema):
     """Mechanical dissipation law rho(z).
 
     kind 'none': 0; 'linear': alpha*z; 'power': alpha*z + k1*|z|^p z
-    (pointwise Euclidean norm), a concrete law compatible with the
-    polynomial growth hypotheses and the monotonicity constant k_c = alpha.
+    (pointwise Euclidean norm).  The power law meets the polynomial growth
+    and monotonicity hypotheses in closed form:
+
+        (rho(z), z) = alpha |z|^2 + k1 |z|^(p+2) >= k1 |z|^(p+2),
+        (rho(u + w) - rho(u), w) >= alpha |w|^2, as |z|^p z is monotone.
 
     The IMEX step takes k1*|u'|^p u' explicitly, at its midpoint predictor,
     so dt*k1*|u'|^p/rho_m must stay below O(1).  Rough data can break that:
@@ -88,11 +92,8 @@ class DissipationSpec(Schema):
     section = "dissipation"
     kind: str = "none"
     alpha: float = 0.0
-    k0: float = 1.0
     k1: float = 1.0
     p: float = 3.0
-    r_rho: float = 1.0
-    k_c: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("none", "linear", "power"):
@@ -100,8 +101,8 @@ class DissipationSpec(Schema):
         if self.kind == "linear" and self.alpha <= 0:
             raise ParameterError("linear dissipation requires alpha > 0")
         if self.kind == "power":
-            if self.k0 <= 0 or self.k1 < 0 or self.r_rho <= 0:
-                raise ParameterError("power dissipation requires k0 > 0, k1 >= 0, r_rho > 0")
+            if self.k1 < 0:
+                raise ParameterError("power dissipation requires k1 >= 0")
             if not (3.0 <= self.p <= 4.0):
                 raise ParameterError("power exponent p must lie in [3, 4]")
 
@@ -109,11 +110,6 @@ class DissipationSpec(Schema):
     def linear_alpha(self) -> float:
         """The coefficient of the law's linear part alpha*z."""
         return 0.0 if self.kind == "none" else self.alpha
-
-    @property
-    def q_exponent(self) -> float:
-        """Conjugate-type exponent (p+2)/(p+1) of the forcing space."""
-        return (self.p + 2.0) / (self.p + 1.0)
 
     def pointwise(self, zx: np.ndarray, zy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "none":
@@ -230,9 +226,7 @@ class Forcing(Schema):
         return ScalarField(grid, self.packed(grid, t)[1].reshape(grid.shape), bc="none")
 
     def f2(self, grid: Grid2D, t: float) -> VectorField2:
-        f2 = unpack_interior(grid, self.packed(grid, t)[0])
-        f2.bc = "none"
-        return f2
+        return VectorField2(grid, *interior_nodal(grid, self.packed(grid, t)[0]), bc="none")
 
     def l1_l2_norm(self, grid: Grid2D) -> float:
         """Time-trapezoid approximation of int_0^T |f(t)|_L2 dt over one
@@ -261,55 +255,56 @@ class Forcing(Schema):
 
 @dataclass
 class State:
-    """Snapshot (u, u', h, t) of the coupled system."""
+    """The coupled system at time t in the flat coordinates the integrator
+    steps, y = (u, u', h): packed interior u and u', raveled h, held as
+    read-only views, not copies.  ``u``, ``ut`` and ``h`` build fields."""
 
-    u: VectorField2
-    ut: VectorField2
-    h: ScalarField
+    grid: Grid2D
+    y: tuple
     t: float = 0.0
 
     def __post_init__(self):
-        if not (self.u.grid == self.ut.grid == self.h.grid):
-            raise DomainMismatchError("state fields live on different grids")
-        if self.u.bc != "dirichlet_zero" or self.ut.bc != "dirichlet_zero":
-            raise ContractViolationError("u, u' must be dirichlet_zero")
-        if self.h.bc != "neumann":
-            raise ContractViolationError("h must be neumann")
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.u.grid
-
-    def packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat coordinates (u, u', h): packed interior u and u', raveled h."""
-        return pack_interior(self.u), pack_interior(self.ut), self.h.values.ravel()
+        self.y = tuple(np.asarray(x, dtype=float).view() for x in self.y)
+        shapes, n = [x.shape for x in self.y], 2 * self.grid.n_interior
+        if shapes != [(n,), (n,), (self.grid.n_nodes,)]:
+            raise DomainMismatchError(f"state array shapes {shapes} do not fit {self.grid}")
+        if not all(np.isfinite(x).all() for x in self.y):
+            raise ParameterError("state contains non-finite values")
+        for x in self.y:
+            x.flags.writeable = False
 
     @classmethod
-    def from_packed(cls, grid: Grid2D, u, v, h, t: float) -> "State":
-        """The state of flat coordinates (u, u', h), inverse of :meth:`packed`."""
-        return cls(unpack_interior(grid, u), unpack_interior(grid, v),
-                   ScalarField(grid, h.reshape(grid.shape), bc="neumann"), t)
+    def from_fields(cls, u: VectorField2, ut: VectorField2, h: ScalarField,
+                    t: float = 0.0) -> "State":
+        """The state of clamped u, u' and Neumann h on one grid."""
+        if not (u.grid == ut.grid == h.grid):
+            raise DomainMismatchError("state fields live on different grids")
+        if (u.bc, ut.bc, h.bc) != ("dirichlet_zero", "dirichlet_zero", "neumann"):
+            raise ContractViolationError("u, u' must be dirichlet_zero and h neumann")
+        return cls(u.grid, (pack_interior(u), pack_interior(ut), h.values.flatten()), t)
+
+    @property
+    def u(self) -> VectorField2:
+        return unpack_interior(self.grid, self.y[0])
+
+    @property
+    def ut(self) -> VectorField2:
+        return unpack_interior(self.grid, self.y[1])
+
+    @property
+    def h(self) -> ScalarField:
+        return ScalarField(self.grid, self.y[2].reshape(self.grid.shape), bc="neumann")
 
     def with_time(self, t: float) -> "State":
-        return State(self.u.copy(), self.ut.copy(), self.h.copy(), t)
+        return State(self.grid, self.y, t)
 
     def scaled(self, factor: float) -> "State":
-        g = self.grid
-        return State(
-            VectorField2(g, factor * self.u.ux, factor * self.u.uy, bc="dirichlet_zero"),
-            VectorField2(g, factor * self.ut.ux, factor * self.ut.uy, bc="dirichlet_zero"),
-            ScalarField(g, factor * self.h.values, bc="neumann"),
-            self.t,
-        )
+        return State(self.grid, tuple(factor * x for x in self.y), self.t)
 
     @classmethod
     def zero(cls, grid: Grid2D, t: float = 0.0) -> "State":
-        return cls(
-            VectorField2.zeros(grid, bc="dirichlet_zero"),
-            VectorField2.zeros(grid, bc="dirichlet_zero"),
-            ScalarField.zeros(grid, bc="neumann"),
-            t,
-        )
+        n = 2 * grid.n_interior
+        return cls(grid, (np.zeros(n), np.zeros(n), np.zeros(grid.n_nodes)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -346,90 +341,6 @@ def induction_term(ut: VectorField2, h: ScalarField, params: MaterialParams) -> 
     g, fac = ut.grid, params.b0 + h.values.ravel()
     return ScalarField(g, -(g.ddx @ (fac * ut.ux.ravel()) + g.ddy @ (fac * ut.uy.ravel()))
                        .reshape(g.shape), bc="none")
-
-
-# ---------------------------------------------------------------------------
-# dissipation-law validators
-
-def _sample_shells(rng: np.random.Generator, n: int, r_max: float) -> np.ndarray:
-    """Random 2-vectors with radii spread over (0, r_max]."""
-    radii = r_max * (np.arange(1, n + 1) / n)
-    angles = rng.uniform(0.0, 2.0 * np.pi, n)
-    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-
-
-def validate_h2(spec: DissipationSpec, n_samples: int = 10_000, seed: int = 0) -> dict:
-    """Sampled check of the polynomial dissipation hypotheses
-
-        (rho(z), z) >= k0 |z|^{p+2}        for all z,
-        |rho(z)|   <= k1_bound |z|^{p+1}   for |z| >= r_rho,
-
-    over shells |z| in (0, 10*r_rho].  The upper bound is checked against
-    the law's k1 plus the linear part's worst-case contribution.
-    """
-    if spec.kind != "power":
-        raise ParameterError("validate_h2 applies to power-law dissipation")
-    rng = np.random.default_rng(seed)
-    z = _sample_shells(rng, n_samples, 10.0 * spec.r_rho)
-    rx, ry = spec.pointwise(z[:, 0], z[:, 1])
-    mag = np.hypot(z[:, 0], z[:, 1])
-    pair = rx * z[:, 0] + ry * z[:, 1]
-    lower = pair - spec.k0 * mag ** (spec.p + 2.0)
-    i_lo = int(np.argmin(lower))
-    k1_bound = spec.k1 + spec.alpha / spec.r_rho**spec.p
-    outer = mag >= spec.r_rho
-    rho_mag = np.hypot(rx, ry)
-    upper = np.where(outer, k1_bound * mag ** (spec.p + 1.0) - rho_mag, np.inf)
-    i_up = int(np.argmin(upper))
-    report = {
-        "q": spec.q_exponent,
-        "margin_lower": float(lower.min()),
-        "worst_shell_lower": float(mag[i_lo]),
-        "margin_upper": float(upper[i_up]) if np.isfinite(upper[i_up]) else None,
-        "worst_shell_upper": float(mag[i_up]) if np.isfinite(upper[i_up]) else None,
-        "k1_bound": k1_bound,
-        "n_samples": n_samples,
-    }
-    report["passed"] = bool(
-        lower.min() >= -1e-12 and (report["margin_upper"] is None or report["margin_upper"] >= -1e-12)
-    )
-    return report
-
-
-def validate_kc(spec: DissipationSpec, n_samples: int = 10_000, seed: int = 0) -> dict:
-    """Sampled check of the monotonicity condition
-
-        (rho(u + w) - rho(u), z) >= k_c (w, z)
-
-    with the increment direction z = w (the pairing used in the decay
-    argument; a literal all-z statement only admits linear laws).  The
-    linear law satisfies it with equality at k_c = alpha.
-    """
-    rng = np.random.default_rng(seed)
-    r_scale = 5.0 * (spec.r_rho if spec.kind == "power" else 1.0)
-    u = _sample_shells(rng, n_samples, r_scale)
-    w = _sample_shells(rng, n_samples, r_scale)[rng.permutation(n_samples)]
-    rux, ruy = spec.pointwise(u[:, 0], u[:, 1])
-    rvx, rvy = spec.pointwise(u[:, 0] + w[:, 0], u[:, 1] + w[:, 1])
-    lhs = (rvx - rux) * w[:, 0] + (rvy - ruy) * w[:, 1]
-    rhs_ = spec.k_c * (w[:, 0] ** 2 + w[:, 1] ** 2)
-    margin = lhs - rhs_
-    i = int(np.argmin(margin))
-    scale = max(1.0, float(np.abs(rhs_).max()))
-    passed = bool(margin[i] >= -1e-12 * scale)
-    report = {
-        "k_c": spec.k_c,
-        "margin": float(margin[i]),
-        "passed": passed,
-        "n_samples": n_samples,
-    }
-    if not passed:
-        report["witness"] = {
-            "u": [float(u[i, 0]), float(u[i, 1])],
-            "w": [float(w[i, 0]), float(w[i, 1])],
-            "z": [float(w[i, 0]), float(w[i, 1])],
-        }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +487,8 @@ def random_state(
     mean_zero_h: bool = True,
 ) -> State:
     """Random eigenmode combination with controlled energy scale."""
+    if grid != basis.grid:
+        raise DomainMismatchError("random_state grid does not match basis grid")
     if seed < 0 or (n_modes is not None and n_modes < 1):
         raise ParameterError("random_state needs seed >= 0 and n_modes >= 1")
     rng = np.random.default_rng(seed)
@@ -593,4 +506,4 @@ def random_state(
         ch[0] = 0.0  # drop the constant magnetic mode
     ct = amplitude * ch
     (u, h), (v, _) = basis.lift(amplitude * cu, ct), basis.lift(amplitude * cv, ct)
-    return State.from_packed(basis.grid, u, v, h, 0.0)
+    return State(grid, (u, v, h))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
+    DomainMismatchError,
     MelabError,
     ParameterError,
     ScalarField,
@@ -43,12 +44,10 @@ def _require_periodic_setup(spec: DissipationSpec, forcing: Forcing) -> None:
 
 
 def _difference_energy(a: State, b: State, params: MaterialParams) -> float:
-    """The total energy of the perturbation triple (v, v', b) = a - b, taken
-    on packed coordinates."""
+    """The total energy of the perturbation triple (v, v', b) = a - b."""
     if b.grid != a.grid:
-        raise ParameterError("states live on different grids")
-    return energy_mod.energy_packed(a.grid, params,
-                                    *(x - y for x, y in zip(a.packed(), b.packed())))
+        raise DomainMismatchError("states live on different grids")
+    return energy_mod.energy_packed(a.grid, params, *(x - y for x, y in zip(a.y, b.y)))
 
 
 def energy_norm(state: State, params: MaterialParams) -> float:
@@ -244,17 +243,13 @@ def run_perturbation(
     """Co-evolve the base orbit and its perturbed copy; the perturbation
     pair (v, b) is the sampled difference of the two trajectories."""
     g = orbit.z_star.grid
-    if v0.grid != g or v1.grid != g or b0.grid != g:
-        raise ParameterError("perturbation fields must share the orbit grid")
+    p = State.from_fields(v0, v1, b0)
+    if p.grid != g:
+        raise DomainMismatchError("perturbation fields must share the orbit grid")
     if abs(mean(b0)) > 1e-12 * np.max(np.abs(b0.values)):
         raise ParameterError("b0 must be mean-zero")
     z0 = orbit.z_star.with_time(0.0)
-    zp = State(
-        VectorField2(g, z0.u.ux + v0.ux, z0.u.uy + v0.uy, bc="dirichlet_zero"),
-        VectorField2(g, z0.ut.ux + v1.ux, z0.ut.uy + v1.uy, bc="dirichlet_zero"),
-        ScalarField(g, z0.h.values + b0.values, bc="neumann"),
-        0.0,
-    )
+    zp = State(g, tuple(x + y for x, y in zip(z0.y, p.y)))
     base_traj = integrate(z0, t_end, params, spec, forcing, config)
     pert_traj = integrate(zp, t_end, params, spec, forcing, config)
     if len(base_traj.samples) != len(pert_traj.samples):

@@ -19,7 +19,8 @@ evaluation one with the grid's blockdiag(G, D) (``model.coupling_packed``).
 One loop (``_run``) steps both coordinate systems: it computes each state's
 linear part once, for its energy and for the step from it, reads divergence
 from that energy and records the kept samples with their times and
-energies, so ``integrate`` builds fields only for the states it keeps.
+energies.  ``integrate`` starts from ``state0.y`` and keeps a grid sample
+as ``State(grid, y, t)`` around the loop's own arrays: no packing, no fields.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .grid import (
     Schema,
     lame_operator_matrix,
     neumann_laplacian_matrix,
-    pack_interior,
 )
 from .model import (
     DissipationSpec,
@@ -81,8 +81,9 @@ class Termination:
 
 @dataclass
 class Trajectory:
-    """Sampled states, their times and their total energies; a sample is a
-    ``State`` on the grid, a coefficient triple in eigencoordinates."""
+    """Sampled states, their times and their total energies; a sample is
+    ``State(grid, y, t)`` on the grid, the coefficient triple y in
+    eigencoordinates, y being the loop's own arrays."""
 
     samples: list = field(default_factory=list)
     times: list = field(default_factory=list)
@@ -329,14 +330,12 @@ def integrate(
     config: StepperConfig,
 ) -> Trajectory:
     """Step on the grid until t_end, sampling every config.sample_every
-    steps (initial and final states always included); fields are built
-    only for the sampled states.  Divergence raises DivergedStateError
-    with the trajectory so far attached."""
+    steps (initial and final states always included).  Divergence raises
+    DivergedStateError with the trajectory so far attached."""
     g = state0.grid
     traj = Trajectory(params=params, dissipation=spec, forcing=forcing)
-    y0 = (pack_interior(state0.u), pack_interior(state0.ut), state0.h.values.flatten())
-    _run(_grid_ops(g, config.dt, params, spec, forcing), y0, state0.t, t_end, config,
-         lambda y, t: State.from_packed(g, *y, t), traj)
+    _run(_grid_ops(g, config.dt, params, spec, forcing), state0.y, state0.t, t_end, config,
+         lambda y, t: State(g, y, t), traj)
     return traj
 
 
@@ -347,17 +346,24 @@ def state_to_coeffs(basis: GalerkinBasis, state: State):
     """Coefficients (c, c', ct) of a state on the basis grid."""
     if state.grid != basis.grid:
         raise DomainMismatchError("state grid does not match basis grid")
-    u, v, h = state.packed()
+    u, v, h = state.y
     (c, ct), (cdot, _) = basis.project(u, h), basis.project(v, h)
     return c, cdot, ct
 
 
+def _coeffs(basis: GalerkinBasis, coeffs) -> tuple:
+    """(c, c', ct) as float arrays, refused unless their lengths are the basis's."""
+    y = tuple(np.array(x, dtype=float) for x in coeffs)
+    if [x.shape for x in y] != [(basis.m,), (basis.m,), (basis.m_magnetic,)]:
+        raise DomainMismatchError("coefficient dimensions do not match basis")
+    return y
+
+
 def coeffs_to_state(basis: GalerkinBasis, c, cdot, ct, t: float) -> State:
     """The state at time t of the coefficients (c, c', ct)."""
-    if [np.shape(x) for x in (c, cdot, ct)] != [(basis.m,), (basis.m,), (basis.m_magnetic,)]:
-        raise DomainMismatchError("coefficient dimensions do not match basis")
+    c, cdot, ct = _coeffs(basis, (c, cdot, ct))
     (u, h), (v, _) = basis.lift(c, ct), basis.lift(cdot, ct)
-    return State.from_packed(basis.grid, u, v, h, t)
+    return State(basis.grid, (u, v, h), t)
 
 
 def integrate_galerkin(
@@ -373,10 +379,7 @@ def integrate_galerkin(
     linear terms act diagonally through the eigenvalues and the forces go
     lift -> grid forces -> project, stepped by the grid's loop and
     guarded by its divergence test; the samples are coefficient triples."""
-    y0 = tuple(np.array(x, dtype=float) for x in coeffs0)
-    if [x.shape for x in y0] != [(basis.m,), (basis.m,), (basis.m_magnetic,)]:
-        raise ParameterError("coefficient dimensions do not match basis")
     traj = Trajectory(params=params, dissipation=spec, forcing=forcing)
-    _run(_galerkin_ops(basis, config.dt, params, spec, forcing), y0, 0.0, t_end, config,
-         lambda y, t: y, traj)
+    _run(_galerkin_ops(basis, config.dt, params, spec, forcing), _coeffs(basis, coeffs0), 0.0,
+         t_end, config, lambda y, t: y, traj)
     return traj

@@ -310,7 +310,7 @@ def test_criterion_10_lasalle_trend():
     params = MaterialParams(rho_m=1.0, mu=1.0, lam=0.5, nu1=0.3, mu0=1.0, b0=1.0)
     basis = build_galerkin_basis(g, params, m=6, m_magnetic=6)
     raw = random_state(g, basis, seed=11, amplitude=1.0)
-    st = State(
+    st = State.from_fields(
         VectorField2(g, 1e-3 * raw.u.ux, 1e-3 * raw.u.uy, bc="dirichlet_zero"),
         VectorField2(g, 1e-3 * raw.ut.ux, 1e-3 * raw.ut.uy, bc="dirichlet_zero"),
         ScalarField(g, 0.1 * raw.h.values, bc="neumann"),

@@ -434,6 +434,8 @@ FORCED = {**SIM_CONFIG, "initial": {"kind": "zero"}, "forcing": {"period": 0.1, 
     ("shape", {**FORCED, "forcing": {"period": 0.1, "terms": [
         {"target": "f2", "shape": {"compnent": 0}}]}}, "compnent"),
     ("sweep entry", {**FORCED, "sweep": [{"seed": 1}, {"t_ned": 1.0}]}, "t_ned"),
+    *((f"retired {key}", {**FORCED, "dissipation": {"kind": "none", key: 1.0}}, key)
+      for key in ("k0", "r_rho", "k_c")),
 ])
 def test_unknown_key_exits_2(tmp_path, capsys, level, doc, key):
     cfg = write_config(tmp_path, "c.json", doc)
@@ -507,6 +509,20 @@ def test_damped_forced_archive_replays(tmp_path):
     assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
     rows = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)
     assert rows.shape[0] == 3 and np.all(rows[:, 4] != 0) and np.all(rows[1:, 7] != 0)
+    assert cli.replay(out) == {"verified": True, "rows": 3}
+
+
+def test_archive_with_retired_dissipation_keys_replays(tmp_path):
+    """Archives written while the dissipation section still had k0, r_rho
+    and k_c differ from today's only by those keys in run.json's config;
+    replay drops them and verifies the archive."""
+    cfg = write_config(tmp_path, "c.json", DAMPED_FORCED)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    path = out / "run.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["dissipation"].update(k0=1.0, r_rho=1.0, k_c=0.0)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     assert cli.replay(out) == {"verified": True, "rows": 3}
 
 

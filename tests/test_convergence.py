@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from melab import stepping
-from melab.grid import Grid2D, ScalarField, unpack_interior
+from melab.grid import Grid2D
 from melab.model import DissipationSpec, Forcing, MaterialParams, State
 
 PARAMS = MaterialParams(rho_m=1.5, lam=0.7, nu1=0.4, mu0=0.8, b0=1.2)
@@ -103,8 +103,7 @@ class ManufacturedForcing(Forcing):
 def state_at(grid, t):
     """The manufactured solution at time t, clamped to the grid."""
     f = exact(grid, t)
-    u, v = (unpack_interior(grid, interior(f[c + "x"], f[c + "y"])) for c in "uv")
-    return State(u, v, ScalarField(grid, f["h"], bc="neumann"), t)
+    return State(grid, (interior(f["ux"], f["uy"]), interior(f["vx"], f["vy"]), f["h"].ravel()), t)
 
 
 LINEAR = DissipationSpec(kind="linear", alpha=0.3)
@@ -134,7 +133,6 @@ def test_second_order_convergence(case):
         forcing = ManufacturedForcing(period=T, params=PARAMS, spec=spec)
         cfg = stepping.StepperConfig(dt=T / n_steps(n), scheme=scheme, sample_every=n_steps(n))
         end = stepping.integrate(state_at(grid, 0.0), T, PARAMS, spec, forcing, cfg).samples[-1]
-        errors.append([np.max(np.abs(x - y)) for x, y in zip(end.packed(),
-                                                             state_at(grid, T).packed())])
+        errors.append([np.max(np.abs(x - y)) for x, y in zip(end.y, state_at(grid, T).y)])
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all((orders >= 1.8) & (orders <= 2.3)), orders

@@ -103,7 +103,7 @@ def test_energy_form_is_the_edge_energy(cells, sides, rho_m, mu, lam, mu0, seed)
              for _ in range(2))
     h = ScalarField(g, rng.standard_normal(g.shape), bc="neumann")
     want = edge_energy(g, params, u.ux, u.uy, ut.ux, ut.uy, h.values)
-    got = energy.energy_total(State(u, ut, h), params)
+    got = energy.energy_total(State.from_fields(u, ut, h), params)
     assert abs(got - want) <= 1e-13 * want
     assert energy.energy_perturbation(u, ut, h, params) == got
 
@@ -129,8 +129,7 @@ def _smooth_state(g, rng, amplitude, m=6):
     u, v = (scaled(np.concatenate([dm @ rng.standard_normal(m), dm @ rng.standard_normal(m)]))
             for _ in range(2))
     h = scaled(nm[:, 1:] @ rng.standard_normal(m - 1))
-    return State(unpack_interior(g, u), unpack_interior(g, v),
-                 ScalarField(g, h.reshape(g.shape), bc="neumann"))
+    return State(g, (u, v, h))
 
 
 def _table_row(state, params):
@@ -169,8 +168,8 @@ def test_packed_diagnostics_are_the_field_forms(cells, sides, rho_m, mu, lam, mu
     u, ut = (VectorField2(g, pin_boundary(0.1 * rng.standard_normal(g.shape)),
                           pin_boundary(0.1 * rng.standard_normal(g.shape)), bc="dirichlet_zero")
              for _ in range(2))
-    s = State(u, ut, ScalarField(g, 0.1 * rng.standard_normal(g.shape), bc="neumann"))
-    pu, pv, ph = s.packed()
+    s = State.from_fields(u, ut, ScalarField(g, 0.1 * rng.standard_normal(g.shape), bc="neumann"))
+    pu, pv, ph = s.y
     a_el, lap = lame_operator_matrix(g, mu, lam), g.lap_neumann
     wv, w = g.vector_weights, g.weights.ravel()
 
@@ -192,7 +191,7 @@ def test_packed_diagnostics_are_the_field_forms(cells, sides, rho_m, mu, lam, mu
                   <= 1e-12 * scale)
     rep = analysis.lasalle_report(traj)
     for k, x in enumerate(traj.samples):
-        v = x.packed()[1]
+        v = x.y[1]
         div_sq = norm_l2(divergence(x.ut)) ** 2
         assert abs(rep["div_ut_l2"][k] ** 2 - div_sq) <= 1e-12 * _abs_form(g.grad_div, wv, v)
         assert rep["h_l2"][k] == pytest.approx(norm_l2(x.h), rel=1e-12)
@@ -210,7 +209,7 @@ def test_grad_h_sq_keeps_its_digits_under_a_large_mean():
     rest = VectorField2.zeros(g, bc="dirichlet_zero")
 
     def grad_h_sq(h):
-        state = State(rest, rest, ScalarField(g, h, bc="neumann"))
+        state = State.from_fields(rest, rest, ScalarField(g, h, bc="neumann"))
         return _table_row(state, PARAMS)["grad_h_sq"]
 
     assert grad_h_sq(100.0 + delta) == pytest.approx(grad_h_sq(delta), rel=1e-9)

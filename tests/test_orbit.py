@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from melab.grid import Grid2D, ParameterError, ScalarField, VectorField2
+from melab.grid import DomainMismatchError, Grid2D, ParameterError, ScalarField, VectorField2
 from melab.model import (
     DissipationSpec,
     Forcing,
@@ -80,11 +80,7 @@ def test_map_affine_without_coupling(grid, basis, cfg, monkeypatch):
     f = small_forcing()
     z1 = random_state(grid, basis, seed=1, amplitude=0.1)
     z2 = random_state(grid, basis, seed=2, amplitude=0.1)
-    z12 = State(
-        VectorField2(grid, z1.u.ux + z2.u.ux, z1.u.uy + z2.u.uy, bc="dirichlet_zero"),
-        VectorField2(grid, z1.ut.ux + z2.ut.ux, z1.ut.uy + z2.ut.uy, bc="dirichlet_zero"),
-        ScalarField(grid, z1.h.values + z2.h.values, bc="neumann"),
-    )
+    z12 = State(grid, tuple(a + b for a, b in zip(z1.y, z2.y)))
     s0 = orbit.poincare_map(State.zero(grid), PARAMS, LIN, f, cfg)
     s1 = orbit.poincare_map(z1, PARAMS, LIN, f, cfg)
     s2 = orbit.poincare_map(z2, PARAMS, LIN, f, cfg)
@@ -212,6 +208,19 @@ def test_decay_bound_report(grid, basis, cfg):
     assert rep["bound_margin_min"] >= 0.0
     assert rep["violations"] == []
     assert rep["fitted_rate"] is not None and rep["fitted_rate"] < 0
+
+
+def test_other_grid_is_a_domain_mismatch(grid, cfg):
+    """A state or a perturbation field on another grid than the orbit's is
+    refused as a domain mismatch."""
+    other = Grid2D(grid.nx + 1, grid.ny, grid.lx, grid.ly)
+    with pytest.raises(DomainMismatchError):
+        orbit.energy_distance(State.zero(grid), State.zero(other), PARAMS)
+    po = orbit.find_periodic(State.zero(grid), PARAMS, LIN, small_forcing(), cfg,
+                             tol=1e-8, max_iter=2)
+    zero = State.zero(other)
+    with pytest.raises(DomainMismatchError):
+        orbit.run_perturbation(po, zero.u, zero.ut, zero.h, 1.0, PARAMS, LIN, small_forcing(), cfg)
 
 
 def test_perturbation_requires_mean_zero(grid, cfg):
