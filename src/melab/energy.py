@@ -187,6 +187,7 @@ def energy_identity_residual(traj, params: MaterialParams) -> dict:
         raise ParameterError("need at least 2 trajectory samples")
     g = samples[0].grid
     wv = g.vector_weights
+    forcing_at = None if forcing.is_zero else forcing.packed_on(g)
     t_mid, res = [], []
     for k in range(len(samples) - 1):
         (_, va, ha), (_, vb, hb) = samples[k].y, samples[k + 1].y
@@ -196,8 +197,8 @@ def energy_identity_residual(traj, params: MaterialParams) -> dict:
         r = (energies[k + 1] - energies[k]) / (times[k + 1] - times[k])
         r += params.mu0 * params.nu1 * grad_edge_inner(h, h, g)
         r += float(np.dot(wv * np.concatenate(spec.pointwise(*v.reshape(2, -1))), v))
-        if not forcing.is_zero:
-            f2, f1 = forcing.packed(g, tm)
+        if forcing_at is not None:
+            f2, f1 = forcing_at(tm)
             r -= float(np.dot(wv * f2, v))
             r -= params.mu0 * float(np.sum(f1.reshape(g.shape) * h * g.weights))
         t_mid.append(tm)

@@ -119,6 +119,15 @@ class Schema:
     def to_dict(self) -> dict:
         return {_config_key(f): getattr(self, f.name) for f in fields(self)}
 
+    def _require_finite_floats(self) -> None:
+        """Refuse a NaN or infinite float field, as the config path does
+        (``_coerce``), so that a bad number built in Python fails here and
+        not later as a factorization error or a divergence."""
+        bad = [_config_key(f) for f in fields(self)
+               if f.type == "float" and not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ParameterError(f"{self.section}: {', '.join(bad)} must be finite")
+
 
 @dataclass(frozen=True)
 class Grid2D(Schema):
@@ -135,6 +144,7 @@ class Grid2D(Schema):
     ly: float = 1.0
 
     def __post_init__(self):
+        self._require_finite_floats()
         if self.nx < 4 or self.ny < 4:
             raise ParameterError("grid needs nx >= 4 and ny >= 4")
         if self.lx <= 0 or self.ly <= 0:

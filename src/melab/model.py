@@ -66,6 +66,7 @@ class MaterialParams(Schema):
     b0: float = 1.0
 
     def __post_init__(self):
+        self._require_finite_floats()
         if min(self.rho_m, self.mu, self.lam, self.nu1, self.mu0) <= 0:
             raise ParameterError(
                 "rho_m, mu, lam, nu1, mu0 must all be positive"
@@ -96,6 +97,7 @@ class DissipationSpec(Schema):
     p: float = 3.0
 
     def __post_init__(self):
+        self._require_finite_floats()
         if self.kind not in ("none", "linear", "power"):
             raise ParameterError(f"unknown dissipation kind {self.kind!r}")
         if self.kind == "linear" and self.alpha <= 0:
@@ -188,7 +190,8 @@ FORCING_NORM_STEPS = 200
 
 @dataclass
 class Forcing(Schema):
-    """T-periodic forcing as a sum of separable terms g(t)*phi(x, y).
+    """T-periodic forcing as a sum of separable terms g(t)*phi(x, y),
+    evaluated in flat coordinates by ``packed_on``.
 
     Each term is {"target": "f1"|"f2", "g": TrigPoly dict, "shape": {"jx",
     "jy", "amplitude", and for f2 "component"}}; the constructor checks the
@@ -200,6 +203,7 @@ class Forcing(Schema):
     terms: list = field(default_factory=list)
 
     def __post_init__(self):
+        self._require_finite_floats()
         if self.period <= 0:
             raise ParameterError("forcing period must be positive")
         self._parsed = [_parse_term(t) for t in self.terms]
@@ -214,19 +218,27 @@ class Forcing(Schema):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def packed(self, grid: Grid2D, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(f2, f1) at t in flat coordinates, f2 packed interior and f1
-        raveled: the sum of the terms' cached read-only profiles times g(t)."""
-        out = np.zeros(2 * grid.n_interior + grid.n_nodes)
-        for tg, g, shape in self._parsed:
-            out += g(t, self.period) * _profile(grid, tg, **shape)
-        return out[:2 * grid.n_interior], out[2 * grid.n_interior:]
+    def packed_on(self, grid: Grid2D):
+        """t -> (f2, f1) at t in flat coordinates, f2 packed interior and f1
+        raveled: the sum of the terms' cached read-only profiles times g(t),
+        the profiles looked up once, here."""
+        n, period = 2 * grid.n_interior, self.period
+        terms = [(g, _profile(grid, tg, **shape)) for tg, g, shape in self._parsed]
+        size = n + grid.n_nodes
+
+        def at(t: float) -> tuple[np.ndarray, np.ndarray]:
+            out = np.zeros(size)
+            for g, profile in terms:
+                out += g(t, period) * profile
+            return out[:n], out[n:]
+
+        return at
 
     def f1(self, grid: Grid2D, t: float) -> ScalarField:
-        return ScalarField(grid, self.packed(grid, t)[1].reshape(grid.shape), bc="none")
+        return ScalarField(grid, self.packed_on(grid)(t)[1].reshape(grid.shape), bc="none")
 
     def f2(self, grid: Grid2D, t: float) -> VectorField2:
-        return VectorField2(grid, *interior_nodal(grid, self.packed(grid, t)[0]), bc="none")
+        return VectorField2(grid, *interior_nodal(grid, self.packed_on(grid)(t)[0]), bc="none")
 
     def l1_l2_norm(self, grid: Grid2D) -> float:
         """Time-trapezoid approximation of int_0^T |f(t)|_L2 dt over one
@@ -310,15 +322,15 @@ class State:
 # ---------------------------------------------------------------------------
 # coupling terms
 
-def coupling_packed(grid: Grid2D, v: np.ndarray, h: np.ndarray,
+def coupling_packed(bh: np.ndarray, gh_dw: np.ndarray,
                     params: MaterialParams) -> tuple[np.ndarray, np.ndarray]:
-    """The coupling terms on packed interior u' and raveled h, from one
-    product with blockdiag(G, D): the body force -mu0 (b0 + h) G h and the
-    induction flux -D((b0 + h) u'), :func:`lorentz_force` at the interior
-    nodes and :func:`induction_term`."""
-    bh = params.b0 + h[grid.interior]
-    gh_dw = grid.grad_and_div @ np.concatenate((h, bh * v))
-    return (-params.mu0 * bh) * gh_dw[:len(v)], -gh_dw[len(v):]
+    """The coupling terms on packed interior u' and raveled h, from
+    bh = b0 + h at the packed interior DOFs and gh_dw = [G h; D(bh u')],
+    the product of [h; bh u'] with the grid's blockdiag(G, D) or with the
+    coupling rows of the step's fused matrix: the body force
+    -mu0 bh G h and the induction flux -D(bh u'), :func:`lorentz_force` at
+    the interior nodes and :func:`induction_term`."""
+    return (-params.mu0 * bh) * gh_dw[:len(bh)], -gh_dw[len(bh):]
 
 
 def lorentz_force(h: ScalarField, params: MaterialParams) -> VectorField2:

@@ -15,7 +15,7 @@ Validation in Computational Science and Engineering, 1998, ch. 3).  The
 manufactured u and h satisfy both boundary conditions, and f1, f2 are
 their exact residuals, derived by hand below: a wrong derivative there
 would leave an O(1) error and fail the order check as surely as a wrong
-operator in melab would.  They enter through a Forcing whose ``packed``
+operator in melab would.  They enter through a Forcing whose ``packed_on``
 evaluates them at the grid nodes.
 """
 
@@ -95,9 +95,12 @@ class ManufacturedForcing(Forcing):
     spec: DissipationSpec = DissipationSpec()
     is_zero = False
 
-    def packed(self, grid, t):
-        f2x, f2y, f1 = residuals(grid, t, self.params, self.spec)
-        return interior(f2x, f2y), f1.ravel()
+    def packed_on(self, grid):
+        def at(t):
+            f2x, f2y, f1 = residuals(grid, t, self.params, self.spec)
+            return interior(f2x, f2y), f1.ravel()
+
+        return at
 
 
 def state_at(grid, t):

@@ -109,7 +109,8 @@ def test_packed_coupling_matches_nodal_fields(n, lx, ly, params, k1, p, seed):
     ])
     spec = DissipationSpec(kind="power", alpha=0.5, k1=k1, p=p)
     t = float(rng.uniform(0.0, 2.0))
-    fu, fh = stepping._grid_ops(g, 1e-2, params, spec, forcing).forces(v, h.ravel(), t)
+    ops = stepping._grid_ops(g, 1e-2, params, spec, forcing)
+    fu, fh = ops.forces(v, h.ravel(), t)
 
     f2, f1 = forcing.f2(g, t), forcing.f1(g, t)
     fac = k1 * np.sqrt(vx**2 + vy**2) ** p
@@ -141,7 +142,7 @@ def test_packed_coupling_matches_nodal_fields(n, lx, ly, params, k1, p, seed):
     assert np.abs(lor.uy - lorentz[1]).max() <= 1e-14 * scale_lor
     assert np.abs(induction_term(w, hf, params).values - induction).max() <= 1e-14 * scale_ind
 
-    cu, ch = model.coupling_packed(g, v, h.ravel(), params)
+    cu, ch = ops.terms(np.zeros_like(v), v, h.ravel())[2]
     lhs = float(np.dot(g.vector_weights * cu, v))
     rhs = params.mu0 * float(np.dot(g.weights.ravel() * ch, h.ravel()))
     assert abs(lhs + rhs) <= 1e-11 * max(1.0, abs(lhs))

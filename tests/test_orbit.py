@@ -73,8 +73,8 @@ def test_map_dissipative_unforced(grid, basis, cfg):
 def test_map_affine_without_coupling(grid, basis, cfg, monkeypatch):
     """With the magnetic coupling switched off the one-period map is
     affine: S(z1 + z2) - S(0) = (S(z1) - S(0)) + (S(z2) - S(0))."""
-    def no_coupling(grid, v, h, params):
-        return np.zeros_like(v), np.zeros_like(h)
+    def no_coupling(bh, gh_dw, params):    # both the fused and the predictor path
+        return np.zeros_like(bh), np.zeros(len(gh_dw) - len(bh))
 
     monkeypatch.setattr(stepping, "coupling_packed", no_coupling)
     f = small_forcing()

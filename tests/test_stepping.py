@@ -61,6 +61,25 @@ def test_config_validation():
         stepping.StepperConfig(dt=1e-3, scheme="leapfrog")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: stepping.StepperConfig(dt=np.inf),
+    lambda: stepping.StepperConfig(dt=np.nan),
+    lambda: MaterialParams(rho_m=np.nan),
+    lambda: MaterialParams(b0=np.nan),
+    lambda: MaterialParams(mu=np.inf),
+    lambda: DissipationSpec(kind="linear", alpha=np.nan),
+    lambda: DissipationSpec(kind="power", alpha=0.5, k1=np.inf),
+    lambda: Forcing(period=np.nan),
+    lambda: Forcing(period=np.inf),
+    lambda: Grid2D(8, 8, np.inf, 1.0),
+])
+def test_non_finite_parameters_refused(make):
+    """A NaN or infinite number built in Python is refused as the config
+    path refuses it, not later as a factorization error or a divergence."""
+    with pytest.raises(ParameterError, match="must be finite"):
+        make()
+
+
 def test_zero_state_stays_zero(grid):
     cfg = stepping.StepperConfig(dt=1e-2, sample_every=5)
     traj = stepping.integrate(State.zero(grid), 0.5, PARAMS, NONE, ZERO_F, cfg)
@@ -291,18 +310,18 @@ def test_one_energy_total_per_state(grid, basis, monkeypatch):
 
 def test_one_elastic_product_per_state(grid, basis, monkeypatch):
     """n IMEX steps apply A_el n + 1 times, once per state: the step from a
-    state and its energy share one product with blockdiag(-A_el, nu1 L)."""
+    state and its energy share one product with the fused matrix."""
     products = []
     grid_ops, energy_packed = stepping._grid_ops, energy.energy_packed
 
     def counting_ops(*args):
         ops = grid_ops(*args)
 
-        def linear(u, h):
-            products.append("linear")
-            return ops.linear(u, h)
+        def terms(u, v, h):
+            products.append("terms")
+            return ops.terms(u, v, h)
 
-        return dataclasses.replace(ops, linear=linear)
+        return dataclasses.replace(ops, terms=terms)
 
     def counting_energy(grid, params, u, v, h, el=None):
         if el is None:
@@ -320,7 +339,35 @@ def test_one_elastic_product_per_state(grid, basis, monkeypatch):
                            dataclasses.replace(cfg, scheme=scheme))
         assert products.count("energy") == 0
         # RK4 applies it again at each of its three later stages
-        assert products.count("linear") == {"imex_midpoint": n + 1, "explicit_rk4": 4 * n + 1}[scheme]
+        assert products.count("terms") == {"imex_midpoint": n + 1, "explicit_rk4": 4 * n + 1}[scheme]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_sparse_products_per_step(grid, basis, monkeypatch, forced):
+    """Every sparse product of a grid run goes through ``_csr_apply``: n
+    IMEX steps make 2n + 1 of them (one fused product per state, one
+    blockdiag(G, D) product at each predictor), n RK4 steps 4n + 1 (one
+    fused product per stage), forced or not."""
+    calls = []
+    csr_apply = stepping._csr_apply
+
+    def counting(a, x):
+        calls.append(a.shape)
+        return csr_apply(a, x)
+
+    monkeypatch.setattr(stepping, "_csr_apply", counting)
+    st = random_state(grid, basis, seed=14, amplitude=0.05)
+    forcing = Forcing(period=0.1, terms=[
+        {"target": "f1", "g": {"sin": [1.0]}, "shape": {"jx": 1, "jy": 1}},
+        {"target": "f2", "g": {"cos": [1.0]}, "shape": {}}]) if forced else ZERO_F
+    spec = DissipationSpec(kind="power", alpha=0.5)
+    n = 10
+    for scheme, per_step, predictor in (("imex_midpoint", 2, n), ("explicit_rk4", 4, 0)):
+        calls.clear()
+        stepping.integrate(st, n * 1e-2, PARAMS, spec, forcing,
+                           stepping.StepperConfig(dt=1e-2, scheme=scheme, sample_every=3))
+        assert len(calls) == per_step * n + 1
+        assert calls.count(grid.grad_and_div.shape) == predictor
 
 
 def test_fields_built_only_for_samples(monkeypatch):
@@ -381,13 +428,18 @@ def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
     """Without forcing terms no forcing is evaluated, and the states are
     bit for bit those of a forcing whose only term is zero."""
     calls = []
-    original = Forcing.packed
+    original = Forcing.packed_on
 
-    def counting(self, g, t):
-        calls.append(t)
-        return original(self, g, t)
+    def counting(self, g):
+        at = original(self, g)
 
-    monkeypatch.setattr(Forcing, "packed", counting)
+        def counted(t):
+            calls.append(t)
+            return at(t)
+
+        return counted
+
+    monkeypatch.setattr(Forcing, "packed_on", counting)
     st = random_state(grid, basis, seed=11, amplitude=0.05)
     cfg = stepping.StepperConfig(dt=1e-2, sample_every=5)
     spec = DissipationSpec(kind="linear", alpha=0.5)
@@ -406,8 +458,9 @@ def test_zero_forcing_is_not_evaluated(grid, basis, monkeypatch):
 
 
 def test_forcing_profiles_built_once_per_grid(grid, basis):
-    """Over 100 forced steps each term's profile is built once per grid, is
-    read-only, and the forces equal the profiles computed afresh, bit for bit."""
+    """Over 100 forced steps each term's profile is built once per grid and
+    looked up once per run, is read-only, and the forces equal the profiles
+    computed afresh, bit for bit."""
     f1 = {"target": "f1", "g": {"sin": [0.5]}, "shape": {"jx": 2, "jy": 1, "amplitude": 0.3}}
     f2 = {"target": "f2", "g": {"cos": [1.0]}, "shape": {"jx": 1, "jy": 2, "component": 1}}
     forcing = Forcing(period=0.5, terms=[f1, f2])
@@ -417,7 +470,7 @@ def test_forcing_profiles_built_once_per_grid(grid, basis):
     st = random_state(grid, basis, seed=12, amplitude=0.05)
     stepping.integrate(st, 1.0, PARAMS, spec, forcing, cfg)
     info = model._profile.cache_info()
-    assert (info.misses, info.hits) == (2, 4 * 100 - 2)
+    assert (info.misses, info.hits) == (2, 0)
     other = Grid2D(10, 12, 1.0, 1.3)
     stepping.integrate(State.zero(other), 1.0, PARAMS, spec, forcing, cfg)
     assert model._profile.cache_info().misses == 4
@@ -619,21 +672,27 @@ def test_factor_memory_bounded_at_64():
     hits = stepping._implicit_ops.cache_info().hits
     ops = stepping._implicit_ops(g, cfg.dt, PARAMS, spec.alpha)
     assert stepping._implicit_ops.cache_info().hits == hits + 1
-    held = sum(a.nbytes for factor in ops[-2:] for a in factor)
+    held = sum(a.nbytes for factor in ops[-2:] for a in factor if a is not None)
     assert held <= 20e6
 
 
 @pytest.mark.parametrize("nx, ny", [(12, 12), (30, 6), (6, 30)])
 def test_solve_is_scipys_banded_solve(nx, ny):
     """The direct LAPACK solve of both cached factors is byte for byte
-    scipy's cho_solve_banded on the reordered right-hand side."""
+    scipy's cho_solve_banded on the reordered right-hand side, and leaves
+    the right-hand side alone.  The magnetic factor's order is the identity,
+    stored as None, exactly when ny <= nx."""
     rng = np.random.default_rng(nx * ny)
-    for cb, order, rank in stepping._implicit_ops(Grid2D(nx, ny, 1.0, 1.0), 1e-2, PARAMS,
-                                                  0.5)[-2:]:
+    chol_h, chol_u = stepping._implicit_ops(Grid2D(nx, ny, 1.0, 1.0), 1e-2, PARAMS, 0.5)[-2:]
+    assert (chol_h[1] is None) == (ny <= nx) and chol_u[1] is not None
+    for cb, order, rank in (chol_h, chol_u):
         for _ in range(3):
             b = rng.standard_normal(cb.shape[1])
-            want = scipy.linalg.cho_solve_banded((cb, False), b[order])[rank]
+            perm = np.arange(len(b)) if order is None else order
+            want = scipy.linalg.cho_solve_banded((cb, False), b[perm])[np.argsort(perm)]
+            b_copy = b.copy()
             assert stepping._cho_solve((cb, order, rank), b).tobytes() == want.tobytes()
+            assert b.tobytes() == b_copy.tobytes()
 
 
 def test_solve_refuses_short_right_hand_side():
@@ -654,3 +713,43 @@ def test_factor_bandwidth_follows_shorter_side(nx, ny):
     (cb_h, _, _), (cb_u, _, _) = ops[-2:]
     assert cb_u.shape[0] - 1 == 4 * (min(nx, ny) - 1)
     assert cb_h.shape[0] - 1 == min(nx, ny) + 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grid=grids, params=materials, seed=st.integers(0, 2**32 - 1))
+@example(grid=Grid2D(20, 6, 0.4, 3.0), params=PARAMS, seed=1)
+@example(grid=Grid2D(5, 23, 4.5, 0.3), params=PARAMS, seed=2)
+def test_fused_terms_match_the_blocks(grid, params, seed):
+    """A state's terms from its one fused product are byte for byte those
+    of the separate blocks: blockdiag(-A_el, nu1 L) @ [u; h] and the
+    coupling from blockdiag(G, D) @ [h; (b0 + h) u'], which is also the
+    coupling the predictor's force evaluation makes."""
+    rng = np.random.default_rng(seed)
+    n = 2 * grid.n_interior
+    u, v, h = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(grid.n_nodes)
+    ops = stepping._grid_ops(grid, 1e-2, params, NONE, ZERO_F)
+    el, lh, (cu, ch) = ops.terms(u, v, h)
+    a_el = lame_operator_matrix(grid, params.mu, params.lam)
+    lin = sparse.block_diag((-a_el, params.nu1 * grid.lap_neumann), format="csr")
+    want = lin @ np.concatenate((u, h))
+    assert np.concatenate((el, lh)).tobytes() == want.tobytes()
+    bh = params.b0 + h[grid.interior]
+    want_cu, want_ch = model.coupling_packed(
+        bh, grid.grad_and_div @ np.concatenate((h, bh * v)), params)
+    assert cu.tobytes() == want_cu.tobytes() and ch.tobytes() == want_ch.tobytes()
+    for got, want in zip(ops.forces(v, h, 0.0, (cu, ch)), ops.forces(v, h, 0.0)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nx, ny", [(12, 12), (20, 6), (5, 23)])
+def test_csr_apply_is_scipys_product(nx, ny):
+    """``_csr_apply`` calls scipy's private CSR kernel; on every cached grid
+    operator and the fused matrix its bytes are those of ``a @ x``."""
+    g = Grid2D(nx, ny, 1.0, 1.3)
+    fused = stepping._implicit_ops(g, 1e-2, PARAMS, 0.5)[0]
+    mats = [g.ddx, g.ddy, g.lap_neumann, g.lap_dirichlet, g.grad, g.div, g.grad_and_div,
+            g.grad_div, lame_operator_matrix(g, PARAMS.mu, PARAMS.lam), fused]
+    rng = np.random.default_rng(nx * ny)
+    for a in mats:
+        x = rng.standard_normal(a.shape[1])
+        assert stepping._csr_apply(a, x).tobytes() == (a @ x).tobytes()
