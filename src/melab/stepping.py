@@ -19,7 +19,7 @@ fused matrix [[-A_el, 0, 0], [0, nu1 L, 0], [0, G, 0], [0, 0, D]] applied
 to [u; h; (b0 + h) u']; the predictor's force evaluation is one product
 with the grid's blockdiag(G, D) (``model.coupling_packed`` turns either
 into the coupling).  Each product calls scipy's CSR kernel directly
-(``_csr_apply``).  An IMEX step so makes two products and an RK4 step four.
+(``_csr_apply``).  An IMEX step thus makes two products, an RK4 step four.
 One loop (``_run``) steps both coordinate systems: it computes each state's
 terms once, for its energy and for the step from it, reads divergence
 from that energy and records the kept samples with their times and
