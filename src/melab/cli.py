@@ -367,13 +367,17 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # replay verification
 
+class NoTrajectoryError(MelabError):
+    """An archive whose run.json has no 'termination': it holds no trajectory."""
+
+
 def replay(archive_dir) -> dict:
     """Rebuild the stored snapshots, recompute energy.csv from them with
     the archive writer's ``energy.energy_table`` and cross-check it against
     the stored one; a mismatch beyond 1e-10 is reported with the first
-    differing row.  An archive file that does not parse, an energy.csv
-    without rows, or one whose row count differs from the number of
-    snapshot triples raises MelabError naming the file."""
+    differing row.  A damaged file raises MelabError naming it (no parse,
+    no rows, a header other than CSV_HEADER, a row count other than the
+    snapshot triples'), an archive of no trajectory NoTrajectoryError."""
     arc = Path(archive_dir)
     path = arc / "run.json"
     with open(path) as fh:
@@ -383,17 +387,22 @@ def replay(archive_dir) -> dict:
             raise MelabError(f"{path}: not JSON: {err}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         raise MelabError(f"{path}: no 'config' section")
+    if "termination" not in doc:
+        raise NoTrajectoryError(f"{path}: the {doc['config'].get('experiment')!r} archive "
+                                "holds no trajectory to replay")
     dissipation = doc["config"].get("dissipation")
     if isinstance(dissipation, dict):
         for key in _RETIRED_DISSIPATION_KEYS:
             dissipation.pop(key, None)
     run = _parse_config(doc["config"])
     path, n_cols = arc / "energy.csv", energy_mod.CSV_HEADER.count(",") + 1
-    lines = path.read_text().splitlines()[1:]
-    if not lines:
+    lines = path.read_text().splitlines()
+    if len(lines) < 2:
         raise MelabError(f"{path}: no rows")
+    if lines[0] != energy_mod.CSV_HEADER:
+        raise MelabError(f"{path}: header {lines[0]!r}, expected {energy_mod.CSV_HEADER!r}")
     try:
-        stored = np.loadtxt(lines, delimiter=",", ndmin=2)
+        stored = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     except ValueError as err:
         raise MelabError(f"{path}: {err}") from None
     if stored.shape[1] != n_cols:
@@ -475,7 +484,8 @@ def main(argv=None) -> int:
         try:
             report = replay(target)
         except (OSError, MelabError) as err:
-            print(f"corrupt archive: {err}", file=sys.stderr)
+            what = "nothing to replay" if isinstance(err, NoTrajectoryError) else "corrupt archive"
+            print(f"{what}: {err}", file=sys.stderr)
             return EXIT_VALIDATION
         print(json.dumps(report, indent=2))
         return EXIT_OK if report["verified"] else EXIT_VALIDATION

@@ -34,7 +34,6 @@ from .grid import (
     grad_edge_inner,
     interior_nodal,
     lame_operator_matrix,
-    norm_l2,
     pack_interior,
     parse_section,
     unpack_interior,
@@ -151,22 +150,22 @@ _SHAPE_KEYS = {
 }
 
 
-def _parse_term(term) -> tuple[str, TrigPoly, dict]:
-    """A forcing term's target, its parsed g and its shape with every
-    default filled in."""
+def _parse_term(term) -> dict:
+    """A forcing term checked, with every default of its g and its shape
+    filled in."""
     t = parse_section(term, _TERM_KEYS, "forcing term")
     if t["target"] not in _SHAPE_KEYS:
         raise ParameterError("forcing term target must be 'f1' or 'f2'")
     shape = parse_section(t["shape"], _SHAPE_KEYS[t["target"]], f"{t['target']} shape")
     if shape.get("component", 0) not in (0, 1):
         raise ParameterError("f2 shape component must be 0 (x) or 1 (y)")
-    return t["target"], TrigPoly.from_dict(t["g"]), shape
+    return {"target": t["target"], "g": TrigPoly.from_dict(t["g"]).to_dict(), "shape": shape}
 
 
 @lru_cache(maxsize=32)
 def _profile(grid: Grid2D, target: str, jx: int, jy: int, amplitude: float,
              component: int = 0) -> np.ndarray:
-    """A forcing term's spatial profile in the flat layout of Forcing.packed,
+    """A forcing term's spatial profile in the flat layout of ``packed_on``,
     f2 packed interior then f1 over all nodes, built once per grid and shape
     and read-only.  f1: a cosine product, mean-zero unless (jx, jy) = (0, 0).
     f2: a sine product in ux for component 0 and uy for 1, zero on the
@@ -188,42 +187,44 @@ def _profile(grid: Grid2D, target: str, jx: int, jy: int, amplitude: float,
 FORCING_NORM_STEPS = 200
 
 
-@dataclass
+@dataclass(frozen=True)
 class Forcing(Schema):
-    """T-periodic forcing as a sum of separable terms g(t)*phi(x, y),
-    evaluated in flat coordinates by ``packed_on``.
+    """Immutable T-periodic forcing as a sum of separable terms g(t)*phi(x, y),
+    evaluated in flat coordinates by ``packed_on`` only.
 
     Each term is {"target": "f1"|"f2", "g": TrigPoly dict, "shape": {"jx",
-    "jy", "amplitude", and for f2 "component"}}; the constructor checks the
-    keys and keeps each term with every default filled in.
+    "jy", "amplitude", and for f2 "component"}}; ``terms`` holds them once,
+    checked and with every default filled in, in a tuple.
     """
 
     section = "forcing"
     period: float
-    terms: list = field(default_factory=list)
+    terms: list = ()    # the config type, "list"; held as a tuple
 
     def __post_init__(self):
         self._require_finite_floats()
         if self.period <= 0:
             raise ParameterError("forcing period must be positive")
-        self._parsed = [_parse_term(t) for t in self.terms]
-        self.terms = [{"target": tg, "g": g.to_dict(), "shape": shape}
-                      for tg, g, shape in self._parsed]
+        object.__setattr__(self, "terms", tuple(_parse_term(t) for t in self.terms))
 
     @classmethod
     def zero(cls, period: float = 1.0) -> "Forcing":
-        return cls(period=period, terms=[])
+        return cls(period=period)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def to_dict(self) -> dict:
+        return {"period": self.period, "terms": list(self.terms)}
 
     def packed_on(self, grid: Grid2D):
         """t -> (f2, f1) at t in flat coordinates, f2 packed interior and f1
         raveled: the sum of the terms' cached read-only profiles times g(t),
         the profiles looked up once, here."""
         n, period = 2 * grid.n_interior, self.period
-        terms = [(g, _profile(grid, tg, **shape)) for tg, g, shape in self._parsed]
+        terms = [(TrigPoly(**t["g"]), _profile(grid, t["target"], **t["shape"]))
+                 for t in self.terms]
         size = n + grid.n_nodes
 
         def at(t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -243,24 +244,22 @@ class Forcing(Schema):
     def l1_l2_norm(self, grid: Grid2D) -> float:
         """Time-trapezoid approximation of int_0^T |f(t)|_L2 dt over one
         period (both components combined)."""
-        ts = np.linspace(0.0, self.period, FORCING_NORM_STEPS + 1)
-        vals = [np.sqrt(norm_l2(self.f2(grid, t)) ** 2 + norm_l2(self.f1(grid, t)) ** 2)
-                for t in ts]
-        return float(np.trapezoid(vals, ts))
+        return self._l1_norm(grid, gradient=False)
 
     def l1_h1_norm(self, grid: Grid2D) -> float:
         """int_0^T ||f(t)||_H1 dt with the discrete H1 norm."""
+        return self._l1_norm(grid, gradient=True)
+
+    def _l1_norm(self, grid: Grid2D, gradient: bool) -> float:
+        """The time trapezoid of the L2 or H1 norm of (f2, f1) on the flat
+        arrays of one ``packed_on``: weighted dots, plus edge sums for H1."""
+        at, w2, w1 = self.packed_on(grid), grid.vector_weights, grid.weights.ravel()
         ts = np.linspace(0.0, self.period, FORCING_NORM_STEPS + 1)
         vals = []
-        for t in ts:
-            f1, f2 = self.f1(grid, t), self.f2(grid, t)
-            sq = (
-                norm_l2(f1) ** 2
-                + grad_edge_inner(f1.values, f1.values, grid)
-                + norm_l2(f2) ** 2
-                + grad_edge_inner(f2.ux, f2.ux, grid)
-                + grad_edge_inner(f2.uy, f2.uy, grid)
-            )
+        for f2, f1 in map(at, ts):
+            sq = f2 @ (w2 * f2) + f1 @ (w1 * f1)
+            if gradient:
+                sq += sum(grad_edge_inner(a, a, grid) for a in (f1, *interior_nodal(grid, f2)))
             vals.append(np.sqrt(sq))
         return float(np.trapezoid(vals, ts))
 

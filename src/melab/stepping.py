@@ -273,14 +273,14 @@ def _galerkin_ops(basis: GalerkinBasis, dt: float, params, spec, forcing) -> Ope
     )
 
 
-def imex_midpoint(ops: OperatorSet, u, v, h, t: float, dt: float, terms=None):
-    """One IMEX midpoint step, terms = ops.terms(u, v, h) if given:
+def imex_midpoint(ops: OperatorSet, u, v, h, t: float, dt: float, terms):
+    """One IMEX midpoint step from the state's terms = ops.terms(u, v, h):
     elasticity, diffusion and the linear damping by the implicit midpoint
     rule, the forces at an explicit midpoint predictor.  Non-finite values
     pass through."""
     a = 0.5 * dt
     rho = ops.rho_m
-    el, lh, c = ops.terms(u, v, h) if terms is None else terms
+    el, lh, c = terms
     fu0, fh0 = ops.forces(v, h, t, c)
     v_hat = v + a * ((el - ops.alpha * v) / rho + fu0)
     h_hat = h + a * (lh + fh0)
@@ -289,9 +289,9 @@ def imex_midpoint(ops: OperatorSet, u, v, h, t: float, dt: float, terms=None):
     return u + dt * v_mid, 2.0 * v_mid - v, ops.solve_h(h + a * lh + dt * fh)
 
 
-def explicit_rk4(ops: OperatorSet, u, v, h, t: float, dt: float, terms=None):
+def explicit_rk4(ops: OperatorSet, u, v, h, t: float, dt: float, terms):
     """One classical fourth-order Runge-Kutta step, every term explicit,
-    terms = ops.terms(u, v, h) if given."""
+    from the state's terms = ops.terms(u, v, h)."""
     def rates(y, t, terms=None):
         u, v, h = y
         el, lh, c = ops.terms(u, v, h) if terms is None else terms
@@ -310,11 +310,11 @@ def explicit_rk4(ops: OperatorSet, u, v, h, t: float, dt: float, terms=None):
 SCHEMES = {"imex_midpoint": imex_midpoint, "explicit_rk4": explicit_rk4}
 
 
-def step(ops: OperatorSet, y, t: float, config: StepperConfig, terms=None):
+def step(ops: OperatorSet, y, t: float, config: StepperConfig, terms):
     """One step dt of the config's scheme from flat coordinates y = (u, v, h)
-    at time t, with terms = ops.terms(*y) if the caller has them; non-finite
-    values pass through.  The stepping loop calls it once per step, through
-    this module-level name."""
+    at time t, with their terms = ops.terms(*y); non-finite values pass
+    through.  The stepping loop calls it once per step, through this
+    module-level name."""
     return SCHEMES[config.scheme](ops, *y, t, config.dt, terms)
 
 

@@ -16,6 +16,7 @@ from melab.grid import (
     inner,
     lame_apply,
     laplacian_neumann,
+    norm_l2,
     pack_interior,
     pin_boundary,
     unpack_interior,
@@ -94,6 +95,20 @@ def energy_e1(state, params) -> float:
     lu = lame_apply(state.u, params.mu, params.lam)
     return 0.5 * (bilinear_a2(state.ut, state.ut, params.mu, params.lam) + inner(lu, lu)
                   + grad_edge_inner(state.h.values, state.h.values, state.grid))
+
+
+def forcing_l1_norms(forcing, grid, steps: int) -> tuple[float, float]:
+    """int_0^T ||f(t)|| dt in L2 and in H1 by the time trapezoid over steps
+    intervals, from the forcing's fields f1 and f2 at each sample time."""
+    ts = np.linspace(0.0, forcing.period, steps + 1)
+    l2, h1 = [], []
+    for t in ts:
+        f1, f2 = forcing.f1(grid, t), forcing.f2(grid, t)
+        l2.append(np.sqrt(norm_l2(f2) ** 2 + norm_l2(f1) ** 2))
+        h1.append(np.sqrt(norm_l2(f1) ** 2 + grad_edge_inner(f1.values, f1.values, grid)
+                          + norm_l2(f2) ** 2 + grad_edge_inner(f2.ux, f2.ux, grid)
+                          + grad_edge_inner(f2.uy, f2.uy, grid)))
+    return float(np.trapezoid(l2, ts)), float(np.trapezoid(h1, ts))
 
 
 def lh_squared(h: ScalarField) -> float:

@@ -11,6 +11,7 @@ import pytest
 import scipy
 
 from melab import analysis, cli
+from melab.energy import CSV_HEADER
 
 
 def run_cli(args):
@@ -419,6 +420,23 @@ def test_replay_corrupt_archive(tmp_path):
     assert run_cli(["replay", "--output", str(tmp_path / "arc")]) == 2
 
 
+@pytest.mark.parametrize("experiment", ["perturb", "check-conditions", "eigenbasis"])
+def test_replay_archive_without_trajectory_exits_2(tmp_path, capsys, experiment):
+    """A well-formed archive of an experiment that archives no trajectory
+    is refused as one, not called corrupt."""
+    doc = {**SIM_CONFIG, "experiment": experiment, "t_end": 0.1,
+           "dissipation": {"kind": "linear", "alpha": 1.0},
+           "forcing": {"period": 0.05, "terms": []}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert run_cli([experiment, "--config", cfg, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["replay", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"the '{experiment}' archive holds no trajectory to replay" in err
+    assert "corrupt" not in err
+
+
 FORCED = {**SIM_CONFIG, "initial": {"kind": "zero"}, "forcing": {"period": 0.1, "terms": [
     {"target": "f2", "g": {"a0": 0.0, "cos": [1.0]}, "shape": {"amplitude": 0.1, "component": 0}},
 ]}}
@@ -541,8 +559,16 @@ def test_two_sample_archive_has_its_residual(tmp_path):
     assert float(lines[0][2].split(",")[-1]) != 0.0
 
 
+_SWAPPED_HEADER = CSV_HEADER.replace("e1,e_p,g,grad_h_sq", "grad_h_sq,e_p,g,e1")
+
+
 def _drop_last_column(text):
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+def _drop_last_data_column(text):
+    header, rows = text.split("\n", 1)
+    return f"{header}\n{_drop_last_column(rows)}"
 
 
 @pytest.mark.parametrize("name, damage, message", [
@@ -551,17 +577,21 @@ def _drop_last_column(text):
                                           if k != "config"}), ""),
     ("energy.csv", lambda text: text.replace("\n0.", "\nzero.", 1), ""),
     ("energy.csv", _drop_last_column, ""),
+    ("energy.csv", _drop_last_data_column, "7 columns, expected 8"),
     ("energy.csv", lambda text: "".join(text.splitlines(keepends=True)[:3]),
      "2 rows, but 3 snapshot triples"),
     ("energy.csv", lambda text: text.splitlines(keepends=True)[0], "no rows"),
     ("energy.csv", lambda text: "", "no rows"),
+    ("energy.csv", lambda text: text.replace(CSV_HEADER, _SWAPPED_HEADER, 1),
+     f"header '{_SWAPPED_HEADER}', expected '{CSV_HEADER}'"),
 ], ids=["run.json not JSON", "run.json without config", "energy.csv unparsable",
-        "energy.csv with 7 columns", "energy.csv cut to 2 of 3 rows",
-        "energy.csv header only", "energy.csv empty"])
+        "energy.csv with 7 columns", "energy.csv rows with 7 columns",
+        "energy.csv cut to 2 of 3 rows", "energy.csv header only", "energy.csv empty",
+        "energy.csv with e1 and grad_h_sq swapped"])
 def test_replay_damaged_archive_exits_2(tmp_path, capsys, name, damage, message):
     """A run.json or energy.csv that does not parse, an energy.csv without
-    rows and one with fewer rows than snapshot triples are validation
-    errors naming the file."""
+    rows, one with fewer rows than snapshot triples and one whose header is
+    not CSV_HEADER are validation errors naming the file."""
     cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
     out = tmp_path / "out"
     assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0

@@ -87,7 +87,7 @@ def interior(fx, fy):
     return np.concatenate((fx[1:-1, 1:-1].ravel(), fy[1:-1, 1:-1].ravel()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManufacturedForcing(Forcing):
     """The residuals f2, f1 of the manufactured solution as a forcing."""
 

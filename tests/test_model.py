@@ -1,6 +1,7 @@
 """Physics assembly: coupling cancellation, dissipation laws, eigenbasis."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from melab.grid import (
     ScalarField,
     VectorField2,
     divergence,
+    grad_edge_inner,
     gradient,
     inner,
     lame_operator_matrix,
@@ -209,6 +211,78 @@ def test_forcing_periodicity(grid):
     a = f.f2(grid, 0.4)
     b = f.f2(grid, 0.4 + 1.5)
     assert np.allclose(a.uy, b.uy, atol=1e-13)
+
+
+def test_forcing_norms_closed_form(grid):
+    """One f1 term with constant g = a0 and profile phi: the L1-in-time L2
+    norm is T |a0| |phi|_W and the H1 one T |a0| sqrt(|phi|_W^2 +
+    grad_edge_inner(phi, phi))."""
+    period, a0 = 1.7, -0.6
+    f = Forcing(period=period, terms=[
+        {"target": "f1", "g": {"a0": a0}, "shape": {"jx": 2, "jy": 1, "amplitude": 0.8}}])
+    x, y = grid.xy
+    phi = 0.8 * np.cos(2 * np.pi * x / grid.lx) * np.cos(np.pi * y / grid.ly)
+    l2_sq = np.sum(grid.weights * phi * phi)
+    h1_sq = l2_sq + grad_edge_inner(phi, phi, grid)
+    assert f.l1_l2_norm(grid) == pytest.approx(period * abs(a0) * np.sqrt(l2_sq), rel=1e-14)
+    assert f.l1_h1_norm(grid) == pytest.approx(period * abs(a0) * np.sqrt(h1_sq), rel=1e-14)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(cells=st.tuples(st.integers(4, 24), st.integers(4, 24)).filter(lambda n: n[0] != n[1]),
+       sides=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_forcing_norms_match_field_reference(cells, sides, seed):
+    """Both forcing norms, forced in f1 and in both components of f2, equal
+    the field-built reference to 1e-14 relative; a norm builds no field and
+    calls packed_on once."""
+    g, rng = Grid2D(*cells, *sides), np.random.default_rng(seed)
+
+    def g_of_t():
+        return {"a0": float(rng.uniform(-1, 1)), "cos": rng.uniform(-1, 1, 2).tolist(),
+                "sin": rng.uniform(-1, 1, 1).tolist()}
+
+    f = Forcing(period=float(rng.uniform(0.5, 2.0)), terms=[
+        {"target": "f1", "g": g_of_t(), "shape": {"jx": 1, "jy": 2, "amplitude": 0.7}},
+        *({"target": "f2", "g": g_of_t(),
+           "shape": {"jx": int(rng.integers(1, 4)), "jy": int(rng.integers(1, 4)),
+                     "amplitude": float(rng.uniform(-1, 1)), "component": c}}
+          for c in (0, 1)),
+    ])
+    want = field_reference.forcing_l1_norms(f, g, model.FORCING_NORM_STEPS)
+    built, packed = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (ScalarField, VectorField2):
+            mp.setattr(cls, "__post_init__", lambda self: built.append(self))
+        original = Forcing.packed_on
+
+        def counting(self, grid):
+            packed.append(grid)
+            return original(self, grid)
+
+        mp.setattr(Forcing, "packed_on", counting)
+        got = []
+        for norm in (f.l1_l2_norm, f.l1_h1_norm):
+            packed.clear()
+            got.append(norm(g))
+            assert packed == [g]
+    assert built == []
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_forcing_is_frozen():
+    """A forcing holds its terms once, checked and with every default
+    filled in; it cannot be changed after construction, and it reads back
+    what its to_dict writes."""
+    f = Forcing(period=1.0, terms=[{"target": "f1", "g": {"a0": 1.0}}])
+    assert f.terms == ({"target": "f1", "g": {"a0": 1.0, "cos": (), "sin": ()},
+                        "shape": {"jx": 1, "jy": 0, "amplitude": 1.0}},)
+    with pytest.raises(FrozenInstanceError):
+        f.terms = []
+    with pytest.raises(FrozenInstanceError):
+        f.period = -1.0
+    assert not f.is_zero and f.to_dict()["terms"] == list(f.terms)
+    assert Forcing.from_dict(f.to_dict()) == f
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
