@@ -239,23 +239,27 @@ def property_p_scan(grid: Grid2D, params: MaterialParams, m_modes: int) -> dict:
 # ---------------------------------------------------------------------------
 # long-run trend reporting
 
-def lasalle_report(traj) -> dict:
-    """Finite-horizon trends of an unforced, mechanically undamped run:
-    h-norms, velocity divergence, and the recorded total energy,
-    with fitted rates.  |h| is a W-weighted dot and |div u'|^2 the form
-    u'.(W_v grad_div u') on the packed state.  Descriptive only; no
-    infinite-time claim is asserted."""
-    samples = traj.samples
-    if len(samples) < 2:
-        raise ParameterError("trajectory too short")
+def lasalle_series(samples) -> np.ndarray:
+    """|h|, |grad h| and |div u'| of each grid sample, as the rows of a
+    (3, n) array: |h| is a W-weighted dot and |div u'|^2 the form
+    u'.(W_v grad_div u') on the packed state.  Each value is its sample's
+    alone, so the series of a run is the concatenation of its chunks'."""
     g = samples[0].grid
     w, wv = g.weights.ravel(), g.vector_weights
     _, vs, hs = zip(*(s.y for s in samples))
-    ts = np.array(traj.times)
-    h_l2 = np.sqrt([np.dot(w * h, h) for h in hs])
-    grad_h = np.sqrt([grad_edge_inner(h, h, g) for h in hs])
-    div_ut = np.sqrt([max(np.dot(wv * (g.grad_div @ v), v), 0.0) for v in vs])
-    e = np.array(traj.energies)
+    return np.array([
+        np.sqrt([np.dot(w * h, h) for h in hs]),
+        np.sqrt([grad_edge_inner(h, h, g) for h in hs]),
+        np.sqrt([max(np.dot(wv * (g.grad_div @ v), v), 0.0) for v in vs]),
+    ])
+
+
+def lasalle_trends(ts, series, e) -> dict:
+    """The limit-set report of sample times ts, the ``lasalle_series`` of
+    the samples and their recorded total energies e: the series, whether
+    the energy is monotone, the end-to-start ratios and the fitted decay
+    rate of |h|^2."""
+    h_l2, grad_h, div_ut = series
     e_increase = float(np.max(np.diff(e), initial=0.0))
     monotone = bool(e_increase <= 1e-9 * max(e[0], 1.0))
     out = {
@@ -274,3 +278,14 @@ def lasalle_report(traj) -> dict:
         out["h_sq_fitted_rate"] = float(rate)
         out["h_sq_fit_r2"] = float(r2)
     return out
+
+
+def lasalle_report(traj) -> dict:
+    """Finite-horizon trends of an unforced, mechanically undamped run:
+    h-norms, velocity divergence, and the recorded total energy,
+    with fitted rates (``lasalle_trends`` of ``lasalle_series``).
+    Descriptive only; no infinite-time claim is asserted."""
+    if len(traj.samples) < 2:
+        raise ParameterError("trajectory too short")
+    return lasalle_trends(np.array(traj.times), lasalle_series(traj.samples),
+                          np.array(traj.energies))

@@ -11,6 +11,12 @@ every outcome, a --strict refusal's included, and maps it to an exit code:
 under --strict.  A divergence prints one "diverged: <message>" line and
 archives the run that diverged, up to its last finite sample, so that it
 replays.
+
+Every archived trajectory goes through one writer, _ArchiveWriter, which
+writes snapshots and keeps energy.csv's rows CHUNK samples at a time;
+simulate and lasalle stream into it while they step, and replay loads and
+checks an archive CHUNK samples at a time, so neither holds more than
+CHUNK + 1 states, however long the run.
 """
 
 from __future__ import annotations
@@ -49,13 +55,19 @@ from .model import (
     build_galerkin_basis,
     random_state,
 )
-from .stepping import StepperConfig, Trajectory, integrate
+from .stepping import StepperConfig, Trajectory, _step_count, integrate
 from . import analysis, energy as energy_mod, orbit as orbit_mod
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGED = 3
 EXIT_CONDITION = 4
+
+# samples that the archive writer writes, and replay loads, at a time.  The
+# memory of a run grows with it; a chunk of 1 interleaves every step with
+# CSV formatting, which slows the steps by about a third at 32x32, as the
+# banded factor and the formatting then share the CPU cache
+CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +225,77 @@ def _json_default(obj):
     return str(obj)
 
 
+def _table_rows(traj: Trajectory, n_new: int) -> np.ndarray:
+    """energy_table's rows of the last n_new samples of traj, after which
+    traj drops every sample but its last.  Before them traj holds at most
+    one sample, whose row was taken earlier.  A row depends only on its
+    sample and on the interval that ends there, so the rows are, byte for
+    byte, the whole trajectory's."""
+    rows = energy_mod.energy_table(traj)[-n_new:]
+    for x in (traj.samples, traj.times, traj.energies):
+        del x[:-1]
+    return rows
+
+
+class _ArchiveWriter(Trajectory):
+    """A trajectory that writes itself into the archive at outdir as it
+    grows.  Whenever it holds CHUNK samples past the last one written, it
+    writes their snapshot triples, keeps their energy.csv rows (and, for a
+    limit-set run, their ``analysis.lasalle_series``) and drops all but
+    the last.  Its first write removes an earlier run's snapshots: nothing
+    touches outdir before then.  ``close`` writes the rest and energy.csv."""
+
+    def __init__(self, outdir: Path, lasalle: bool = False, **trajectory):
+        super().__init__(**trajectory)
+        self.outdir = outdir
+        self.written = 0
+        self.rows = []
+        self.series = [] if lasalle else None
+
+    def add(self, sample, t: float, e: float) -> None:
+        super().add(sample, t, e)
+        if len(self.samples) - (self.written > 0) == CHUNK:
+            self._write()
+
+    def _write(self) -> None:
+        new = self.samples[1:] if self.written else self.samples
+        if not new:
+            return
+        snap = self.outdir / "snapshots"
+        if not self.written:
+            snap.mkdir(parents=True, exist_ok=True)
+            for old in snap.glob("[0-9]*_*.csv"):
+                old.unlink()
+        for k, s in enumerate(new, self.written):
+            _save_state(snap, f"{k:04d}_", s)
+        if self.series is not None:
+            self.series.append(analysis.lasalle_series(new))
+        self.written += len(new)
+        self.rows.append(_table_rows(self, len(new)))
+
+    def close(self) -> None:
+        self._write()
+        _write_energy_csv(self.outdir / "energy.csv", np.concatenate(self.rows))
+
+    def lasalle_report(self) -> dict:
+        """``analysis.lasalle_report`` of the closed run, from its series
+        and the times and energies of its rows."""
+        rows = np.concatenate(self.rows)
+        return analysis.lasalle_trends(rows[:, 0], np.concatenate(self.series, axis=1),
+                                       rows[:, 1])
+
+
 def _archive_trajectory(outdir: Path, traj: Trajectory) -> dict:
-    """Write energy.csv and one snapshot triple per sample, in place of an
-    earlier run's; returns the trajectory's run.json entry."""
-    snap = outdir / "snapshots"
-    snap.mkdir(parents=True, exist_ok=True)
-    for old in snap.glob("[0-9]*_*.csv"):
-        old.unlink()
-    _write_energy_csv(outdir / "energy.csv", energy_mod.energy_table(traj))
-    for k, s in enumerate(traj.samples):
-        _save_state(snap, f"{k:04d}_", s)
+    """Close a trajectory streamed into outdir's archive, or write an
+    in-memory one through the same writer; returns the trajectory's
+    run.json entry."""
+    if not isinstance(traj, _ArchiveWriter):
+        writer = _ArchiveWriter(outdir, params=traj.params, dissipation=traj.dissipation,
+                                forcing=traj.forcing, termination=traj.termination)
+        for sample in zip(traj.samples, traj.times, traj.energies):
+            writer.add(*sample)
+        traj = writer
+    traj.close()
     return {"termination": asdict(traj.termination)}
 
 
@@ -240,16 +313,20 @@ class _Outcome:
 # experiments
 
 def _exp_integrate(run, outdir, strict):
-    """simulate and lasalle: integrate from the initial state to t_end and
-    archive the run; lasalle, which needs no forcing and no mechanical
-    damping, also reports on the limit set."""
+    """simulate and lasalle: integrate from the initial state to t_end,
+    streaming the run into its archive; lasalle, which needs no forcing,
+    no mechanical damping and a trend of at least two samples, also
+    reports on the limit set.  Its refusals come before the first write."""
     lasalle = run.config["experiment"] == "lasalle"
     if lasalle and (run.spec.kind != "none" or not run.forcing.is_zero):
         raise ParameterError("the limit-set experiment needs no forcing and no mechanical damping")
-    traj = integrate(
-        _initial_state(run), run.config["t_end"], run.params, run.spec, run.forcing, run.stepper)
-    reports = {"lasalle": analysis.lasalle_report(traj)} if lasalle else {}
-    return _Outcome(_archive_trajectory(outdir, traj), reports)
+    state0 = _initial_state(run)
+    if lasalle and _step_count(state0.t, run.config["t_end"], run.stepper.dt) == 0:
+        raise ParameterError("trajectory too short: the limit-set experiment needs t_end > 0")
+    traj = _ArchiveWriter(outdir, lasalle)
+    integrate(state0, run.config["t_end"], run.params, run.spec, run.forcing, run.stepper, traj)
+    record = _archive_trajectory(outdir, traj)
+    return _Outcome(record, {"lasalle": traj.lasalle_report()} if lasalle else {})
 
 
 def _r_critical_from_config(run):
@@ -374,10 +451,12 @@ class NoTrajectoryError(MelabError):
 def replay(archive_dir) -> dict:
     """Rebuild the stored snapshots, recompute energy.csv from them with
     the archive writer's ``energy.energy_table`` and cross-check it against
-    the stored one; a mismatch beyond 1e-10 is reported with the first
-    differing row.  A damaged file raises MelabError naming it (no parse,
-    no rows, a header other than CSV_HEADER, a row count other than the
-    snapshot triples'), an archive of no trajectory NoTrajectoryError."""
+    the stored one, CHUNK snapshots at a time; a mismatch beyond 1e-10 is
+    reported with the first differing row, by its index in the file.  A
+    damaged file raises MelabError naming it (no parse, no rows, a header
+    other than CSV_HEADER, a row count other than the snapshot triples',
+    all refused before any snapshot is loaded), an archive of no
+    trajectory NoTrajectoryError."""
     arc = Path(archive_dir)
     path = arc / "run.json"
     with open(path) as fh:
@@ -411,23 +490,23 @@ def replay(archive_dir) -> dict:
     n_snap = len(list(snap.glob("*_h.csv")))
     if n_snap != len(stored):
         raise MelabError(f"{path}: {len(stored)} rows, but {n_snap} snapshot triples")
-    samples = [_load_state(snap, f"{k:04d}_", run.grid, float(stored[k, 0]))
-               for k in range(len(stored))]
-    traj = Trajectory(samples, [s.t for s in samples],
-                      [energy_mod.energy_total(s, run.params) for s in samples],
-                      params=run.params, dissipation=run.spec, forcing=run.forcing)
-    rows = energy_mod.energy_table(traj)
-    diff = np.abs(rows - stored)
-    bad = np.argwhere(diff > 1e-10)
-    if len(bad):
-        r, c = bad[0]
-        return {
-            "verified": False,
-            "first_differing_row": int(r),
-            "column": energy_mod.CSV_HEADER.split(",")[c],
-            "stored": float(stored[r, c]),
-            "recomputed": float(rows[r, c]),
-        }
+    traj = Trajectory(params=run.params, dissipation=run.spec, forcing=run.forcing)
+    for start in range(0, len(stored), CHUNK):
+        chunk = stored[start:start + CHUNK]
+        for k, t in enumerate(chunk[:, 0].tolist(), start):
+            s = _load_state(snap, f"{k:04d}_", run.grid, t)
+            traj.add(s, t, energy_mod.energy_total(s, run.params))
+        rows = _table_rows(traj, len(chunk))
+        bad = np.argwhere(np.abs(rows - chunk) > 1e-10)
+        if len(bad):
+            r, c = bad[0]
+            return {
+                "verified": False,
+                "first_differing_row": int(start + r),
+                "column": energy_mod.CSV_HEADER.split(",")[c],
+                "stored": float(chunk[r, c]),
+                "recomputed": float(rows[r, c]),
+            }
     return {"verified": True, "rows": int(stored.shape[0])}
 
 

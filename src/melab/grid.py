@@ -599,17 +599,17 @@ def _save_nodal(path, header: str, grid: Grid2D, *arrays) -> None:
 
 def _load_nodal(path, header: str, grid: Grid2D) -> list[np.ndarray]:
     """The value columns of a snapshot file, as nodal arrays of the grid;
-    the x,y columns are not parsed."""
+    the x,y columns are not parsed.  The header and the rows are read
+    through one open file."""
     n_values = header.count(",") - 1
     with open(path) as fh:
         found = fh.readline().rstrip("\n")
-    if found != header:
-        raise DomainMismatchError(f"{path}: header {found!r}, expected {header!r}")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(2, 2 + n_values),
-                          ndmin=2)
-    except ValueError as err:
-        raise DomainMismatchError(f"{path}: {err}") from None
+        if found != header:
+            raise DomainMismatchError(f"{path}: header {found!r}, expected {header!r}")
+        try:
+            data = np.loadtxt(fh, delimiter=",", usecols=range(2, 2 + n_values), ndmin=2)
+        except ValueError as err:
+            raise DomainMismatchError(f"{path}: {err}") from None
     if data.shape[0] != grid.n_nodes:
         raise DomainMismatchError(
             f"{path}: {data.shape[0]} rows, expected {grid.n_nodes} for grid {grid.signature()}")

@@ -22,9 +22,12 @@ into the coupling).  Each product calls scipy's CSR kernel directly
 (``_csr_apply``).  An IMEX step thus makes two products, an RK4 step four.
 One loop (``_run``) steps both coordinate systems: it computes each state's
 terms once, for its energy and for the step from it, reads divergence
-from that energy and records the kept samples with their times and
-energies.  ``integrate`` starts from ``state0.y`` and keeps a grid sample
-as ``State(grid, y, t)`` around the loop's own arrays: no packing, no fields.
+from that energy and hands each kept sample, with its time and energy, to
+a trajectory's ``add``.  ``integrate`` starts from ``state0.y`` and makes a
+grid sample ``State(grid, y, t)`` around the loop's own arrays: no packing,
+no fields.  Its default trajectory keeps every sample in memory; a caller
+may pass one that keeps fewer, such as the CLI's archive writer, which
+writes the samples out in fixed chunks as they come.
 """
 
 from __future__ import annotations
@@ -98,7 +101,9 @@ class Termination:
 class Trajectory:
     """Sampled states, their times and their total energies; a sample is
     ``State(grid, y, t)`` on the grid, the coefficient triple y in
-    eigencoordinates, y being the loop's own arrays."""
+    eigencoordinates, y being the loop's own arrays.  The stepping loop
+    records through ``add``, which keeps every sample; a subclass may
+    write samples out and drop them, keeping the three lists aligned."""
 
     samples: list = field(default_factory=list)
     times: list = field(default_factory=list)
@@ -107,6 +112,12 @@ class Trajectory:
     dissipation: DissipationSpec | None = None
     forcing: Forcing | None = None
     termination: Termination | None = None
+
+    def add(self, sample, t: float, e: float) -> None:
+        """Record a sample with its time and total energy."""
+        self.samples.append(sample)
+        self.times.append(t)
+        self.energies.append(e)
 
     def final(self):
         return self.samples[-1]
@@ -338,20 +349,16 @@ def _run(ops: OperatorSet, y, t: float, t_end: float, config: StepperConfig, sam
     """The stepping loop of both integrators, over flat coordinates
     y = (u, v, h) from t to t_end.  Each state's terms are computed once,
     for its energy and for the step from it, and its energy once, for
-    the blow-up guard and for ``traj``, which records ``sample(y, t)``, t and
-    e of the initial state, every sample_every-th and the final one.  An
-    energy that is not finite, or that jumps by more than
+    the blow-up guard and for ``traj.add(sample(y, t), t, e)``, called for
+    the initial state, every sample_every-th and the final one.  A horizon
+    that is not a whole number of steps is refused before the first
+    ``add``.  An energy that is not finite, or that jumps by more than
     ENERGY_BLOWUP_FACTOR, raises DivergedStateError with ``traj``, its
     termination set, attached; the overflow itself warns nothing."""
-    def record(y, t, e):
-        traj.samples.append(sample(y, t))
-        traj.times.append(t)
-        traj.energies.append(e)
-
     n_steps = _step_count(t, t_end, config.dt)
     terms = ops.terms(*y)
     e = ops.energy(*y, terms[0])
-    record(y, t, e)
+    traj.add(sample(y, t), t, e)
     for k in range(n_steps):
         y = step(ops, y, t, config, terms)
         t += config.dt
@@ -362,7 +369,7 @@ def _run(ops: OperatorSet, y, t: float, t_end: float, config: StepperConfig, sam
             traj.termination, err.trajectory = Termination("diverged", t), traj
             raise err
         if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
-            record(y, t, e)
+            traj.add(sample(y, t), t, e)
     traj.termination = Termination("completed", t)
 
 
@@ -373,12 +380,16 @@ def integrate(
     spec: DissipationSpec,
     forcing: Forcing,
     config: StepperConfig,
+    traj: Trajectory | None = None,
 ) -> Trajectory:
     """Step on the grid until t_end, sampling every config.sample_every
-    steps (initial and final states always included).  Divergence raises
-    DivergedStateError with the trajectory so far attached."""
+    steps (initial and final states always included) into ``traj``, a new
+    in-memory Trajectory by default, whose params, dissipation and forcing
+    it sets; returns ``traj``.  Divergence raises DivergedStateError with
+    the trajectory so far attached."""
     g = state0.grid
-    traj = Trajectory(params=params, dissipation=spec, forcing=forcing)
+    traj = Trajectory() if traj is None else traj
+    traj.params, traj.dissipation, traj.forcing = params, spec, forcing
     _run(_grid_ops(g, config.dt, params, spec, forcing), state0.y, state0.t, t_end, config,
          lambda y, t: State(g, y, t), traj)
     return traj

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from melab import analysis, cli
+from melab import analysis, cli, energy, stepping
 from melab.energy import CSV_HEADER
+from melab.model import DivergedStateError
 
 
 def run_cli(args):
@@ -58,18 +60,22 @@ def test_replay_verifies_fresh_archive(tmp_path):
 
 
 def test_replay_detects_tampering(tmp_path):
-    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
-    out = tmp_path / "out"
-    run_cli(["simulate", "--config", cfg, "--output", str(out)])
-    lines = (out / "energy.csv").read_text().splitlines()
-    cols = lines[2].split(",")
-    cols[1] = f"{float(cols[1]) + 1e-6:.17g}"
-    lines[2] = ",".join(cols)
-    (out / "energy.csv").write_text("\n".join(lines) + "\n")
-    rep = cli.replay(out)
-    assert not rep["verified"]
-    assert rep["first_differing_row"] == 1
-    assert rep["column"] == "e_total"
+    """A stored value off by 1e-6 is reported at its row of energy.csv,
+    in the first chunk and in a later one, by its index in the file."""
+    for stepper, row in [(SIM_CONFIG["stepper"], 1),
+                         ({"dt": 0.005, "sample_every": 1}, cli.CHUNK + 2)]:
+        cfg = write_config(tmp_path, "c.json", {**SIM_CONFIG, "stepper": stepper})
+        out = tmp_path / f"out{row}"
+        run_cli(["simulate", "--config", cfg, "--output", str(out)])
+        lines = (out / "energy.csv").read_text().splitlines()
+        cols = lines[row + 1].split(",")
+        cols[1] = f"{float(cols[1]) + 1e-6:.17g}"
+        lines[row + 1] = ",".join(cols)
+        (out / "energy.csv").write_text("\n".join(lines) + "\n")
+        rep = cli.replay(out)
+        assert not rep["verified"]
+        assert rep["first_differing_row"] == row
+        assert rep["column"] == "e_total"
 
 
 def test_rerun_is_deterministic(tmp_path):
@@ -695,6 +701,130 @@ def test_validation_error_in_experiment_writes_nothing(tmp_path, capsys, doc):
     assert run_cli([doc["experiment"], "--config", cfg, "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("validation error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "lasalle"])
+def test_refused_horizon_keeps_the_older_archive(tmp_path, capsys, experiment):
+    """A run refused for a horizon that is not a whole number of steps,
+    written over an older archive, leaves every file of it as it was: the
+    writer touches the directory first when it writes its first chunk."""
+    cfg = write_config(tmp_path, "c.json", {**SIM_CONFIG, "experiment": experiment})
+    out = tmp_path / "out"
+    assert run_cli([experiment, "--config", cfg, "--output", str(out)]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len([p for p in before if p.parent.name == "snapshots"]) == 3 * 3
+    cfg = write_config(tmp_path, "bad.json", {**SIM_CONFIG, "experiment": experiment,
+                                              "t_end": 0.1025})
+    capsys.readouterr()
+    assert run_cli([experiment, "--config", cfg, "--output", str(out)]) == 2
+    assert "not a whole number of steps" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def _write_whole(outdir, traj):
+    """The archive files of an in-memory trajectory written in one piece:
+    energy.csv from one energy_table over every sample, then every
+    snapshot triple."""
+    (outdir / "snapshots").mkdir(parents=True)
+    cli._write_energy_csv(outdir / "energy.csv", energy.energy_table(traj))
+    for k, s in enumerate(traj.samples):
+        cli._save_state(outdir / "snapshots", f"{k:04d}_", s)
+
+
+def _failing_step(real, n_ok):
+    """The step function real, but its (n_ok + 1)-th call returns
+    non-finite values."""
+    calls = []
+
+    def step(*args):
+        calls.append(None)
+        y = real(*args)
+        return tuple(np.full_like(x, np.nan) for x in y) if len(calls) > n_ok else y
+    return step
+
+
+_STREAMED = {
+    "forced": {**FORCED, "initial": SIM_CONFIG["initial"]},
+    "linear": DAMPED_FORCED,
+    "power_rk4": {**SIM_CONFIG, "dissipation": {"kind": "power", "alpha": 0.2, "k1": 1.0}},
+    "lasalle": {**SIM_CONFIG, "experiment": "lasalle"},
+    "diverged": SIM_CONFIG,
+}
+
+
+@pytest.mark.parametrize("case, n", [
+    (case, n) for case in _STREAMED
+    for n in (1, cli.CHUNK, cli.CHUNK + 1, 2 * cli.CHUNK + 3)
+    if (case, n) != ("lasalle", 1)])
+def test_streamed_archive_is_the_whole_trajectory_archive(tmp_path, monkeypatch, case, n):
+    """A run of n samples that streams into its archive CHUNK samples at a
+    time writes energy.csv, its snapshots and the lasalle report byte for
+    byte as the same trajectory written from memory in one piece, on and
+    next to the chunk boundaries; a diverged run of n samples too."""
+    doc = dict(_STREAMED[case])
+    experiment = doc.pop("experiment", "simulate")
+    scheme = "explicit_rk4" if case == "power_rk4" else "imex_midpoint"
+    doc["stepper"] = {"dt": 0.005, "scheme": scheme, "sample_every": 1}
+    doc["t_end"] = 0.005 * (n - 1 if case != "diverged" else n + 4)
+    out, ref, step = tmp_path / "out", tmp_path / "ref", stepping.step
+    if case == "diverged":
+        monkeypatch.setattr(stepping, "step", _failing_step(step, n - 1))
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert run_cli([experiment, "--config", cfg, "--output", str(out)]) == (
+        3 if case == "diverged" else 0)
+
+    run = cli._parse_config(doc, experiment)
+    if case == "diverged":
+        monkeypatch.setattr(stepping, "step", _failing_step(step, n - 1))
+        with pytest.raises(DivergedStateError) as err:
+            stepping.integrate(cli._initial_state(run), run.config["t_end"], run.params,
+                               run.spec, run.forcing, run.stepper)
+        traj = err.value.trajectory
+    else:
+        traj = stepping.integrate(cli._initial_state(run), run.config["t_end"], run.params,
+                                  run.spec, run.forcing, run.stepper)
+    assert len(traj.samples) == n
+    _write_whole(ref, traj)
+    if experiment == "lasalle":
+        cli._write_json(ref / "reports" / "lasalle.json", analysis.lasalle_report(traj))
+    files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
+    assert len(files) == 1 + 3 * n + (experiment == "lasalle")
+    assert files == sorted(p.relative_to(out) for p in out.rglob("*")
+                           if p.is_file() and p.name != "run.json")
+    for f in files:
+        assert (out / f).read_bytes() == (ref / f).read_bytes(), f
+    assert cli.replay(out) == {"verified": True, "rows": n}
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_bounded_by_chunk(tmp_path):
+    """Under tracemalloc, the peak of a simulate run with 8 times the
+    samples of a short one on the same grid, and the peak of its replay,
+    stay within 1.3 times the short run's: the writer and replay hold at
+    most CHUNK + 1 states, and only energy.csv's rows grow with the run.
+    The first run fills the caches of the operators and the CSV template."""
+    doc = {**FORCED, "grid": {"nx": 20, "ny": 20}, "stepper": {"dt": 0.005, "sample_every": 1}}
+    short = cli.CHUNK + 1
+    peaks = {}
+    for n in (short, short, 8 * short):
+        cfg = write_config(tmp_path, f"c{n}.json", {**doc, "t_end": 0.005 * (n - 1)})
+        out = tmp_path / f"o{n}"
+        code = []
+        peaks[n] = (
+            _traced_peak(lambda: code.append(
+                run_cli(["simulate", "--config", cfg, "--output", str(out)]))),
+            _traced_peak(lambda: code.append(cli.replay(out))))
+        assert code == [0, {"verified": True, "rows": n}]
+    for long_peak, short_peak in zip(peaks[8 * short], peaks[short]):
+        assert long_peak <= 1.3 * short_peak, peaks
 
 
 def test_rewritten_archive_holds_only_its_snapshots(tmp_path):
