@@ -11,7 +11,7 @@ import numpy as np
 
 from melab.grid import Grid2D
 from melab.model import MaterialParams
-from melab import analysis
+from melab import analysis, energy
 
 
 def main():
@@ -37,8 +37,10 @@ def main():
     print("\nsmallness conditions at nu1 =", params.nu1)
     reg = analysis.condition_regularity(e1_0=0.001, f_h1_l1=0.001, nu1=params.nu1, c_mu=1.0)
     print(f"  regularity: lhs {reg['lhs']:.4f} vs rhs {reg['rhs']:.4f} -> {reg['satisfied']}")
-    stab = analysis.condition_stability(params.nu1, c_e=0.05, c_omega=0.2, c_small=0.5)
-    print(f"  stability: threshold {stab['threshold']:.4f} -> {stab['satisfied']}")
+    c_omega = energy.poincare_constant(grid, params)
+    stab = analysis.condition_stability(params.nu1, c_e=0.05, c_omega=c_omega, c_small=0.5)
+    print(f"  stability (measured C_Omega {c_omega:.4f}): "
+          f"threshold {stab['threshold']:.4f} -> {stab['satisfied']}")
 
 
 if __name__ == "__main__":

@@ -82,13 +82,13 @@ _SECTIONS = {
     "basis": {"m": ("int", 8), "m_magnetic": ("int", 8)},
     # the perturbation seed defaults to the top-level seed
     "perturbation": {"seed": ("int", None), "amplitude": ("float", 1e-3)},
-    "conditions": {"c_mu": ("float", 1.0), "e1_0": ("float", 0.0), "c_e": ("float", 0.0),
-                   "c_omega": ("float", 1.0), "c_small": ("float", 1.0)},
+    # the constants of the paper's conditions that melab cannot derive offline;
+    # check-conditions and find-periodic --strict refuse a null one they need
+    "conditions": {"c_mu": ("float", None), "c_e": ("float", None), "c_small": ("float", None)},
     "disk_mode": {"m": ("int", 1), "radial_points": ("int", 2000), "table_max": ("int", 10)},
     "botsenyuk": {"t": ("tuple", MISSING), "x": ("tuple", MISSING),
                   "gamma": ("tuple", MISSING), "a": ("float", MISSING)},
-    "r_critical_consts": {"C1": ("float", 0.5), "C2": ("float", 0.02), "C3": ("float", 0.1),
-                          "eps": ("float", 1.0)},
+    "r_critical_consts": {"C1": ("float", None), "C2": ("float", None), "C3": ("float", None)},
 }
 _TOP = {
     "experiment": ("str", None), "output_dir": ("str", None), "sweep": ("list", None),
@@ -100,8 +100,10 @@ _TOP = {
     **{name: ("dict", {}) for name in _SECTIONS}, "botsenyuk": ("dict", None),
 }
 _STEPPING = ("simulate", "find-periodic", "perturb", "lasalle")
-# retired dissipation keys, which replay drops from older archives' run.json
-_RETIRED_DISSIPATION_KEYS = ("k0", "r_rho", "k_c")
+# retired keys by section, which replay drops from older archives' run.json:
+# the sampled dissipation validators', and the constants melab now measures
+_RETIRED_KEYS = {"dissipation": ("k0", "r_rho", "k_c"), "conditions": ("e1_0", "c_omega"),
+                 "r_critical_consts": ("eps",)}
 
 
 @dataclass
@@ -329,19 +331,38 @@ def _exp_integrate(run, outdir, strict):
     return _Outcome(record, {"lasalle": traj.lasalle_report()} if lasalle else {})
 
 
-def _r_critical_from_config(run):
-    return orbit_mod.r_critical(
-        run.forcing.l1_l2_norm(run.grid), run.spec.alpha, run.params.nu1,
-        run.forcing.period, run.config["r_critical_consts"],
-    )
+def _ledger(run, *sections: str) -> energy_mod.ConstantsLedger:
+    """The constants of a verdict in one ledger: C_Omega and eps measured by
+    ``energy.assemble_constants``, and the given constants of the named
+    config sections, each refused while null."""
+    ledger = energy_mod.assemble_constants(run.grid, run.params, run.spec.linear_alpha)
+    for section in sections:
+        for key, value in run.config[section].items():
+            if value is None:
+                raise ParameterError(f"{section}.{key} is needed and not given: melab cannot "
+                                     "measure it, so the config must set it")
+            ledger.set(key, value, "given")
+    return ledger
+
+
+def _r_critical(run, ledger) -> dict:
+    """orbit.r_critical of the run's forcing, every constant from the ledger."""
+    return asdict(orbit_mod.r_critical(
+        run.forcing.l1_l2_norm(run.grid), run.spec.alpha, run.params.nu1, run.forcing.period,
+        {key: ledger.value(key) for key in ("C1", "C2", "C3", "eps")},
+    ))
 
 
 def _exp_find_periodic(run, outdir, strict):
+    """The periodic orbit by Picard iteration; under --strict only once
+    r_critical, reported with its ledger, admits it."""
+    reports = {}
     if strict:
-        rc = _r_critical_from_config(run)
-        if not rc.admissible:
-            print(f"refusing under --strict: {rc.diagnostic}", file=sys.stderr)
-            return _Outcome(reports={"r_critical": asdict(rc)}, passed=False)
+        ledger = _ledger(run, "r_critical_consts")
+        rc = reports["r_critical"] = {**_r_critical(run, ledger), "constants": ledger.entries}
+        if not rc["admissible"]:
+            print(f"refusing under --strict: {rc['diagnostic']}", file=sys.stderr)
+            return _Outcome(reports=reports, passed=False)
     po = orbit_mod.find_periodic(
         _initial_state(run), run.params, run.spec, run.forcing, run.stepper,
         tol=run.config["tol"], max_iter=run.config["max_iter"],
@@ -349,7 +370,7 @@ def _exp_find_periodic(run, outdir, strict):
     record = _archive_trajectory(outdir, po.trajectory)
     _write_json(outdir / "orbit.json", po.to_report())
     _save_state(outdir, "zstar_", po.z_star)
-    return _Outcome({**record, "orbit": po.to_report()})
+    return _Outcome({**record, "orbit": po.to_report()}, reports)
 
 
 def _exp_perturb(run, outdir, strict):
@@ -380,16 +401,21 @@ def _exp_perturb(run, outdir, strict):
 
 
 def _exp_check_conditions(run, outdir, strict):
-    params, spec, forcing = run.params, run.spec, run.forcing
-    cond = run.config["conditions"]
+    """The smallness conditions and, under linear damping, r_critical, on
+    C_Omega, eps and E1 of the initial state as measured and the rest as given."""
+    params, r_crit = run.params, run.spec.kind == "linear"
+    ledger = _ledger(run, "conditions", *(("r_critical_consts",) if r_crit else ()))
+    ledger.set("e1_0", energy_mod.energy_e1(_initial_state(run), params))
+    v = ledger.value
     reg = analysis.condition_regularity(
-        cond["e1_0"], forcing.l1_h1_norm(run.grid), params.nu1, cond["c_mu"])
-    stab = analysis.condition_stability(params.nu1, cond["c_e"], cond["c_omega"], cond["c_small"])
+        v("e1_0"), run.forcing.l1_h1_norm(run.grid), params.nu1, v("c_mu"))
+    stab = analysis.condition_stability(params.nu1, v("c_e"), v("c_omega"), v("c_small"))
     doc = {"regularity": reg, "stability": stab}
     passed = reg["satisfied"] and stab["satisfied"]
-    if spec.kind == "linear" and spec.alpha > 0:
-        rc = _r_critical_from_config(run)
-        doc["r_critical"], passed = asdict(rc), passed and rc.admissible
+    if r_crit:
+        doc["r_critical"] = _r_critical(run, ledger)
+        passed = passed and doc["r_critical"]["admissible"]
+    doc["constants"] = ledger.entries
     return _Outcome(reports={"conditions": doc}, passed=passed)
 
 
@@ -469,10 +495,11 @@ def replay(archive_dir) -> dict:
     if "termination" not in doc:
         raise NoTrajectoryError(f"{path}: the {doc['config'].get('experiment')!r} archive "
                                 "holds no trajectory to replay")
-    dissipation = doc["config"].get("dissipation")
-    if isinstance(dissipation, dict):
-        for key in _RETIRED_DISSIPATION_KEYS:
-            dissipation.pop(key, None)
+    for name, keys in _RETIRED_KEYS.items():
+        section = doc["config"].get(name)
+        if isinstance(section, dict):
+            for key in keys:
+                section.pop(key, None)
     run = _parse_config(doc["config"])
     path, n_cols = arc / "energy.csv", energy_mod.CSV_HEADER.count(",") + 1
     lines = path.read_text().splitlines()

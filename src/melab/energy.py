@@ -54,15 +54,16 @@ CSV_HEADER = "t,e_total,e1,e_p,g,grad_h_sq,lh_sq,residual"
 
 @dataclass
 class ConstantsLedger:
-    """Named inequality constants, each recorded with provenance
-    "measured": every value is computed from the grid and the parameters."""
+    """Named inequality constants, each recorded with its provenance:
+    "measured", computed from the grid, the parameters or a state, or
+    "given", a config value that melab cannot derive offline."""
 
     entries: dict = field(default_factory=dict)
 
-    def set(self, name: str, value: float) -> None:
+    def set(self, name: str, value: float, provenance: str = "measured") -> None:
         if value < 0:
             raise ParameterError(f"constant {name} must be nonnegative, got {value}")
-        self.entries[name] = {"value": float(value), "provenance": "measured"}
+        self.entries[name] = {"value": float(value), "provenance": provenance}
 
     def value(self, name: str) -> float:
         if name not in self.entries:

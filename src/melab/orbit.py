@@ -136,6 +136,7 @@ def find_periodic(
 class RCritical:
     value: float
     denominator: float
+    contraction: float    # sqrt(2+a)*exp(-eps*T/(2+a)), the denominator's contraction factor
     admissible: bool
     diagnostic: str = ""
 
@@ -161,17 +162,15 @@ def r_critical(
             raise ParameterError(f"missing constant {key!r}")
     f = float(f_l1_norm)
     num = consts["C1"] * f + (consts["C3"] / nu1) * f * f
-    den = (
-        1.0
-        - np.sqrt(2.0 + alpha) * np.exp(-consts["eps"] * period / (2.0 + alpha))
-        - (consts["C2"] / nu1) * (1.0 + f)
-    )
+    contraction = float(np.sqrt(2.0 + alpha) * np.exp(-consts["eps"] * period / (2.0 + alpha)))
+    den = 1.0 - contraction - (consts["C2"] / nu1) * (1.0 + f)
     if den <= 0:
-        return RCritical(np.inf, den, False, "nonpositive denominator: contraction margin exhausted")
+        return RCritical(np.inf, den, contraction, False,
+                         "nonpositive denominator: contraction margin exhausted")
     value = num / den
     ok = 0.0 <= value < 1.0
     diag = "" if ok else f"R_cr = {value:.6g} outside [0, 1)"
-    return RCritical(float(value), float(den), ok, diag)
+    return RCritical(float(value), float(den), contraction, ok, diag)
 
 
 def ball_mapping_check(

@@ -1,7 +1,9 @@
 """Experiment runner: archives, replay verification, exit codes."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from melab import analysis, cli, energy, stepping
+from melab import analysis, cli, energy, grid, stepping
 from melab.energy import CSV_HEADER
 from melab.model import DivergedStateError
 
@@ -37,6 +39,12 @@ SIM_CONFIG = {
     "seed": 7,
     "t_end": 0.1,
 }
+
+
+# the constants that check-conditions and find-periodic --strict need and
+# melab cannot measure, at the values the config once defaulted to
+GIVEN = {"conditions": {"c_mu": 1.0, "c_e": 0.0, "c_small": 1.0},
+         "r_critical_consts": {"C1": 0.5, "C2": 0.02, "C3": 0.1}}
 
 
 def test_simulate_zero_data(tmp_path):
@@ -157,7 +165,7 @@ def test_check_conditions_trivial(tmp_path):
     doc = {
         "experiment": "check-conditions",
         "material": {"nu1": 0.5},
-        "conditions": {"e1_0": 0.0, "c_e": 0.0, "c_omega": 1.0, "c_small": 1.0},
+        "conditions": GIVEN["conditions"],
     }
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "out"
@@ -170,7 +178,7 @@ def test_check_conditions_strict_failure(tmp_path):
     doc = {
         "experiment": "check-conditions",
         "material": {"nu1": 0.05},
-        "conditions": {"e1_0": 10.0, "c_e": 5.0, "c_omega": 1.0, "c_small": 1.0},
+        "conditions": {**GIVEN["conditions"], "c_e": 5.0},
     }
     cfg = write_config(tmp_path, "c.json", doc)
     assert run_cli(["check-conditions", "--config", cfg, "--output",
@@ -236,13 +244,112 @@ def test_find_periodic_strict_refusal(tmp_path):
         ]},
         "stepper": {"dt": 0.01, "sample_every": 25},
         "initial": {"kind": "zero"},
-        "r_critical_consts": {"C1": 0.5, "C2": 5.0, "C3": 0.1, "eps": 1.0},
+        "r_critical_consts": {"C1": 0.5, "C2": 5.0, "C3": 0.1},
     }
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "out"
     assert run_cli(["find-periodic", "--config", cfg, "--output", str(out), "--strict"]) == 4
     rep = json.loads((out / "reports" / "r_critical.json").read_text())
     assert not rep["admissible"]
+
+
+# C06's physics and forcing at 24 x 24, and the 8 x 8 unforced config with
+# linear alpha = 1 and the default material
+_C06 = {"grid": {"nx": 24, "ny": 24}, "material": {"nu1": 1.0},
+        "dissipation": {"kind": "linear", "alpha": 1.0},
+        "forcing": {"period": 2.0, "terms": [
+            {"target": "f2", "g": {"cos": [1.0]},
+             "shape": {"jx": 1, "jy": 1, "amplitude": 0.05, "component": 0}},
+            {"target": "f1", "g": {"sin": [1.0]},
+             "shape": {"jx": 1, "jy": 1, "amplitude": 0.02}}]},
+        "stepper": {"dt": 2e-3, "sample_every": 100}}
+_UNFORCED_8 = {"grid": {"nx": 8, "ny": 8}, "dissipation": {"kind": "linear", "alpha": 1.0}}
+
+
+@pytest.mark.parametrize("doc, c_omega, eps, factor", [
+    (_UNFORCED_8, 0.17569, 0.05, 1.703), (_C06, 0.17384, 0.25, 1.466)], ids=["8x8", "C06"])
+def test_conditions_rest_on_measured_constants(tmp_path, doc, c_omega, eps, factor):
+    """check-conditions measures C_Omega, eps and E1 of the initial state
+    and lists every input with its value and provenance.  The 8 x 8 config
+    once passed both smallness conditions on the defaults e1_0 = c_e = 0;
+    with no constant given it is now refused.  At C06 physics the measured
+    eps = 0.25 leaves r_critical no admissible radius, where the retired
+    default eps = 1 admitted one."""
+    cfg = write_config(tmp_path, "bare.json", {"experiment": "check-conditions", **doc})
+    assert run_cli(["check-conditions", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    cfg = write_config(tmp_path, "c.json", {"experiment": "check-conditions", **doc, **GIVEN})
+    out = tmp_path / "out"
+    assert run_cli(["check-conditions", "--config", cfg, "--output", str(out), "--strict"]) == 4
+    rep = json.loads((out / "reports" / "conditions.json").read_text())
+    consts = rep["constants"]
+    assert consts["c_omega"]["value"] == pytest.approx(c_omega, abs=5e-6)
+    assert consts["eps"]["value"] == eps and consts["e1_0"]["value"] == 0.0
+    given = {key: value for section in GIVEN.values() for key, value in section.items()}
+    assert {key: e["value"] for key, e in consts.items() if e["provenance"] == "given"} == given
+    assert {e["provenance"] for e in consts.values()} == {"measured", "given"}
+    assert {"c_omega", "eps", "e1_0"} <= {k for k, e in consts.items()
+                                          if e["provenance"] == "measured"}
+    assert rep["r_critical"]["contraction"] == pytest.approx(factor, abs=5e-4)
+    assert not rep["r_critical"]["admissible"]
+
+
+def test_strict_orbit_rests_on_measured_eps(tmp_path):
+    """find-periodic --strict at C06 physics refuses before it steps: the
+    measured eps = 0.25 leaves r_critical a negative denominator (-0.487);
+    r_critical.json lists every constant with its provenance."""
+    cfg = write_config(tmp_path, "c.json", {"experiment": "find-periodic", **_C06, **GIVEN})
+    out = tmp_path / "out"
+    assert run_cli(["find-periodic", "--config", cfg, "--output", str(out), "--strict"]) == 4
+    assert not (out / "energy.csv").exists()
+    rep = json.loads((out / "reports" / "r_critical.json").read_text())
+    assert rep["denominator"] == pytest.approx(-0.4869, abs=1e-4)
+    assert rep["constants"]["eps"] == {"value": 0.25, "provenance": "measured"}
+    assert {k for k, e in rep["constants"].items() if e["provenance"] == "given"} == {
+        "C1", "C2", "C3"}
+
+
+def test_strict_orbit_admitted_keeps_its_verdict(tmp_path):
+    """A period long enough for the measured eps = 0.25 (T = 10 > 6.6 at
+    alpha = nu1 = 1) admits r_critical: the orbit runs, and its archive
+    keeps the verdict it rested on."""
+    doc = {**SIM_CONFIG, **_UNFORCED_8, **GIVEN, "experiment": "find-periodic",
+           "material": {"nu1": 1.0}, "forcing": {"period": 10.0, "terms": []},
+           "stepper": {"dt": 0.01, "sample_every": 100}, "initial": {"kind": "zero"}}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert run_cli(["find-periodic", "--config", cfg, "--output", str(out), "--strict"]) == 0
+    rep = json.loads((out / "reports" / "r_critical.json").read_text())
+    assert rep["admissible"] and rep["value"] == 0.0 and rep["contraction"] < 1.0
+    assert rep["constants"]["eps"] == {"value": 0.25, "provenance": "measured"}
+    assert cli.replay(out)["verified"]
+
+
+@pytest.mark.parametrize("experiment, strict, section, key", [
+    ("check-conditions", False, "conditions", "c_small"),
+    ("check-conditions", True, "r_critical_consts", "C3"),
+    ("find-periodic", True, "r_critical_consts", "C1"),
+])
+def test_missing_given_constant_exits_2(tmp_path, capsys, experiment, strict, section, key):
+    """A verdict refuses a given constant it needs that is null: exit 2,
+    the key named, no output directory."""
+    given = {name: {k: v for k, v in keys.items() if (name, k) != (section, key)}
+             for name, keys in GIVEN.items()}
+    cfg = write_config(tmp_path, "c.json", {**SIM_CONFIG, **_UNFORCED_8, **given,
+                                            "experiment": experiment})
+    out = tmp_path / "out"
+    assert run_cli([experiment, "--config", cfg, "--output", str(out),
+                    *(["--strict"] if strict else [])]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_find_periodic_without_strict_reads_no_given_constant(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {**SIM_CONFIG, **_UNFORCED_8,
+                                            "experiment": "find-periodic",
+                                            "initial": {"kind": "zero"}})
+    out = tmp_path / "out"
+    assert run_cli(["find-periodic", "--config", cfg, "--output", str(out)]) == 0
+    assert not (out / "reports").exists()
 
 
 def test_botsenyuk_experiment(tmp_path):
@@ -349,7 +456,7 @@ def test_sweep_serial(tmp_path):
     doc = {
         "experiment": "check-conditions",
         "material": {"nu1": 0.5},
-        "conditions": {"e1_0": 0.0, "c_e": 0.0, "c_omega": 1.0, "c_small": 1.0},
+        "conditions": GIVEN["conditions"],
         "sweep": [{"material": {"nu1": 0.5}}, {"material": {"nu1": 1.0}}],
     }
     cfg = write_config(tmp_path, "c.json", doc)
@@ -430,7 +537,7 @@ def test_replay_corrupt_archive(tmp_path):
 def test_replay_archive_without_trajectory_exits_2(tmp_path, capsys, experiment):
     """A well-formed archive of an experiment that archives no trajectory
     is refused as one, not called corrupt."""
-    doc = {**SIM_CONFIG, "experiment": experiment, "t_end": 0.1,
+    doc = {**SIM_CONFIG, **GIVEN, "experiment": experiment, "t_end": 0.1,
            "dissipation": {"kind": "linear", "alpha": 1.0},
            "forcing": {"period": 0.05, "terms": []}}
     cfg = write_config(tmp_path, "c.json", doc)
@@ -458,8 +565,8 @@ FORCED = {**SIM_CONFIG, "initial": {"kind": "zero"}, "forcing": {"period": 0.1, 
     ("shape", {**FORCED, "forcing": {"period": 0.1, "terms": [
         {"target": "f2", "shape": {"compnent": 0}}]}}, "compnent"),
     ("sweep entry", {**FORCED, "sweep": [{"seed": 1}, {"t_ned": 1.0}]}, "t_ned"),
-    *((f"retired {key}", {**FORCED, "dissipation": {"kind": "none", key: 1.0}}, key)
-      for key in ("k0", "r_rho", "k_c")),
+    *((f"retired {key}", {**FORCED, section: {key: 1.0}}, key)
+      for section, keys in cli._RETIRED_KEYS.items() for key in keys),
 ])
 def test_unknown_key_exits_2(tmp_path, capsys, level, doc, key):
     cfg = write_config(tmp_path, "c.json", doc)
@@ -548,6 +655,36 @@ def test_archive_with_retired_dissipation_keys_replays(tmp_path):
     doc["config"]["dissipation"].update(k0=1.0, r_rho=1.0, k_c=0.0)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     assert cli.replay(out) == {"verified": True, "rows": 3}
+
+
+# the conditions and r_critical_consts sections that every run.json echoed
+# while melab read C_Omega, E1(0) and eps from the config
+_PARENT_CONSTANTS = {
+    "conditions": {"c_mu": 1.0, "e1_0": 0.0, "c_e": 0.0, "c_omega": 1.0, "c_small": 1.0},
+    "r_critical_consts": {"C1": 0.5, "C2": 0.02, "C3": 0.1, "eps": 1.0},
+}
+
+
+@pytest.mark.parametrize("experiment, doc", [
+    ("simulate", DAMPED_FORCED),
+    ("lasalle", SIM_CONFIG),
+    ("find-periodic", {**SIM_CONFIG, **_UNFORCED_8, "initial": {"kind": "zero"}}),
+])
+def test_archive_with_retired_constant_keys_replays(tmp_path, experiment, doc):
+    """Archives written while the config held e1_0, c_omega and eps, and a
+    number for every constant, differ from today's only by those sections
+    of run.json's config; replay drops the retired keys and verifies them."""
+    cfg = write_config(tmp_path, "c.json", {**doc, "experiment": experiment})
+    out = tmp_path / "out"
+    assert run_cli([experiment, "--config", cfg, "--output", str(out)]) == 0
+    path = out / "run.json"
+    run = json.loads(path.read_text())
+    assert {name: run["config"][name] for name in _PARENT_CONSTANTS} == {
+        "conditions": {"c_mu": None, "c_e": None, "c_small": None},
+        "r_critical_consts": {"C1": None, "C2": None, "C3": None}}
+    run["config"].update(_PARENT_CONSTANTS)
+    path.write_text(json.dumps(run, indent=2, sort_keys=True))
+    assert cli.replay(out)["verified"]
 
 
 def test_two_sample_archive_has_its_residual(tmp_path):
@@ -666,9 +803,10 @@ _STRICT_REFUSALS = {
                        "forcing": {"period": 0.5, "terms": [
                            {"target": "f2", "g": {"cos": [1.0]}, "shape": {"amplitude": 0.05}}]},
                        "stepper": {"dt": 0.01, "sample_every": 25},
-                       "r_critical_consts": {"C2": 5.0}}, "r_critical"),
+                       "r_critical_consts": {**GIVEN["r_critical_consts"], "C2": 5.0}},
+                      "r_critical"),
     "check-conditions": ({"material": {"nu1": 0.05},
-                          "conditions": {"e1_0": 10.0, "c_e": 5.0}}, "conditions"),
+                          "conditions": {**GIVEN["conditions"], "c_e": 5.0}}, "conditions"),
 }
 
 
@@ -865,3 +1003,41 @@ def test_overflow_stderr_is_one_line(tmp_path, experiment, extra):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("diverged: "), err
     assert cli.replay(out) == {"verified": True, "rows": 1}
+
+
+def _readme_config_rows() -> dict:
+    """README's config table: section -> {key: the text in parentheses
+    after the key}, for every key written as `key` (default)."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return {name.strip("`"): dict(re.findall(r"`(\w+)` \(([^)]*)\)", keys))
+            for name, keys in re.findall(r"^\| (.+?) \| (.*) \|$", text, re.M)}
+
+
+# each config section's keys and defaults: cli._SECTIONS, and the fields of
+# every Schema type, by the last word of its section name
+_SCHEMAS = {**cli._SECTIONS, **{
+    cls.section.split()[-1]: {
+        grid._config_key(f): (f.type, f.default if f.default_factory is dataclasses.MISSING
+                              else f.default_factory())
+        for f in dataclasses.fields(cls)}
+    for cls in grid.Schema.__subclasses__()}}
+
+
+def _documents(text: str, default) -> bool:
+    if default is dataclasses.MISSING:
+        return text.startswith("required")
+    if default is None or default == ():
+        return text.startswith("none")
+    if isinstance(default, str):
+        return text.startswith(f"`{default}`")
+    return float(re.match(r"[-+.\de]+", text)[0]) == default
+
+
+@pytest.mark.parametrize("section", list(_SCHEMAS))
+def test_readme_config_table_matches_schema(section):
+    """README's config table names exactly each section's keys, each with
+    its default: a number, a `string`, "none" or "required"."""
+    keys, row = _SCHEMAS[section], _readme_config_rows()[section]
+    assert set(row) == set(keys)
+    for key, (_, default) in keys.items():
+        assert _documents(row[key], default), (key, row[key], default)

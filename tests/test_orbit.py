@@ -152,6 +152,22 @@ def test_r_critical_large_period_floor():
     assert rc.value == pytest.approx(floor, rel=1e-10)
 
 
+@pytest.mark.parametrize("eps, factor", [(0.25, 1.466), (1.0, 0.889)],
+                         ids=["measured eps", "retired default eps"])
+def test_r_critical_reports_its_contraction_factor(eps, factor):
+    """RCritical carries sqrt(2+a) e^(-eps T/(2+a)), the term of its
+    denominator that eps enters.  At the C06 physics (alpha = nu1 = 1,
+    T = 2) the measured eps = 0.25 gives 1.466 and leaves no admissible
+    radius even without forcing; the retired config default eps = 1 gave
+    0.889 and admitted one."""
+    consts = {"C1": 0.5, "C2": 0.02, "C3": 0.1, "eps": eps}
+    rc = orbit.r_critical(0.0, 1.0, 1.0, 2.0, consts)
+    assert rc.contraction == np.sqrt(3.0) * np.exp(-eps * 2.0 / 3.0)
+    assert rc.contraction == pytest.approx(factor, abs=5e-4)
+    assert rc.denominator == 1.0 - rc.contraction - 0.02
+    assert rc.admissible == (factor < 1.0)
+
+
 def test_r_critical_inadmissible_denominator():
     bad = {"C1": 0.5, "C2": 5.0, "C3": 0.1, "eps": 2.5}
     rc = orbit.r_critical(0.1, 1.0, 0.2, 2.0, bad)
