@@ -13,10 +13,10 @@ archives the run that diverged, up to its last finite sample, so that it
 replays.
 
 Every archived trajectory goes through one writer, _ArchiveWriter, which
-writes snapshots and keeps energy.csv's rows CHUNK samples at a time;
-simulate and lasalle stream into it while they step, and replay loads and
-checks an archive CHUNK samples at a time, so neither holds more than
-CHUNK + 1 states, however long the run.
+writes the snapshots and energy.csv rows of CHUNK samples at a time;
+simulate and lasalle stream into it while they step, and replay parses
+energy.csv in place and checks the snapshots CHUNK at a time, so neither
+holds more than CHUNK + 1 states, however long the run.
 """
 
 from __future__ import annotations
@@ -172,10 +172,6 @@ def _initial_state(run: _Run) -> State:
 # ---------------------------------------------------------------------------
 # artifact writing
 
-def _write_energy_csv(path: Path, rows: np.ndarray) -> None:
-    write_csv(path, energy_mod.CSV_HEADER, row_template(*rows.shape), rows.ravel().tolist())
-
-
 def _save_state(directory: Path, stem: str, s: State) -> None:
     """Write a state as the CSV triple <stem>u.csv, <stem>ut.csv, <stem>h.csv."""
     save_vector_csv(directory / f"{stem}u.csv", s.u)
@@ -242,16 +238,16 @@ def _table_rows(traj: Trajectory, n_new: int) -> np.ndarray:
 class _ArchiveWriter(Trajectory):
     """A trajectory that writes itself into the archive at outdir as it
     grows.  Whenever it holds CHUNK samples past the last one written, it
-    writes their snapshot triples, keeps their energy.csv rows (and, for a
-    limit-set run, their ``analysis.lasalle_series``) and drops all but
-    the last.  Its first write removes an earlier run's snapshots: nothing
-    touches outdir before then.  ``close`` writes the rest and energy.csv."""
+    writes their snapshot triples, then appends their energy.csv rows, and
+    drops all but the last; a limit-set run keeps their times, energies
+    and ``analysis.lasalle_series`` for its report.  Its first write
+    removes an earlier run's snapshots and starts energy.csv with its
+    header: nothing touches outdir before then.  ``close`` writes the rest."""
 
     def __init__(self, outdir: Path, lasalle: bool = False, **trajectory):
         super().__init__(**trajectory)
         self.outdir = outdir
         self.written = 0
-        self.rows = []
         self.series = [] if lasalle else None
 
     def add(self, sample, t: float, e: float) -> None:
@@ -260,7 +256,7 @@ class _ArchiveWriter(Trajectory):
             self._write()
 
     def _write(self) -> None:
-        new = self.samples[1:] if self.written else self.samples
+        new = self.samples[self.written > 0:]    # a copy: _table_rows empties samples
         if not new:
             return
         snap = self.outdir / "snapshots"
@@ -270,21 +266,20 @@ class _ArchiveWriter(Trajectory):
                 old.unlink()
         for k, s in enumerate(new, self.written):
             _save_state(snap, f"{k:04d}_", s)
+        rows = _table_rows(self, len(new))
         if self.series is not None:
-            self.series.append(analysis.lasalle_series(new))
+            self.series.append(np.vstack([rows[:, :2].T, analysis.lasalle_series(new)]))
+        write_csv(self.outdir / "energy.csv", None if self.written else energy_mod.CSV_HEADER,
+                  row_template(*rows.shape), rows.ravel().tolist())
         self.written += len(new)
-        self.rows.append(_table_rows(self, len(new)))
 
-    def close(self) -> None:
-        self._write()
-        _write_energy_csv(self.outdir / "energy.csv", np.concatenate(self.rows))
+    close = _write
 
     def lasalle_report(self) -> dict:
-        """``analysis.lasalle_report`` of the closed run, from its series
-        and the times and energies of its rows."""
-        rows = np.concatenate(self.rows)
-        return analysis.lasalle_trends(rows[:, 0], np.concatenate(self.series, axis=1),
-                                       rows[:, 1])
+        """``analysis.lasalle_report`` of the closed run, from the times,
+        energies and series it kept."""
+        t, e, *series = np.concatenate(self.series, axis=1)
+        return analysis.lasalle_trends(t, series, e)
 
 
 def _archive_trajectory(outdir: Path, traj: Trajectory) -> dict:
@@ -478,11 +473,12 @@ def replay(archive_dir) -> dict:
     """Rebuild the stored snapshots, recompute energy.csv from them with
     the archive writer's ``energy.energy_table`` and cross-check it against
     the stored one, CHUNK snapshots at a time; a mismatch beyond 1e-10 is
-    reported with the first differing row, by its index in the file.  A
-    damaged file raises MelabError naming it (no parse, no rows, a header
-    other than CSV_HEADER, a row count other than the snapshot triples',
-    all refused before any snapshot is loaded), an archive of no
-    trajectory NoTrajectoryError."""
+    reported with the first differing row, by its index in the file.
+    energy.csv is parsed from the open file: only its 8 floats per sample
+    are held.  A damaged file raises MelabError naming it (no rows, a
+    header other than CSV_HEADER, no parse, a column or row count other
+    than the header's or the snapshot triples', all refused before any
+    snapshot loads), an archive of no trajectory NoTrajectoryError."""
     arc = Path(archive_dir)
     path = arc / "run.json"
     with open(path) as fh:
@@ -502,19 +498,21 @@ def replay(archive_dir) -> dict:
                 section.pop(key, None)
     run = _parse_config(doc["config"])
     path, n_cols = arc / "energy.csv", energy_mod.CSV_HEADER.count(",") + 1
-    lines = path.read_text().splitlines()
-    if len(lines) < 2:
-        raise MelabError(f"{path}: no rows")
-    if lines[0] != energy_mod.CSV_HEADER:
-        raise MelabError(f"{path}: header {lines[0]!r}, expected {energy_mod.CSV_HEADER!r}")
-    try:
-        stored = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    except ValueError as err:
-        raise MelabError(f"{path}: {err}") from None
+    with open(path) as fh:
+        header, rows_at = fh.readline().rstrip("\n"), fh.tell()
+        if not fh.readline():
+            raise MelabError(f"{path}: no rows")
+        if header != energy_mod.CSV_HEADER:
+            raise MelabError(f"{path}: header {header!r}, expected {energy_mod.CSV_HEADER!r}")
+        fh.seek(rows_at)
+        try:
+            stored = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise MelabError(f"{path}: {err}") from None
     if stored.shape[1] != n_cols:
         raise MelabError(f"{path}: {stored.shape[1]} columns, expected {n_cols}")
     snap = arc / "snapshots"
-    n_snap = len(list(snap.glob("*_h.csv")))
+    n_snap = sum(e.name.endswith("_h.csv") for e in os.scandir(snap))    # no list of 3n names
     if n_snap != len(stored):
         raise MelabError(f"{path}: {len(stored)} rows, but {n_snap} snapshot triples")
     traj = Trajectory(params=run.params, dissipation=run.spec, forcing=run.forcing)

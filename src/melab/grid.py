@@ -569,13 +569,14 @@ def unpack_interior(grid: Grid2D, vec: np.ndarray) -> VectorField2:
 # ---------------------------------------------------------------------------
 # CSV files
 
-def write_csv(path, header: str, template: str, values) -> None:
-    """Write the header line and then template % values in one write.  The
-    template holds one '%.17g' slot per value in row-major order, so the
-    file is byte for byte what numpy's text writer gives for the same rows
-    with fmt "%.17g", delimiter "," and the header without comment prefix."""
-    with open(path, "w") as fh:
-        fh.write(f"{header}\n{template % tuple(values)}")
+def write_csv(path, header: str | None, template: str, values) -> None:
+    """Write the header line and then template % values in one write; a
+    header of None appends the rows.  The template holds one '%.17g' slot
+    per value in row-major order, so the file is byte for byte what numpy's
+    text writer gives for the same rows with fmt "%.17g", delimiter ","
+    and the header without comment prefix."""
+    with open(path, "a" if header is None else "w") as fh:
+        fh.write(("" if header is None else f"{header}\n") + template % tuple(values))
 
 
 def row_template(n_rows: int, n_cols: int) -> str:

@@ -275,7 +275,8 @@ class State:
     t: float = 0.0
 
     def __post_init__(self):
-        self.y = tuple(np.asarray(x, dtype=float).view() for x in self.y)
+        # from a list: CPython resizes a tuple(generator) and strands it in a free list
+        self.y = tuple([np.asarray(x, dtype=float).view() for x in self.y])
         shapes, n = [x.shape for x in self.y], 2 * self.grid.n_interior
         if shapes != [(n,), (n,), (self.grid.n_nodes,)]:
             raise DomainMismatchError(f"state array shapes {shapes} do not fit {self.grid}")
@@ -473,13 +474,15 @@ def _certify_mode_count(a: sparse.csr_array, vals: np.ndarray) -> None:
     of an LDL^T factorization of a - cut*I, with cut just below the start
     of the highest value's degenerate group, hold as many negatives as a
     has eigenvalues below cut.  Lanczos can miss one copy of a repeated
-    eigenvalue; that shows as fewer returned values below cut."""
+    eigenvalue; that shows as fewer returned values below cut.  Minimum
+    degree on a^T + a, SuperLU's order for its symmetric mode, fills less than COLAMD."""
     import scipy.sparse.linalg
 
     start = vals[vals >= vals[-1] * (1.0 - _GROUP_RTOL)][0]
     cut = start * (1.0 - _GROUP_RTOL)
     lu = scipy.sparse.linalg.splu((a - cut * sparse.eye_array(a.shape[0])).tocsc(),
-                                  diag_pivot_thresh=0, options={"SymmetricMode": True})
+                                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                  options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise MelabError("inertia count needs a symmetric pivot order")
     below = int(np.count_nonzero(lu.U.diagonal() < 0))

@@ -129,7 +129,7 @@ def _banded_cholesky(m, order: np.ndarray):
     ``order`` (Golub & Van Loan, Matrix Computations, 4.3), as
     (factor, order, inverse order), both orders None when ``order`` is the
     identity.  Only one triangle is read, so an asymmetric m is refused: it
-    is a bug, not bad input."""
+    is a bug, not bad input.  LAPACK factors the Fortran-ordered band in place."""
     if abs(m - m.T).max() > 1e-14 * np.abs(m.data).max():
         raise ValueError("implicit matrix is not symmetric")
     rank = np.argsort(order)    # the inverse permutation
@@ -138,11 +138,11 @@ def _banded_cholesky(m, order: np.ndarray):
     i, j = rank[c.row], rank[c.col]
     up = i <= j
     bw = int(np.max(j[up] - i[up]))
-    ab = np.zeros((bw + 1, m.shape[0]))
+    ab = np.zeros((bw + 1, m.shape[0]), order="F")
     ab[bw + i[up] - j[up], j[up]] = c.data[up]
     if np.array_equal(order, np.arange(len(order))):
         order = rank = None
-    return scipy.linalg.cholesky_banded(ab), order, rank
+    return scipy.linalg.cholesky_banded(ab, overwrite_ab=True), order, rank
 
 
 def _cho_solve(factor, b: np.ndarray) -> np.ndarray:

@@ -394,21 +394,26 @@ def test_eigenbasis_experiment(tmp_path):
     assert len(rep["elastic_eigenvalues"]) == 4
 
 
+def _melab_process(*args, flags=()):
+    """melab's CLI run with args in a new interpreter started with the
+    given interpreter flags, on the repository's sources."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-m", "melab.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_eigenbasis_replays_bit_for_bit_across_processes(tmp_path):
     """Two processes building the same 24 x 24 basis write byte-identical
     basis.npz files: the Lanczos start vector is fixed."""
     doc = {"experiment": "eigenbasis", "grid": {"nx": 24, "ny": 24},
            "basis": {"m": 8, "m_magnetic": 8}}
     cfg = write_config(tmp_path, "c.json", doc)
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     files = []
     for name in ("a", "b"):
         out = tmp_path / name
-        proc = subprocess.run([sys.executable, "-m", "melab.cli", "eigenbasis", "--config", cfg,
-                               "--output", str(out)], env=env, capture_output=True, text=True,
-                              timeout=300)
+        proc = _melab_process("eigenbasis", "--config", cfg, "--output", str(out))
         assert proc.returncode == 0, proc.stderr
         files.append((out / "basis.npz").read_bytes())
     assert files[0] == files[1]
@@ -585,22 +590,32 @@ def _savetxt_snapshot(header):
     return save
 
 
+def _savetxt_rows(path, header, template, values):
+    """cli's write_csv of energy.csv rows as numpy's savetxt: the header
+    starts the file, and without one the rows are appended."""
+    rows = np.reshape(values, (-1, len(CSV_HEADER.split(","))))
+    with open(path, "a" if header is None else "w") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header or "", comments="")
+
+
 def test_savetxt_written_archive_replays_and_matches(tmp_path, monkeypatch):
     """An archive whose snapshots and energy.csv numpy's savetxt wrote, as
-    earlier versions did, replays as verified, and the archive's own
-    writer reproduces it byte for byte."""
-    doc = {**FORCED, "initial": SIM_CONFIG["initial"]}
+    earlier versions did, the rows a savetxt per chunk with the header on
+    the first, replays as verified, and the archive's own writer
+    reproduces it byte for byte.  The run spans two chunks."""
+    n = cli.CHUNK + 5
+    doc = {**FORCED, "initial": SIM_CONFIG["initial"], "t_end": 0.005 * (n - 1),
+           "stepper": {"dt": 0.005, "sample_every": 1}}
     cfg = write_config(tmp_path, "c.json", doc)
     ours, ref = tmp_path / "ours", tmp_path / "ref"
     assert run_cli(["simulate", "--config", cfg, "--output", str(ours)]) == 0
     monkeypatch.setattr(cli, "save_scalar_csv", _savetxt_snapshot("x,y,value"))
     monkeypatch.setattr(cli, "save_vector_csv", _savetxt_snapshot("x,y,vx,vy"))
-    monkeypatch.setattr(cli, "_write_energy_csv", lambda path, rows: np.savetxt(
-        path, rows, fmt="%.17g", delimiter=",", header=cli.energy_mod.CSV_HEADER, comments=""))
+    monkeypatch.setattr(cli, "write_csv", _savetxt_rows)
     assert run_cli(["simulate", "--config", cfg, "--output", str(ref)]) == 0
     assert cli.replay(ref)["verified"]
     files = sorted(p.relative_to(ref) for p in ref.rglob("*.csv"))
-    assert len(files) == 1 + 3 * 3
+    assert len(files) == 1 + 3 * n
     assert files == sorted(p.relative_to(ours) for p in ours.rglob("*.csv"))
     for f in files:
         assert (ours / f).read_bytes() == (ref / f).read_bytes(), f
@@ -864,7 +879,9 @@ def _write_whole(outdir, traj):
     energy.csv from one energy_table over every sample, then every
     snapshot triple."""
     (outdir / "snapshots").mkdir(parents=True)
-    cli._write_energy_csv(outdir / "energy.csv", energy.energy_table(traj))
+    rows = energy.energy_table(traj)
+    grid.write_csv(outdir / "energy.csv", CSV_HEADER, grid.row_template(*rows.shape),
+                   rows.ravel().tolist())
     for k, s in enumerate(traj.samples):
         cli._save_state(outdir / "snapshots", f"{k:04d}_", s)
 
@@ -943,26 +960,87 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _traced_run_and_replay(out, doc, n) -> tuple[int, int]:
+    """The tracemalloc peaks of a simulate run of doc with n samples into
+    the new directory out and of its replay, which must verify."""
+    cfg = write_config(out.parent, f"{out.name}.json", {**doc, "t_end": 0.005 * (n - 1)})
+    code = []
+    peaks = (
+        _traced_peak(lambda: code.append(
+            run_cli(["simulate", "--config", cfg, "--output", str(out)]))),
+        _traced_peak(lambda: code.append(cli.replay(out))))
+    assert code == [0, {"verified": True, "rows": n}]
+    return peaks
+
+
 def test_memory_bounded_by_chunk(tmp_path):
     """Under tracemalloc, the peak of a simulate run with 8 times the
-    samples of a short one on the same grid, and the peak of its replay,
-    stay within 1.3 times the short run's: the writer and replay hold at
-    most CHUNK + 1 states, and only energy.csv's rows grow with the run.
-    The first run fills the caches of the operators and the CSV template."""
+    samples of a short one on the same 20 x 20 grid, and the peak of its
+    replay, stay within 1.3 times the short run's: the writer and replay
+    hold at most CHUNK + 1 states, and, in replay, energy.csv's 8 floats
+    per sample.  The first run fills the caches of the operators and the
+    CSV template."""
     doc = {**FORCED, "grid": {"nx": 20, "ny": 20}, "stepper": {"dt": 0.005, "sample_every": 1}}
     short = cli.CHUNK + 1
-    peaks = {}
-    for n in (short, short, 8 * short):
-        cfg = write_config(tmp_path, f"c{n}.json", {**doc, "t_end": 0.005 * (n - 1)})
-        out = tmp_path / f"o{n}"
-        code = []
-        peaks[n] = (
-            _traced_peak(lambda: code.append(
-                run_cli(["simulate", "--config", cfg, "--output", str(out)]))),
-            _traced_peak(lambda: code.append(cli.replay(out))))
-        assert code == [0, {"verified": True, "rows": n}]
+    peaks = {n: _traced_run_and_replay(tmp_path / f"o{i}", doc, n)
+             for i, n in enumerate((short, short, 8 * short))}
     for long_peak, short_peak in zip(peaks[8 * short], peaks[short]):
         assert long_peak <= 1.3 * short_peak, peaks
+
+
+def test_memory_per_sample_below_100_bytes(tmp_path, monkeypatch):
+    """On an 8 x 8 grid, whose states are small beside the rows, the
+    tracemalloc peak of simulate, and that of replay, grows by less than
+    100 bytes per sample from a run of 3 chunks to one of 25: the writer
+    appends each chunk's energy.csv rows as it goes, and replay parses
+    them from the open file into 8 floats (64 B) per sample.  Both runs
+    span full chunks after the first, in which replay builds the grid's
+    operators.  CPython's type attribute cache keeps, by address, up to
+    4096 attribute names it looked up, and scipy builds a new one for each
+    sparse product, so the cache is cleared at every chunk."""
+    table_rows = cli._table_rows
+
+    def rows(traj, n_new):
+        sys._clear_type_cache()
+        return table_rows(traj, n_new)
+
+    monkeypatch.setattr(cli, "_table_rows", rows)
+    doc = {**FORCED, "grid": {"nx": 8, "ny": 8}, "stepper": {"dt": 0.005, "sample_every": 1}}
+    short, long = 3 * cli.CHUNK + 1, 25 * cli.CHUNK + 1
+    peaks = {n: _traced_run_and_replay(tmp_path / f"o{i}", doc, n)
+             for i, n in enumerate((short, short, long))}
+    for long_peak, short_peak in zip(peaks[long], peaks[short]):
+        assert (long_peak - short_peak) / (long - short) < 100, peaks
+
+
+def test_run_diverging_after_first_chunk_replays(tmp_path, monkeypatch):
+    """A run that diverges after its first chunk, written over a longer
+    run's archive, leaves one energy.csv row per snapshot triple of its
+    own, and its archive replays as verified."""
+    out, n = tmp_path / "o", cli.CHUNK + 4
+    doc = {**SIM_CONFIG, "stepper": {"dt": 0.005, "sample_every": 1}}
+    cfg = write_config(tmp_path, "long.json", {**doc, "t_end": 0.005 * 3 * cli.CHUNK})
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    monkeypatch.setattr(stepping, "step", _failing_step(stepping.step, n - 1))
+    cfg = write_config(tmp_path, "c.json", {**doc, "t_end": 0.005 * (n + 4)})
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 3
+    rows = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)
+    assert len(rows) == len(list((out / "snapshots").glob("*_h.csv"))) == n
+    assert cli.replay(out) == {"verified": True, "rows": n}
+
+
+def test_archive_closes_its_files(tmp_path):
+    """A lasalle run of three chunks at 12 x 12 and its replay, each in an
+    interpreter in development mode with ResourceWarning an error, leave
+    no file open: an unclosed handle would print that warning."""
+    doc = {**SIM_CONFIG, "experiment": "lasalle", "grid": {"nx": 12, "ny": 12},
+           "stepper": {"dt": 0.005, "sample_every": 1}, "t_end": 0.005 * 2 * cli.CHUNK}
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = str(tmp_path / "o")
+    for args in (["lasalle", "--config", cfg, "--output", out], ["replay", "--output", out]):
+        proc = _melab_process(*args, flags=("-X", "dev", "-W", "error::ResourceWarning"))
+        assert proc.returncode == 0 and "ResourceWarning" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout) == {"verified": True, "rows": 2 * cli.CHUNK + 1}
 
 
 def test_rewritten_archive_holds_only_its_snapshots(tmp_path):
@@ -993,12 +1071,7 @@ def test_overflow_stderr_is_one_line(tmp_path, experiment, extra):
            **extra}
     cfg = write_config(tmp_path, "c.json", doc)
     out = tmp_path / "o"
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "melab.cli", experiment, "--config", cfg,
-                           "--output", str(out)], env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = _melab_process(experiment, "--config", cfg, "--output", str(out))
     assert proc.returncode == 3, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("diverged: "), err
