@@ -28,6 +28,7 @@ import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,7 @@ CHUNK = 16
 _SECTIONS = {
     "initial": {"kind": ("str", "zero"), "amplitude": ("float", 0.05), "n_modes": ("int", 6)},
     "basis": {"m": ("int", 8), "m_magnetic": ("int", 8)},
-    # the perturbation seed defaults to the top-level seed
-    "perturbation": {"seed": ("int", None), "amplitude": ("float", 1e-3)},
+    "perturbation": {"amplitude": ("float", 1e-3)},
     # the constants of the paper's conditions that melab cannot derive offline;
     # check-conditions and find-periodic --strict refuse a null one they need
     "conditions": {"c_mu": ("float", None), "c_e": ("float", None), "c_small": ("float", None)},
@@ -101,9 +101,10 @@ _TOP = {
 }
 _STEPPING = ("simulate", "find-periodic", "perturb", "lasalle")
 # retired keys by section, which replay drops from older archives' run.json:
-# the sampled dissipation validators', and the constants melab now measures
+# the sampled dissipation validators', the constants melab now measures and
+# the perturbation seed, which was always the top-level seed
 _RETIRED_KEYS = {"dissipation": ("k0", "r_rho", "k_c"), "conditions": ("e1_0", "c_omega"),
-                 "r_critical_consts": ("eps",)}
+                 "r_critical_consts": ("eps",), "perturbation": ("seed",)}
 
 
 @dataclass
@@ -136,8 +137,6 @@ def _parse_config(raw: dict, experiment: str | None = None) -> _Run:
     for name, keys in _SECTIONS.items():
         if cfg[name] is not None:
             cfg[name] = parse_section(cfg[name], keys, name)
-    if cfg["perturbation"]["seed"] is None:
-        cfg["perturbation"]["seed"] = cfg["seed"]
     if cfg["t_end"] is None:
         cfg["t_end"] = {"simulate": 1.0, "lasalle": 50.0, "perturb": 5.0 * forcing.period}.get(
             experiment)
@@ -262,8 +261,9 @@ class _ArchiveWriter(Trajectory):
         snap = self.outdir / "snapshots"
         if not self.written:
             snap.mkdir(parents=True, exist_ok=True)
-            for old in snap.glob("[0-9]*_*.csv"):
-                old.unlink()
+            with os.scandir(snap) as entries:    # glob would list the whole directory
+                for old in (e for e in entries if fnmatchcase(e.name, "[0-9]*_*.csv")):
+                    os.unlink(old)
         for k, s in enumerate(new, self.written):
             _save_state(snap, f"{k:04d}_", s)
         rows = _table_rows(self, len(new))
@@ -370,15 +370,13 @@ def _exp_find_periodic(run, outdir, strict):
 
 def _exp_perturb(run, outdir, strict):
     grid, params, spec, forcing = run.grid, run.params, run.spec, run.forcing
-    pconf = run.config["perturbation"]
     po = orbit_mod.find_periodic(
         State.zero(grid), params, spec, forcing, run.stepper,
         tol=run.config["tol"], max_iter=run.config["max_iter"],
     )
     basis = _basis(run)
-    seed_state = random_state(
-        grid, basis, seed=pconf["seed"], amplitude=pconf["amplitude"], mean_zero_h=True,
-    )
+    seed_state = random_state(grid, basis, seed=run.config["seed"],
+                              amplitude=run.config["perturbation"]["amplitude"])
     pert = orbit_mod.run_perturbation(
         po, seed_state.u, seed_state.ut, seed_state.h, run.config["t_end"],
         params, spec, forcing, run.stepper,

@@ -19,13 +19,15 @@ first derivatives over all nodes, whose interior rows and columns are the
 gradient G and the divergence D; ``Grid2D.lap_neumann``,
 ``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``), and the Lame matrix
 ``lame_operator_matrix``, cached once per grid and material.  Applying an
-operator is a matrix-vector product with it and the implicit solves factor
-it in banded form.  The matrices are built in canonical CSR form (sorted
-indices, no duplicates): scipy sorts a non-canonical matrix in place
-whenever an operation needs it so, after which every product with the
-cached matrix would sum in another order.  The eigenpairs of both scalar
-Laplacians are closed forms, DCT-I and DST-I tensor modes
-(``Grid2D.neumann_modes``, ``Grid2D.dirichlet_modes``).
+operator is a matrix-vector product with it; the elastic implicit solve
+factors the Lame matrix in banded form.  The matrices are built in
+canonical CSR form (sorted indices, no duplicates): scipy sorts a
+non-canonical matrix in place whenever an operation needs it so, after
+which every product with the cached matrix would sum in another order.
+The eigenpairs of both scalar Laplacians are closed forms, DCT-I and DST-I
+tensor modes (``Grid2D.neumann_modes``, ``Grid2D.dirichlet_modes``), and
+the magnetic implicit solve divides in the DCT-I modes
+(``Grid2D.neumann_resolvent``).
 
 The module also holds the config schema (``parse_section``, ``Schema``)
 through which every parameter type reads its section of a config file, and
@@ -256,10 +258,23 @@ class Grid2D(Schema):
         d, w = self.div, sparse.diags_array(self.weights.ravel())
         return _canonical(sparse.diags_array(1.0 / self.vector_weights) @ (d.T @ w @ d))
 
+    @cached_property
+    def cosine_pairs(self) -> tuple:
+        """The DCT-I pairs of -_flux_1d in x and y, for neumann_modes and neumann_resolvent."""
+        return _cosine_modes(self.wx, self.dx), _cosine_modes(self.wy, self.dy)
+
     def neumann_modes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The m lowest eigenpairs of -lap_neumann: DCT-I tensor modes over
         all nodes, trapezoid-orthonormal, mode 0 constant."""
-        return _lowest_modes(_cosine_modes(self.wx, self.dx), _cosine_modes(self.wy, self.dy), m)
+        return _lowest_modes(*self.cosine_pairs, m)
+
+    def neumann_resolvent(self, c: float):
+        """b -> (I - c lap_neumann)^-1 b on raveled nodes, c >= 0, by one division in
+        the DCT-I modes: Vx [(Vx^T Wx B Wy Vy) / (1 + c(kx + ky))] Vy^T (Buzbee, Golub &
+        Nielson, 1970).  Mode 0 is constant, kx + ky = 0: the weighted sum of b is kept."""
+        (kx, vx), (ky, vy) = self.cosine_pairs
+        den, vxt_w, w_vy = 1.0 + c * np.add.outer(kx, ky), vx.T * self.wx, self.wy[:, None] * vy
+        return lambda b: (vx @ ((vxt_w @ b.reshape(self.shape) @ w_vy) / den) @ vy.T).ravel()
 
     def dirichlet_modes(self, m: int, group_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """The m lowest eigenpairs of -lap_dirichlet: DST-I tensor modes on

@@ -498,9 +498,9 @@ def random_state(
     seed: int,
     amplitude: float = 1.0,
     n_modes: int | None = None,
-    mean_zero_h: bool = True,
 ) -> State:
-    """Random eigenmode combination with controlled energy scale."""
+    """Random eigenmode combination with controlled energy scale, without
+    the constant magnetic mode: mean(h) is zero to round-off."""
     if grid != basis.grid:
         raise DomainMismatchError("random_state grid does not match basis grid")
     if seed < 0 or (n_modes is not None and n_modes < 1):
@@ -516,8 +516,7 @@ def random_state(
     cu[:mel] = rng.standard_normal(mel) / np.sqrt(np.maximum(basis.elastic_vals[:mel], 1.0))
     cv[:mel] = rng.standard_normal(mel)
     ch[:mmag] = rng.standard_normal(mmag)
-    if mean_zero_h:
-        ch[0] = 0.0  # drop the constant magnetic mode
+    ch[0] = 0.0
     ct = amplitude * ch
     (u, h), (v, _) = basis.lift(amplitude * cu, ct), basis.lift(amplitude * cv, ct)
     return State(grid, (u, v, h))

@@ -19,8 +19,10 @@ fused matrix [[-A_el, 0, 0], [0, nu1 L, 0], [0, G, 0], [0, 0, D]] applied
 to [u; h; (b0 + h) u']; the predictor's force evaluation is one product
 with the grid's blockdiag(G, D) (``model.coupling_packed`` turns either
 into the coupling).  Each product calls scipy's CSR kernel directly
-(``_csr_apply``).  An IMEX step thus makes two products, an RK4 step four.
-One loop (``_run``) steps both coordinate systems: it computes each state's
+(``_csr_apply``).  An IMEX step makes two products, an RK4 step four; the
+IMEX solves are a division in the grid's DCT-I modes for h
+(``Grid2D.neumann_resolvent``) and a banded Cholesky solve for u'.  One
+loop (``_run``) steps both coordinate systems: it computes each state's
 terms once, for its energy and for the step from it, reads divergence
 from that energy and hands each kept sample, with its time and energy, to
 a trajectory's ``add``.  ``integrate`` starts from ``state0.y`` and makes a
@@ -127,9 +129,9 @@ def _banded_cholesky(m, order: np.ndarray):
     """Cholesky factor, in LAPACK upper banded storage, of the sparse
     symmetric positive definite matrix m with its unknowns taken in
     ``order`` (Golub & Van Loan, Matrix Computations, 4.3), as
-    (factor, order, inverse order), both orders None when ``order`` is the
-    identity.  Only one triangle is read, so an asymmetric m is refused: it
-    is a bug, not bad input.  LAPACK factors the Fortran-ordered band in place."""
+    (factor, order, inverse order).  Only one triangle is read, so an
+    asymmetric m is refused: it is a bug, not bad input.  LAPACK factors
+    the Fortran-ordered band in place."""
     if abs(m - m.T).max() > 1e-14 * np.abs(m.data).max():
         raise ValueError("implicit matrix is not symmetric")
     rank = np.argsort(order)    # the inverse permutation
@@ -140,52 +142,38 @@ def _banded_cholesky(m, order: np.ndarray):
     bw = int(np.max(j[up] - i[up]))
     ab = np.zeros((bw + 1, m.shape[0]), order="F")
     ab[bw + i[up] - j[up], j[up]] = c.data[up]
-    if np.array_equal(order, np.arange(len(order))):
-        order = rank = None
     return scipy.linalg.cholesky_banded(ab, overwrite_ab=True), order, rank
 
 
 def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
-    """The solution x of m x = b, for the factor of m; b is left as it is.
-    An identity order skips both reordering copies."""
+    """The solution x of m x = b, for the factor of m; b is left as it is."""
     cb, order, rank = factor
-    if order is None:
-        x, info = _pbtrs(cb, b)
-    else:
-        x, info = _pbtrs(cb, b[order], overwrite_b=1)
+    x, info = _pbtrs(cb, b[order], overwrite_b=1)
     if info != 0:
         raise ValueError(f"pbtrs: illegal value in argument {-info}")
-    return x if rank is None else x[rank]
-
-
-def _node_order(n0: int, n1: int) -> np.ndarray:
-    """Row-major indices of an n0 x n1 node array, shorter side fastest."""
-    idx = np.arange(n0 * n1).reshape(n0, n1)
-    return (idx if n1 <= n0 else idx.T).ravel()
+    return x[rank]
 
 
 @lru_cache(maxsize=8)
 def _implicit_ops(grid: Grid2D, dt: float, params: MaterialParams, alpha: float):
     """The fused matrix [[-A_el, 0, 0], [0, nu1 Lap, 0], [0, G, 0],
-    [0, 0, D]] of a state's terms, the nodal weights w and the banded
-    Cholesky factors of the implicit matrices of the IMEX midpoint step:
-    diag(w) (I - (dt/2) nu1 Lap), symmetric in that form, over all nodes,
-    and (2 rho_m + dt alpha) I + (dt^2/2) A_el with the interior DOFs
+    [0, 0, D]] of a state's terms and the two implicit solves of the IMEX
+    midpoint step: the grid's resolvent b -> (I - (dt/2) nu1 Lap)^-1 b,
+    which divides in the closed-form DCT-I modes, and the banded Cholesky
+    factor of (2 rho_m + dt alpha) I + (dt^2/2) A_el with the interior DOFs
     interleaved (ux, uy) per node.  Each row of the fused matrix holds one
     block's row, in that block's order, so its products are bit for bit
     the blocks' own."""
     a = 0.5 * dt
     lap = neumann_laplacian_matrix(grid)
-    w = grid.weights.ravel()
-    m_h = sparse.diags_array(w) @ (sparse.eye_array(grid.n_nodes) - (a * params.nu1) * lap)
     a_el = lame_operator_matrix(grid, params.mu, params.lam)
     ni = grid.n_interior
     m_u = (2.0 * params.rho_m + dt * alpha) * sparse.eye_array(2 * ni) + (dt * a) * a_el
-    nodes = _node_order(grid.nx - 1, grid.ny - 1)
+    nodes = np.arange(ni).reshape(grid.nx - 1, grid.ny - 1)    # shorter side fastest
+    nodes = (nodes if grid.ny <= grid.nx else nodes.T).ravel()
     fused = sparse.bmat([[-a_el, None, None], [None, params.nu1 * lap, None],
                          [None, grid.grad, None], [None, None, grid.div]], format="csr")
-    return (fused, w,
-            _banded_cholesky(m_h, _node_order(grid.nx + 1, grid.ny + 1)),
+    return (fused, grid.neumann_resolvent(a * params.nu1),
             _banded_cholesky(m_u, np.column_stack([nodes, nodes + ni]).ravel()))
 
 
@@ -229,17 +217,17 @@ class OperatorSet:
     alpha: float          # the linear damping, taken implicitly
     terms: object         # (u, v, h) -> (el, lh, c) = (-A_el u, nu1 Lap h, coupling or None)
     solve_u: object       # b -> ((2 rho_m + dt alpha) I + (dt^2/2) A_el)^-1 b
-    solve_h: object       # b -> (I - (dt/2) nu1 Lap)^-1 b
+    solve_h: object       # b -> (I - (dt/2) nu1 Lap)^-1 b, diagonal in the DCT-I modes
     forces: object        # (v, h, t, c=None) -> explicit (acceleration, flux), c from terms
     energy: object        # (u, v, h, el) -> total energy, el from terms
 
 
 def _grid_ops(grid: Grid2D, dt: float, params, spec, forcing) -> OperatorSet:
     """Packed interior u, v and raveled nodal h: one product with the fused
-    matrix per state, the coupling by ``model.coupling_packed``, and the
-    cached banded Cholesky factors."""
+    matrix per state, the coupling by ``model.coupling_packed``, the cached
+    elastic banded Cholesky factor and the grid's magnetic resolvent."""
     alpha = spec.linear_alpha
-    fused, w, chol_h, chol_u = _implicit_ops(grid, dt, params, alpha)
+    fused, solve_h, chol_u = _implicit_ops(grid, dt, params, alpha)
     interior, n, m = grid.interior, 2 * grid.n_interior, 2 * grid.n_interior + grid.n_nodes
 
     def terms(u, v, h):
@@ -251,7 +239,7 @@ def _grid_ops(grid: Grid2D, dt: float, params, spec, forcing) -> OperatorSet:
         params.rho_m, alpha,
         terms=terms,
         solve_u=lambda b: _cho_solve(chol_u, b),
-        solve_h=lambda b: _cho_solve(chol_h, w * b),
+        solve_h=solve_h,
         forces=_grid_forces(grid, params, spec, forcing),
         energy=lambda u, v, h, el: energy_mod.energy_packed(grid, params, u, v, h, el),
     )

@@ -109,7 +109,8 @@ def test_criterion_02_mean_conservation():
     g = Grid2D(16, 16, 1.0, 1.0)
     params = MaterialParams(rho_m=1.0, mu=1.0, lam=0.5, nu1=0.1, mu0=1.0, b0=1.0)
     basis = build_galerkin_basis(g, params, m=6, m_magnetic=6)
-    st = random_state(g, basis, seed=2, amplitude=0.1, mean_zero_h=False)
+    u, v, h = random_state(g, basis, seed=2, amplitude=0.1).y
+    st = State(g, (u, v, h + 0.1))    # mean(h) = 0.1
     traj = stepping.integrate(st, 10.0, params, DissipationSpec(kind="none"),
                               Forcing.zero(), stepping.StepperConfig(dt=1e-3, sample_every=500))
     means = [float(np.sum(s.h.values * g.weights)) / (g.lx * g.ly) for s in traj.samples]

@@ -672,6 +672,21 @@ def test_archive_with_retired_dissipation_keys_replays(tmp_path):
     assert cli.replay(out) == {"verified": True, "rows": 3}
 
 
+def test_archive_with_perturbation_seed_replays(tmp_path):
+    """Archives written while the perturbation section had its own seed
+    carry perturbation.seed, the top-level seed, in run.json's config;
+    replay drops it and verifies the archive."""
+    cfg = write_config(tmp_path, "c.json", SIM_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    path = out / "run.json"
+    doc = json.loads(path.read_text())
+    assert doc["config"]["perturbation"] == {"amplitude": 1e-3}
+    doc["config"]["perturbation"]["seed"] = doc["config"]["seed"]
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    assert cli.replay(out) == {"verified": True, "rows": 3}
+
+
 # the conditions and r_critical_consts sections that every run.json echoed
 # while melab read C_Omega, E1(0) and eps from the config
 _PARENT_CONSTANTS = {
@@ -1054,6 +1069,30 @@ def test_rewritten_archive_holds_only_its_snapshots(tmp_path):
     assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
         f"{k:04d}_{f}.csv" for k in range(2) for f in ("h", "u", "ut")]
     assert cli.replay(out) == {"verified": True, "rows": 2}
+
+
+def test_stale_snapshot_cleanup_is_bounded(tmp_path):
+    """A 17-sample simulate at 8 x 8 written over 3000 stale snapshot
+    triples removes them one directory entry at a time: its tracemalloc
+    peak stays within 200 KB of the same run into a new directory.  It
+    removes exactly the names that match [0-9]*_*.csv.  The first run
+    fills the caches of the operators and the CSV template."""
+    doc = {**FORCED, "grid": {"nx": 8, "ny": 8}, "stepper": {"dt": 0.005, "sample_every": 1},
+           "t_end": 0.005 * cli.CHUNK}
+    cfg = write_config(tmp_path, "c.json", doc)
+    snap = tmp_path / "o2" / "snapshots"
+    snap.mkdir(parents=True)
+    kept = ["notes.txt", "x0001_u.csv", "0001_h.txt", "0001.csv"]
+    for name in kept + [f"{k:04d}_{f}.csv" for k in range(3000) for f in ("h", "u", "ut")]:
+        (snap / name).touch()
+    code = []
+    peaks = [_traced_peak(lambda: code.append(run_cli(
+        ["simulate", "--config", cfg, "--output", str(tmp_path / f"o{i}")]))) for i in range(3)]
+    assert code == [0, 0, 0]
+    assert peaks[2] - peaks[1] <= 200e3, peaks
+    assert sorted(p.name for p in snap.iterdir()) == sorted(
+        kept + [f"{k:04d}_{f}.csv" for k in range(cli.CHUNK + 1) for f in ("h", "u", "ut")])
+    assert cli.replay(tmp_path / "o2") == {"verified": True, "rows": cli.CHUNK + 1}
 
 
 @pytest.mark.parametrize("experiment, extra", [

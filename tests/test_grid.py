@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from hypothesis.extra import numpy as hnp
 
@@ -217,11 +218,12 @@ def _relative_asymmetry(m) -> float:
 @given(grid=random_grids, mu=st.floats(1e-2, 1e2), lam=st.floats(1e-2, 1e2),
        nu1=st.floats(1e-2, 1e2), dt=st.floats(1e-4, 1e-1))
 def test_implicit_matrices_symmetric_on_random_grids(grid, mu, lam, nu1, dt):
-    """The banded Cholesky factor reads one triangle of the two implicit
-    matrices, so the step's factor builder refuses an asymmetry above
-    1e-14 relative.  The Lame matrix is not always bit-symmetric (its
-    Gram products round differently by row and column), but stays far
-    inside that bound; diag(w) times the flux Laplacian is symmetric."""
+    """The banded Cholesky factor reads one triangle of the elastic implicit
+    matrix, so the step's factor builder refuses an asymmetry above 1e-14
+    relative.  The Lame matrix is not always bit-symmetric (its Gram
+    products round differently by row and column), but stays far inside
+    that bound; diag(w) times the flux Laplacian is symmetric, which is
+    why the trapezoid-orthonormal DCT-I modes diagonalize it."""
     a_el = lame_operator_matrix(grid, mu, lam)
     m_u = sparse.eye_array(2 * grid.n_interior) + (0.5 * dt * dt) * a_el
     w = sparse.diags_array(grid.weights.ravel())
@@ -240,6 +242,28 @@ def test_closed_form_1d_modes_satisfy_stencils(grid):
         for (vals, vecs), op in ((_cosine_modes(w, h), _flux_1d(w, h)),
                                  (_sine_modes(n - 1, h), _second_difference(n - 1, h))):
             assert np.abs(op @ vecs + vecs * vals).max() <= 1e-12 * vals.max() * np.abs(vecs).max()
+
+
+@identity_settings
+@given(nx=st.integers(4, 40), ny=st.integers(4, 40), lx=st.floats(0.2, 5.0),
+       ly=st.floats(0.2, 5.0), c=st.floats(1e-4, 10.0), seed=seeds)
+def test_neumann_resolvent_is_the_sparse_solve(nx, ny, lx, ly, c, seed):
+    """On rectangles, neumann_resolvent(c) agrees with scipy's sparse solve
+    of A = I - c lap_neumann to 1e-13 of |b| + |c lap_neumann| |x| (max
+    norms), and keeps the weighted sum of b to 1e-14 of that of |b|.  The
+    scale holds |c lap_neumann| |x|, because spsolve solves the rounded
+    sparse matrix: its entries are off by eps c |lap_neumann|, which at
+    c (4/dx^2 + 4/dy^2) ~ 1e6 moves x by more than 1e-12 of |b|."""
+    assume(nx != ny and lx != ly)
+    grid = Grid2D(nx, ny, lx, ly)
+    b = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    x = grid.neumann_resolvent(c)(b)
+    cl = c * grid.lap_neumann
+    want = spsolve((sparse.eye_array(grid.n_nodes) - cl).tocsc(), b)
+    scale = np.abs(b).max() + abs(cl).sum(axis=1).max() * np.abs(x).max()
+    assert np.abs(x - want).max() <= 1e-13 * scale
+    w = grid.weights.ravel()
+    assert abs(w @ x - w @ b) <= 1e-14 * (w @ np.abs(b))
 
 
 @identity_settings

@@ -125,7 +125,8 @@ def test_rk4_fourth_order_self_convergence(grid, basis):
 
 
 def test_mean_h_conserved(grid, basis):
-    st = random_state(grid, basis, seed=2, amplitude=0.1, mean_zero_h=False)
+    u, v, h = random_state(grid, basis, seed=2, amplitude=0.1).y
+    st = State(grid, (u, v, h + 0.1))    # mean(h) = 0.1
     cfg = stepping.StepperConfig(dt=2e-3, sample_every=250)
     traj = stepping.integrate(st, 1.0, PARAMS, NONE, ZERO_F, cfg)
     m0 = float(np.sum(traj.samples[0].h.values * grid.weights))
@@ -657,8 +658,9 @@ def test_factor_refuses_asymmetric_matrix():
 
 def test_factor_memory_bounded_at_64():
     """At 64 x 64 (7938 vector unknowns) five IMEX steps run, and the
-    cached banded factors of both implicit matrices hold at most 20 MB (a
-    dense LU of the elastic one alone would hold about 500 MB)."""
+    cached elastic banded factor (about 16.2 MB) and the magnetic resolvent
+    (about 0.2 MB) hold at most 17 MB (a dense LU of the elastic matrix
+    alone would hold about 500 MB)."""
     g = Grid2D(64, 64, 1.0, 1.0)
     u = VectorField2.from_functions(
         g, lambda x, y: 0.1 * np.sin(np.pi * x) * np.sin(np.pi * y),
@@ -672,27 +674,25 @@ def test_factor_memory_bounded_at_64():
     hits = stepping._implicit_ops.cache_info().hits
     ops = stepping._implicit_ops(g, cfg.dt, PARAMS, spec.alpha)
     assert stepping._implicit_ops.cache_info().hits == hits + 1
-    held = sum(a.nbytes for factor in ops[-2:] for a in factor if a is not None)
-    assert held <= 20e6
+    solve_h, chol_u = ops[-2:]
+    arrays = [*chol_u, *(cell.cell_contents for cell in solve_h.__closure__)]
+    held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert 16e6 <= held <= 17e6
 
 
 @pytest.mark.parametrize("nx, ny", [(12, 12), (30, 6), (6, 30)])
 def test_solve_is_scipys_banded_solve(nx, ny):
-    """The direct LAPACK solve of both cached factors is byte for byte
-    scipy's cho_solve_banded on the reordered right-hand side, and leaves
-    the right-hand side alone.  The magnetic factor's order is the identity,
-    stored as None, exactly when ny <= nx."""
+    """The direct LAPACK solve of the cached elastic factor is byte for
+    byte scipy's cho_solve_banded on the reordered right-hand side, and
+    leaves the right-hand side alone."""
     rng = np.random.default_rng(nx * ny)
-    chol_h, chol_u = stepping._implicit_ops(Grid2D(nx, ny, 1.0, 1.0), 1e-2, PARAMS, 0.5)[-2:]
-    assert (chol_h[1] is None) == (ny <= nx) and chol_u[1] is not None
-    for cb, order, rank in (chol_h, chol_u):
-        for _ in range(3):
-            b = rng.standard_normal(cb.shape[1])
-            perm = np.arange(len(b)) if order is None else order
-            want = scipy.linalg.cho_solve_banded((cb, False), b[perm])[np.argsort(perm)]
-            b_copy = b.copy()
-            assert stepping._cho_solve((cb, order, rank), b).tobytes() == want.tobytes()
-            assert b.tobytes() == b_copy.tobytes()
+    cb, order, rank = stepping._implicit_ops(Grid2D(nx, ny, 1.0, 1.0), 1e-2, PARAMS, 0.5)[-1]
+    for _ in range(3):
+        b = rng.standard_normal(cb.shape[1])
+        want = scipy.linalg.cho_solve_banded((cb, False), b[order])[np.argsort(order)]
+        b_copy = b.copy()
+        assert stepping._cho_solve((cb, order, rank), b).tobytes() == want.tobytes()
+        assert b.tobytes() == b_copy.tobytes()
 
 
 def test_solve_refuses_short_right_hand_side():
@@ -707,12 +707,10 @@ def test_solve_refuses_short_right_hand_side():
 @pytest.mark.parametrize("nx, ny", [(30, 6), (6, 30)])
 def test_factor_bandwidth_follows_shorter_side(nx, ny):
     """Unknowns run along the shorter grid side, and the elastic DOFs are
-    interleaved (ux, uy) per node: the half-bandwidths are 4(min(nx, ny) - 1)
-    for the elastic matrix and min(nx, ny) + 1 for the magnetic one."""
-    ops = stepping._implicit_ops(Grid2D(nx, ny, 1.0, 1.0), 1e-2, PARAMS, 0.0)
-    (cb_h, _, _), (cb_u, _, _) = ops[-2:]
+    interleaved (ux, uy) per node: the elastic factor's half-bandwidth is
+    4(min(nx, ny) - 1)."""
+    cb_u = stepping._implicit_ops(Grid2D(nx, ny, 1.0, 1.0), 1e-2, PARAMS, 0.0)[-1][0]
     assert cb_u.shape[0] - 1 == 4 * (min(nx, ny) - 1)
-    assert cb_h.shape[0] - 1 == min(nx, ny) + 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
