@@ -100,11 +100,9 @@ _TOP = {
     **{name: ("dict", {}) for name in _SECTIONS}, "botsenyuk": ("dict", None),
 }
 _STEPPING = ("simulate", "find-periodic", "perturb", "lasalle")
-# retired keys by section, which replay drops from older archives' run.json:
-# the sampled dissipation validators', the constants melab now measures and
-# the perturbation seed, which was always the top-level seed
-_RETIRED_KEYS = {"dissipation": ("k0", "r_rho", "k_c"), "conditions": ("e1_0", "c_omega"),
-                 "r_critical_consts": ("eps",), "perturbation": ("seed",)}
+# retired keys of the sections replay parses, which it drops from older
+# archives' run.json: the sampled dissipation validators'
+_RETIRED_KEYS = {"dissipation": ("k0", "r_rho", "k_c")}
 
 
 @dataclass
@@ -125,10 +123,7 @@ def _parse_config(raw: dict, experiment: str | None = None) -> _Run:
     if experiment and cfg["experiment"] not in (None, experiment):
         raise ParameterError("config experiment does not match the command")
     experiment = cfg["experiment"] = experiment or cfg["experiment"]
-    grid = Grid2D.from_dict(cfg["grid"])
-    params = MaterialParams.from_dict(cfg["material"])
-    spec = DissipationSpec.from_dict(cfg["dissipation"])
-    forcing = Forcing.from_dict(cfg["forcing"]) if cfg["forcing"] is not None else Forcing.zero()
+    grid, params, spec, forcing = _physics(cfg)
     stepper = None
     if cfg["stepper"] or experiment in _STEPPING:
         stepper = StepperConfig.from_dict(cfg["stepper"])
@@ -141,6 +136,15 @@ def _parse_config(raw: dict, experiment: str | None = None) -> _Run:
         cfg["t_end"] = {"simulate": 1.0, "lasalle": 50.0, "perturb": 5.0 * forcing.period}.get(
             experiment)
     return _Run(cfg, grid, params, spec, forcing, stepper)
+
+
+def _physics(cfg: dict) -> tuple:
+    """The grid, material, dissipation law and forcing of a config's sections."""
+    forcing = cfg.get("forcing")
+    return (Grid2D.from_dict(cfg.get("grid", {})),
+            MaterialParams.from_dict(cfg.get("material", {})),
+            DissipationSpec.from_dict(cfg.get("dissipation", {})),
+            Forcing.zero() if forcing is None else Forcing.from_dict(forcing))
 
 
 def _resolve_output(args, output_dir: str | None) -> Path:
@@ -472,6 +476,8 @@ def replay(archive_dir) -> dict:
     the archive writer's ``energy.energy_table`` and cross-check it against
     the stored one, CHUNK snapshots at a time; a mismatch beyond 1e-10 is
     reported with the first differing row, by its index in the file.
+    Only run.json's grid, material, dissipation and forcing sections are
+    parsed, so a key retired from any other section cannot stop a replay.
     energy.csv is parsed from the open file: only its 8 floats per sample
     are held.  A damaged file raises MelabError naming it (no rows, a
     header other than CSV_HEADER, no parse, a column or row count other
@@ -494,7 +500,7 @@ def replay(archive_dir) -> dict:
         if isinstance(section, dict):
             for key in keys:
                 section.pop(key, None)
-    run = _parse_config(doc["config"])
+    grid, params, spec, forcing = _physics(doc["config"])
     path, n_cols = arc / "energy.csv", energy_mod.CSV_HEADER.count(",") + 1
     with open(path) as fh:
         header, rows_at = fh.readline().rstrip("\n"), fh.tell()
@@ -513,12 +519,12 @@ def replay(archive_dir) -> dict:
     n_snap = sum(e.name.endswith("_h.csv") for e in os.scandir(snap))    # no list of 3n names
     if n_snap != len(stored):
         raise MelabError(f"{path}: {len(stored)} rows, but {n_snap} snapshot triples")
-    traj = Trajectory(params=run.params, dissipation=run.spec, forcing=run.forcing)
+    traj = Trajectory(params=params, dissipation=spec, forcing=forcing)
     for start in range(0, len(stored), CHUNK):
         chunk = stored[start:start + CHUNK]
         for k, t in enumerate(chunk[:, 0].tolist(), start):
-            s = _load_state(snap, f"{k:04d}_", run.grid, t)
-            traj.add(s, t, energy_mod.energy_total(s, run.params))
+            s = _load_state(snap, f"{k:04d}_", grid, t)
+            traj.add(s, t, energy_mod.energy_total(s, params))
         rows = _table_rows(traj, len(chunk))
         bad = np.argwhere(np.abs(rows - chunk) > 1e-10)
         if len(bad):

@@ -11,19 +11,20 @@ the packed interior DOFs:
     |Lh|^2 = (L h).(W L h)
 
 On clamped fields these are the edge-quadrature forms: W_v A_el's divergence
-part is D^T W D, the weighted divergence squared, and on the zero-boundary
-subspace the five-point Dirichlet form equals the edge sum
-``grad_edge_inner``.  Only |grad h|^2 stays that edge sum, a sum of squared
-differences of h.  Its matrix form -h.(W L h) sums products of h itself,
-which cancel when h has a large mean: for h = 100 plus noise of size 1e-3 it
-is off by 3.5e-7.  The edge sum is the form whose flux difference is L, so
-the reported dissipation pairs exactly with the discrete diffusion operator
-and the per-step energy balance closes to the integrator's truncation error
-rather than to the mesh width.
+part is D^T W D, the weighted divergence squared, and its Laplacian part is
+the edge form on the interior columns of the grid's edge matrix E.  Only
+|grad h|^2 is taken as the edge sum ``grad_edge_inner`` = (E h).(W_e E h),
+a sum of squared differences of h.  Its matrix form -h.(W L h) sums
+products of h itself, which cancel when h has a large mean: for h = 100
+plus noise of size 1e-3 it is off by 3.5e-7.  L is -W^{-1} E^T W_e E with
+the same E, so the reported dissipation pairs with the discrete diffusion
+operator by construction and the per-step energy balance closes to the
+integrator's truncation error rather than to the mesh width.
 
-The (u', u) and |u|^2 sums of ``lyapunov_g`` and the f1 work of
-``energy_identity_residual`` stay sums over the nodal arrays, bit for bit
-what the field forms gave.
+The (u', u) and |u|^2 terms of ``lyapunov_g`` and the dissipation and
+forcing work of ``energy_identity_residual`` are weighted dot products on
+the same flat arrays, the dissipation read from the law the step applies,
+``DissipationSpec.superlinear``.
 
 A trajectory records each sample's time and energy; ``energy_table`` computes
 the other columns of energy.csv from the samples, for archive and replay.
@@ -43,7 +44,6 @@ from .grid import (
     ScalarField,
     VectorField2,
     grad_edge_inner,
-    interior_nodal,
     lame_operator_matrix,
 )
 from .model import MaterialParams, State, build_galerkin_basis
@@ -131,10 +131,9 @@ def lyapunov_g(
     if eps_or_eta <= 0:
         raise ParameterError("eps/eta must be positive")
     base = energy_total(state, params) if e_total is None else e_total
-    w = state.grid.weights
-    (ux, uy), (vx, vy) = (interior_nodal(state.grid, x) for x in state.y[:2])
-    cross, u_sq = float(np.sum((vx * ux + vy * uy) * w)), float(np.sum((ux * ux + uy * uy) * w))
-    return base + eps_or_eta * cross + 0.5 * alpha * eps_or_eta * u_sq
+    u, v, _ = state.y
+    wu = state.grid.vector_weights * u
+    return base + eps_or_eta * (float(np.dot(wu, v)) + 0.5 * alpha * float(np.dot(wu, u)))
 
 
 @lru_cache(maxsize=8)
@@ -177,8 +176,9 @@ def energy_identity_residual(traj, params: MaterialParams) -> dict:
     with midpoint (state-average) sampling between consecutive samples, E
     the trajectory's recorded energies and its dissipation law and forcing:
     the dissipation and forcing work are weighted dot products on the packed
-    interior u' and the nodal h.  Returns the residual series and its max
-    abs.
+    interior u' and the raveled nodal h, the dissipation being
+    (linear_alpha + superlinear(u')) u'.  Returns the residual series and
+    its max abs.
     """
     if params != traj.params:
         raise ParameterError("params differ from the trajectory's")
@@ -187,21 +187,20 @@ def energy_identity_residual(traj, params: MaterialParams) -> dict:
     if len(samples) < 2:
         raise ParameterError("need at least 2 trajectory samples")
     g = samples[0].grid
-    wv = g.vector_weights
+    wv, w = g.vector_weights, g.weights.ravel()
     forcing_at = None if forcing.is_zero else forcing.packed_on(g)
     t_mid, res = [], []
     for k in range(len(samples) - 1):
         (_, va, ha), (_, vb, hb) = samples[k].y, samples[k + 1].y
-        v = 0.5 * (va + vb)
-        h = (0.5 * (ha + hb)).reshape(g.shape)
+        v, h = 0.5 * (va + vb), 0.5 * (ha + hb)
         tm = 0.5 * (times[k] + times[k + 1])
         r = (energies[k + 1] - energies[k]) / (times[k + 1] - times[k])
         r += params.mu0 * params.nu1 * grad_edge_inner(h, h, g)
-        r += float(np.dot(wv * np.concatenate(spec.pointwise(*v.reshape(2, -1))), v))
+        r += float(np.dot(wv * ((spec.linear_alpha + spec.superlinear(v)) * v), v))
         if forcing_at is not None:
             f2, f1 = forcing_at(tm)
             r -= float(np.dot(wv * f2, v))
-            r -= params.mu0 * float(np.sum(f1.reshape(g.shape) * h * g.weights))
+            r -= params.mu0 * float(np.dot(w * f1, h))
         t_mid.append(tm)
         res.append(r)
     res = np.asarray(res)
@@ -235,14 +234,9 @@ def energy_table(traj) -> np.ndarray:
 
 
 def accumulate_ch(traj) -> float:
-    """Supremum over the sampled horizon of int_0^t |Lap h|^2 ds (time
-    trapezoid over the samples); nondecreasing in the horizon."""
-    ts = np.array(traj.times)
-    if len(ts) < 2:
-        return 0.0
-    vals = np.array([_lh_sq_packed(s.grid, s.y[2]) for s in traj.samples])
-    partial = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts))])
-    return float(partial.max())
+    """int_0^t |Lap h|^2 ds over the sampled horizon (time trapezoid over the
+    samples), nondecreasing in the horizon as its integrand is >= 0."""
+    return float(np.trapezoid([_lh_sq_packed(s.grid, s.y[2]) for s in traj.samples], traj.times))
 
 
 def decay_rate_fit(ts, values) -> tuple[float, float]:

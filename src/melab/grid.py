@@ -1,29 +1,29 @@
 """Rectangular nodal grid, fields and mimetic difference operators.
 
-The operator pair (gradient, divergence) satisfies a discrete
-integration-by-parts identity under the trapezoid quadrature:
+Every operator comes from one of two primitives.  The SBP pair
+``Grid2D.ddx``/``ddy``, the collocated first derivatives over all nodes,
+gives the gradient G (their interior rows), the divergence D (their
+interior columns) and ``Grid2D.grad_div``, with the discrete integration
+by parts under the trapezoid quadrature
 
     (grad h, w) + (h, div w) = 0
 
-exactly (to round-off) whenever w vanishes on the boundary.  The Neumann
-Laplacian is the flux difference of edge-centered gradients, which makes it
-self-adjoint in the quadrature inner product and pairs it exactly with the
-edge gradient form ``grad_edge_inner``; the elastic operator pairs
-the Dirichlet Laplacian with the quadrature adjoint of the divergence in the
-same way.  That compatibility is what turns the continuous energy balance of
-the model into a machine-checkable identity.
+exactly (to round-off) whenever w vanishes on the boundary.  The edge
+matrix ``Grid2D.edges`` = (E, w_e), the forward differences along every
+edge and their trapezoid weights, gives the gradient form
+``grad_edge_inner`` = (E a).(W_e E b) and both scalar Laplacians,
+-W^{-1} E^T W_e E over all nodes (``Grid2D.lap_neumann``) and over E's
+interior columns (``Grid2D.lap_dirichlet``): the mimetic construction of
+Hyman & Shashkov (1997).  So (lap h, g) = -grad_edge_inner(h, g) holds by
+construction, and that compatibility is what turns the continuous energy
+balance of the model into a machine-checkable identity.
 
-Each operator has one definition: a sparse matrix assembled once per grid
-from 1D stencils by Kronecker products (``Grid2D.ddx``/``ddy``, the SBP
-first derivatives over all nodes, whose interior rows and columns are the
-gradient G and the divergence D; ``Grid2D.lap_neumann``,
-``Grid2D.lap_dirichlet``, ``Grid2D.grad_div``), and the Lame matrix
-``lame_operator_matrix``, cached once per grid and material.  Applying an
-operator is a matrix-vector product with it; the elastic implicit solve
-factors the Lame matrix in banded form.  The matrices are built in
-canonical CSR form (sorted indices, no duplicates): scipy sorts a
-non-canonical matrix in place whenever an operation needs it so, after
-which every product with the cached matrix would sum in another order.
+Each operator is a sparse matrix cached once per grid, and the Lame matrix
+``lame_operator_matrix`` once per grid and material; applying one is a
+matrix-vector product.  The matrices are built in canonical CSR form
+(sorted indices, no duplicates): scipy sorts a non-canonical matrix in
+place whenever an operation needs it so, after which every product with
+the cached matrix would sum in another order.
 The eigenpairs of both scalar Laplacians are closed forms, DCT-I and DST-I
 tensor modes (``Grid2D.neumann_modes``, ``Grid2D.dirichlet_modes``), and
 the magnetic implicit solve divides in the DCT-I modes
@@ -210,20 +210,30 @@ class Grid2D(Schema):
                                       _sbp_derivative(self.ny + 1, self.dy)))
 
     @cached_property
+    def edges(self) -> tuple[sparse.csr_array, np.ndarray]:
+        """(E, w_e): E the forward differences of raveled nodal values along
+        every x-edge, then every y-edge (row-major), and w_e their trapezoid
+        weights dx*wy and wx*dy.  The gradient form and both Laplacians read it."""
+        ex, ey = _forward_difference(self.nx, self.dx), _forward_difference(self.ny, self.dy)
+        e = sparse.vstack([sparse.kron(ex, sparse.eye_array(self.ny + 1)),
+                           sparse.kron(sparse.eye_array(self.nx + 1), ey)])
+        return _canonical(e), np.concatenate([np.tile(self.dx * self.wy, self.nx),
+                                              np.repeat(self.wx * self.dy, self.ny)])
+
+    @cached_property
     def lap_neumann(self) -> sparse.csr_array:
-        """Flux Laplacian with zero normal flux over all nodes (row-major):
-        per direction H^{-1}(-E^T E/h) with E the forward difference, so
-        (lap h, g) = -grad_edge_inner(h, g) and lap h integrates to zero."""
-        return _kron_sum(_flux_1d(self.wx, self.dx), _flux_1d(self.wy, self.dy))
+        """Flux Laplacian with zero normal flux over all nodes (row-major),
+        -W^{-1} E^T W_e E, so (lap h, g) = -grad_edge_inner(h, g) and lap h
+        integrates to zero."""
+        return _edge_form(*self.edges, self.weights.ravel())
 
     @cached_property
     def lap_dirichlet(self) -> sparse.csr_array:
         """Five-point Laplacian on interior nodes (row-major), acting on
-        fields with zero boundary values."""
-        return _kron_sum(
-            _second_difference(self.nx - 1, self.dx),
-            _second_difference(self.ny - 1, self.dy),
-        )
+        fields with zero boundary values: the same form on E's interior
+        columns, where each node and each of its four edges weighs dx*dy."""
+        (e, w_e), nodes = self.edges, self.interior[:self.n_interior]
+        return _edge_form(e[:, nodes], w_e, self.weights.ravel()[nodes])
 
     @cached_property
     def grad(self) -> sparse.csr_array:
@@ -260,7 +270,8 @@ class Grid2D(Schema):
 
     @cached_property
     def cosine_pairs(self) -> tuple:
-        """The DCT-I pairs of -_flux_1d in x and y, for neumann_modes and neumann_resolvent."""
+        """The DCT-I pairs of the 1D zero-flux Laplacians in x and y, for
+        neumann_modes and neumann_resolvent."""
         return _cosine_modes(self.wx, self.dx), _cosine_modes(self.wy, self.dy)
 
     def neumann_modes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,16 +317,15 @@ def _sbp_derivative(n: int, h: float) -> sparse.csr_array:
     return d.tocsr()
 
 
-def _flux_1d(w: np.ndarray, h: float) -> sparse.csr_array:
-    """1D zero-flux Laplacian diag(1/w) (-E^T E / h) on len(w) nodes."""
-    n = len(w)
-    e = sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n - 1, n))
-    return sparse.diags_array(1.0 / w) @ (-(e.T @ e) / h)
+def _forward_difference(cells: int, h: float) -> sparse.csr_array:
+    """1D forward difference (a[i+1] - a[i])/h of the cells + 1 nodes, on the cells."""
+    return sparse.diags_array([-1.0 / h, 1.0 / h], offsets=[0, 1], shape=(cells, cells + 1))
 
 
-def _second_difference(n: int, h: float) -> sparse.csr_array:
-    """1D three-point second difference on n interior nodes, zero ends."""
-    return sparse.diags_array([1.0, -2.0, 1.0], offsets=[-1, 0, 1], shape=(n, n)) / h**2
+def _edge_form(e, w_e: np.ndarray, w: np.ndarray) -> sparse.csr_array:
+    """-W^{-1} E^T W_e E: the operator of the edge form (E a).(W_e E b)
+    under the node weights w."""
+    return _canonical(sparse.diags_array(-1.0 / w) @ (e.T @ sparse.diags_array(w_e) @ e))
 
 
 def _trig_modes(fn, idx: np.ndarray, cells: int, h: float, w: np.ndarray):
@@ -326,12 +336,14 @@ def _trig_modes(fn, idx: np.ndarray, cells: int, h: float, w: np.ndarray):
 
 
 def _cosine_modes(w: np.ndarray, h: float):
-    """Eigenpairs of -_flux_1d(w, h): cos(k pi i/n), i, k = 0..n."""
+    """Eigenpairs of the negated 1D zero-flux Laplacian on len(w) nodes, the
+    x or y part of -lap_neumann: cos(k pi i/n), i, k = 0..n."""
     return _trig_modes(np.cos, np.arange(len(w)), len(w) - 1, h, w)
 
 
 def _sine_modes(n: int, h: float):
-    """Eigenpairs of -_second_difference(n, h): sin(k pi i/(n+1)), i, k = 1..n."""
+    """Eigenpairs of the negated 1D second difference on n interior nodes,
+    the x or y part of -lap_dirichlet: sin(k pi i/(n+1)), i, k = 1..n."""
     return _trig_modes(np.sin, np.arange(1, n + 1), n + 1, h, np.full(n, h))
 
 
@@ -348,13 +360,6 @@ def _lowest_modes(x, y, m: int, group_rtol: float = 0.0) -> tuple[np.ndarray, np
         m = int(np.searchsorted(total[order], top + group_rtol * max(1.0, top), side="right"))
     i, j = np.unravel_index(order[:m], (len(kx), len(ky)))
     return total[order[:m]], (vx[:, i][:, None, :] * vy[:, j][None, :, :]).reshape(-1, m)
-
-
-def _kron_sum(ax, ay) -> sparse.csr_array:
-    """ax along the first (x) index plus ay along the second (y) index of
-    row-major node arrays."""
-    eye = sparse.eye_array
-    return _canonical(sparse.kron(ax, eye(ay.shape[0])) + sparse.kron(eye(ax.shape[0]), ay))
 
 
 def _canonical(m) -> sparse.csr_array:
@@ -474,29 +479,14 @@ def divergence(w: VectorField2) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# edge-based (compatible) gradient machinery
-
-def _edge_diff_x(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    """Forward differences on x-edges, shape (nx, ny+1)."""
-    return (a[1:, :] - a[:-1, :]) / grid.dx
-
-
-def _edge_diff_y(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    return (a[:, 1:] - a[:, :-1]) / grid.dy
-
+# edge-based (compatible) gradient form
 
 def grad_edge_inner(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> float:
-    """Edge-quadrature inner product of the gradients of nodal a and b, raveled or not.
-
-    This is the quadratic form whose flux-difference operator is exactly
-    :func:`laplacian_neumann` (up to sign), so (lap h, g) = -grad_edge_inner.
-    """
-    a, b = a.reshape(grid.shape), b.reshape(grid.shape)
-    ex = _edge_diff_x(grid, a) * _edge_diff_x(grid, b)
-    ey = _edge_diff_y(grid, a) * _edge_diff_y(grid, b)
-    sx = float(np.sum(ex * (grid.dx * grid.wy[None, :])))
-    sy = float(np.sum(ey * (grid.wx[:, None] * grid.dy)))
-    return sx + sy
+    """Edge-quadrature inner product (E a).(W_e E b) of the gradients of
+    nodal a and b, raveled or not: the form whose operator is exactly
+    -lap_neumann, so (lap h, g) = -grad_edge_inner(h, g)."""
+    e, w_e = grid.edges
+    return float(np.dot(e @ a.ravel(), w_e * (e @ b.ravel())))
 
 
 def laplacian_neumann(h: ScalarField) -> ScalarField:

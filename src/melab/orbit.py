@@ -121,11 +121,11 @@ def find_periodic(
         res = energy_distance(z_next, z, params)
         history.append(res)
         if best is None or res < best[0]:
-            best = (res, z, traj, it)
+            best = (res, z, traj)
         if res <= tol * max(1.0, energy_norm(z, params)):
             return PeriodicOrbit(z, res, it, traj, True, history)
         z = z_next
-    res, z_best, traj_best, it_best = best
+    res, z_best, traj_best = best
     return PeriodicOrbit(z_best, res, max_iter, traj_best, False, history)
 
 

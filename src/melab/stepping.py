@@ -196,8 +196,7 @@ def _grid_forces(grid: Grid2D, params, spec, forcing):
             f2, f1 = forcing_at(t)
             fu, fh = fu + f2, fh + f1
         if spec.kind == "power":
-            vx, vy = v.reshape(2, -1)
-            fu = fu - np.tile(spec.k1 * np.sqrt(vx**2 + vy**2) ** spec.p, 2) * v
+            fu = fu - spec.superlinear(v) * v
         return fu / params.rho_m, fh
 
     return forces

@@ -1,10 +1,13 @@
 """Field-level references for the packed diagnostics and the operators:
-each quadratic form written with the field API and the edge quadrature, and
-the collocated derivative, the coupling terms and the Lame operator applied
-with the dense first-derivative stencil or per component, independent of the
-assembled matrices the library uses."""
+each quadratic form written with the field API and the nodal edge sum, the
+scalar Laplacians as Kronecker sums of 1D stencils, the dissipation law
+spelled out per component, and the collocated derivative, the coupling
+terms and the Lame operator applied with the dense first-derivative stencil
+or per component, independent of the assembled matrices and the edge matrix
+the library uses."""
 
 import numpy as np
+from scipy import sparse
 
 from melab.grid import (
     ContractViolationError,
@@ -12,7 +15,6 @@ from melab.grid import (
     ScalarField,
     VectorField2,
     divergence,
-    grad_edge_inner,
     inner,
     lame_apply,
     laplacian_neumann,
@@ -21,6 +23,58 @@ from melab.grid import (
     pin_boundary,
     unpack_interior,
 )
+
+
+def edge_inner(a: np.ndarray, b: np.ndarray, grid) -> float:
+    """Edge quadrature of the gradients of nodal a and b, raveled or not:
+    the products of their forward differences summed over the x-edges with
+    weight dx*wy and over the y-edges with weight wx*dy."""
+    a, b = a.reshape(grid.shape), b.reshape(grid.shape)
+    ex = (a[1:, :] - a[:-1, :]) / grid.dx * ((b[1:, :] - b[:-1, :]) / grid.dx)
+    ey = (a[:, 1:] - a[:, :-1]) / grid.dy * ((b[:, 1:] - b[:, :-1]) / grid.dy)
+    return (float(np.sum(ex * (grid.dx * grid.wy[None, :])))
+            + float(np.sum(ey * (grid.wx[:, None] * grid.dy))))
+
+
+def flux_1d(w: np.ndarray, h: float) -> sparse.csr_array:
+    """1D zero-flux Laplacian diag(1/w) (-E^T E / h) on len(w) nodes, E the
+    forward difference a[i+1] - a[i]."""
+    n = len(w)
+    e = sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n - 1, n))
+    return sparse.diags_array(1.0 / w) @ (-(e.T @ e) / h)
+
+
+def second_difference(n: int, h: float) -> sparse.csr_array:
+    """1D three-point second difference on n interior nodes, zero ends."""
+    return sparse.diags_array([1.0, -2.0, 1.0], offsets=[-1, 0, 1], shape=(n, n)) / h**2
+
+
+def kron_sum(ax, ay) -> sparse.csr_array:
+    """ax along the first (x) index plus ay along the second (y) index of
+    row-major node arrays, in canonical CSR form."""
+    eye = sparse.eye_array
+    m = (sparse.kron(ax, eye(ay.shape[0])) + sparse.kron(eye(ax.shape[0]), ay)).tocsr()
+    m.sum_duplicates()
+    return m
+
+
+def kron_laplacians(grid) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """The Neumann Laplacian over all nodes and the Dirichlet one on interior
+    nodes, each the Kronecker sum of its two 1D stencils."""
+    return (kron_sum(flux_1d(grid.wx, grid.dx), flux_1d(grid.wy, grid.dy)),
+            kron_sum(second_difference(grid.nx - 1, grid.dx),
+                     second_difference(grid.ny - 1, grid.dy)))
+
+
+def dissipation_law(spec, zx: np.ndarray, zy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho(z) per component: 0 for 'none', alpha z for 'linear' and
+    (alpha + k1 |z|^p) z for 'power', |z| the pointwise Euclidean norm."""
+    if spec.kind == "none":
+        return np.zeros_like(zx), np.zeros_like(zy)
+    if spec.kind == "linear":
+        return spec.alpha * zx, spec.alpha * zy
+    fac = spec.alpha + spec.k1 * np.sqrt(zx * zx + zy * zy) ** spec.p
+    return fac * zx, fac * zy
 
 
 def sbp_derivative(n: int, h: float) -> np.ndarray:
@@ -76,14 +130,14 @@ def bilinear_a2(u: VectorField2, w: VectorField2, mu: float, lam: float) -> floa
     if u.bc != "dirichlet_zero" or w.bc != "dirichlet_zero":
         raise ContractViolationError("bilinear_a2 requires dirichlet_zero fields")
     g = u.grid
-    grad_part = grad_edge_inner(u.ux, w.ux, g) + grad_edge_inner(u.uy, w.uy, g)
+    grad_part = edge_inner(u.ux, w.ux, g) + edge_inner(u.uy, w.uy, g)
     div_part = inner(divergence(u), divergence(w))
     return mu * grad_part + (lam + mu) * div_part
 
 
 def dissipation_eval(spec, w: VectorField2) -> VectorField2:
-    """Pointwise dissipation law applied to a velocity field."""
-    rx, ry = spec.pointwise(w.ux, w.uy)
+    """The dissipation law applied to a velocity field."""
+    rx, ry = dissipation_law(spec, w.ux, w.uy)
     if w.bc == "dirichlet_zero":
         rx, ry = pin_boundary(rx), pin_boundary(ry)
     return VectorField2(w.grid, rx, ry, bc=w.bc)
@@ -94,7 +148,7 @@ def energy_e1(state, params) -> float:
     u, and the gradient seminorm of h."""
     lu = lame_apply(state.u, params.mu, params.lam)
     return 0.5 * (bilinear_a2(state.ut, state.ut, params.mu, params.lam) + inner(lu, lu)
-                  + grad_edge_inner(state.h.values, state.h.values, state.grid))
+                  + edge_inner(state.h.values, state.h.values, state.grid))
 
 
 def forcing_l1_norms(forcing, grid, steps: int) -> tuple[float, float]:
@@ -105,9 +159,9 @@ def forcing_l1_norms(forcing, grid, steps: int) -> tuple[float, float]:
     for t in ts:
         f1, f2 = forcing.f1(grid, t), forcing.f2(grid, t)
         l2.append(np.sqrt(norm_l2(f2) ** 2 + norm_l2(f1) ** 2))
-        h1.append(np.sqrt(norm_l2(f1) ** 2 + grad_edge_inner(f1.values, f1.values, grid)
-                          + norm_l2(f2) ** 2 + grad_edge_inner(f2.ux, f2.ux, grid)
-                          + grad_edge_inner(f2.uy, f2.uy, grid)))
+        h1.append(np.sqrt(norm_l2(f1) ** 2 + edge_inner(f1.values, f1.values, grid)
+                          + norm_l2(f2) ** 2 + edge_inner(f2.ux, f2.ux, grid)
+                          + edge_inner(f2.uy, f2.uy, grid)))
     return float(np.trapezoid(l2, ts)), float(np.trapezoid(h1, ts))
 
 
@@ -130,7 +184,7 @@ def identity_residual(traj, params):
         tm = 0.5 * (a.t + b.t)
         terms = [
             (eb - ea) / (b.t - a.t),
-            params.mu0 * params.nu1 * grad_edge_inner(h.values, h.values, g),
+            params.mu0 * params.nu1 * edge_inner(h.values, h.values, g),
             inner(dissipation_eval(spec, ut), ut),
             -inner(forcing.f2(g, tm), ut),
             -params.mu0 * inner(forcing.f1(g, tm), h),

@@ -1,5 +1,6 @@
 """Smoke run of the benchmark: every workload at toy size, traced."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -82,3 +83,17 @@ def test_bench_quick_traced():
     assert sorted(r["workload"] for r in results) == ["archive32", "ensemble12", "orbit24"]
     for r in results:
         assert r["correct"] and r["failed"] == 0, r
+
+
+def test_traced_names_exist():
+    """Every function and method that the benchmark's tracer wraps exists
+    where its table says: a FUNCTIONS entry as a module attribute, a
+    METHODS entry in its class's own __dict__.  The table is loaded from
+    bench/spans.py without installing the tracer."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [name for name, (module, attr) in spans.FUNCTIONS.items()
+               if getattr(module, attr, None) is None]
+    missing += [name for name, (cls, attr) in spans.METHODS.items() if attr not in vars(cls)]
+    assert not missing, f"traced names not found: {missing}"

@@ -572,6 +572,10 @@ FORCED = {**SIM_CONFIG, "initial": {"kind": "zero"}, "forcing": {"period": 0.1, 
     ("sweep entry", {**FORCED, "sweep": [{"seed": 1}, {"t_ned": 1.0}]}, "t_ned"),
     *((f"retired {key}", {**FORCED, section: {key: 1.0}}, key)
       for section, keys in cli._RETIRED_KEYS.items() for key in keys),
+    # retired from sections that replay does not parse, so not in _RETIRED_KEYS
+    *((f"retired {key}", {**FORCED, section: {key: 1.0}}, key)
+      for section, key in (("conditions", "e1_0"), ("conditions", "c_omega"),
+                           ("r_critical_consts", "eps"), ("perturbation", "seed"))),
 ])
 def test_unknown_key_exits_2(tmp_path, capsys, level, doc, key):
     cfg = write_config(tmp_path, "c.json", doc)
@@ -683,6 +687,22 @@ def test_archive_with_perturbation_seed_replays(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["config"]["perturbation"] == {"amplitude": 1e-3}
     doc["config"]["perturbation"]["seed"] = doc["config"]["seed"]
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    assert cli.replay(out) == {"verified": True, "rows": 3}
+
+
+def test_archive_with_unknown_keys_outside_the_physics_replays(tmp_path):
+    """Replay parses only the grid, material, dissipation and forcing
+    sections of run.json's config, so an archive whose other sections
+    carry keys that this version does not know, as one written before or
+    after a key was retired would, still verifies."""
+    cfg = write_config(tmp_path, "c.json", DAMPED_FORCED)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    path = out / "run.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["conditions"]["c_unknown"] = 1.0
+    doc["config"]["disk_mode"]["no_such_key"] = "x"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     assert cli.replay(out) == {"verified": True, "rows": 3}
 

@@ -28,6 +28,8 @@ from melab import stepping
 from melab.grid import Grid2D
 from melab.model import DissipationSpec, Forcing, MaterialParams, State
 
+from field_reference import dissipation_law
+
 PARAMS = MaterialParams(rho_m=1.5, lam=0.7, nu1=0.4, mu0=0.8, b0=1.2)
 LX, LY, T = 1.0, 1.3, 0.5
 AMP_U, AMP_H = 0.3, 0.4
@@ -72,7 +74,7 @@ def residuals(grid, t, params, spec):
     f = exact(grid, t)
     p = params
     q = p.b0 + f["h"]
-    dx, dy = spec.pointwise(f["vx"], f["vy"])
+    dx, dy = dissipation_law(spec, f["vx"], f["vy"])
     f2x = (-p.rho_m * f["ux"] + dx - p.mu * f["lap_ux"] - (p.lam + p.mu) * f["div_x"]
            + p.mu0 * q * f["hx"])
     f2y = (-p.rho_m * f["uy"] + dy - p.mu * f["lap_uy"] - (p.lam + p.mu) * f["div_y"]

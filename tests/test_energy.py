@@ -76,7 +76,8 @@ def edge_energy(grid, params, ux, uy, vx, vy, h):
     collocated divergence squared for the elastic term."""
     w = grid.weights
     kin = params.rho_m * float(np.sum((vx * vx + vy * vy) * w))
-    el = params.mu * (grad_edge_inner(ux, ux, grid) + grad_edge_inner(uy, uy, grid))
+    el = params.mu * (field_reference.edge_inner(ux, ux, grid)
+                      + field_reference.edge_inner(uy, uy, grid))
     dmat_x, dmat_y = field_reference.derivative_matrices(grid)
     dv = dmat_x @ ux + uy @ dmat_y.T
     el += (params.lam + params.mu) * float(np.sum(dv * dv * w))

@@ -33,9 +33,12 @@ from melab.grid import (
     save_vector_csv,
     write_csv,
 )
-from melab.grid import _cosine_modes, _flux_1d, _second_difference, _sine_modes
+from melab.grid import _cosine_modes, _sine_modes
 
-from field_reference import bilinear_a2, derivative_matrices, lame_by_component
+from field_reference import (
+    bilinear_a2, derivative_matrices, edge_inner, flux_1d, kron_laplacians, lame_by_component,
+    second_difference,
+)
 
 
 def random_scalar(grid, rng, bc="neumann"):
@@ -97,15 +100,59 @@ def test_gradient_divergence_adjointness(grid, seed):
 @identity_settings
 @given(grid=random_grids, seed=seeds)
 def test_neumann_laplacian_pairs_with_edge_form(grid, seed):
-    """(lap h, g) = -grad_edge_inner(h, g): the flux Laplacian is the
-    operator of the edge-difference quadrature."""
+    """(lap h, g) = -(edge sum of h and g): the flux Laplacian is the
+    operator of the edge-difference quadrature, checked against the nodal
+    edge sum, not the edge matrix both are built from."""
     rng = np.random.default_rng(seed)
     for _ in range(3):
         h = random_scalar(grid, rng)
         g = random_scalar(grid, rng)
         lhs = inner(laplacian_neumann(h), g)
-        rhs = -grad_edge_inner(h.values, g.values, grid)
+        rhs = -edge_inner(h.values, g.values, grid)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@identity_settings
+@given(grid=random_grids, seed=seeds)
+def test_grad_edge_inner_is_the_nodal_edge_sum(grid, seed):
+    """grad_edge_inner, (E a).(W_e E b) by the grid's edge matrix on raveled
+    or nodal arrays, is the nodal sum of forward-difference products over
+    the x- and y-edges to 1e-13 of |a|_E |b|_E (relative for a = b)."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2,) + grid.shape)
+    aa, bb = edge_inner(a, a, grid), edge_inner(b, b, grid)
+    assert abs(grad_edge_inner(a, a, grid) - aa) <= 1e-13 * aa
+    for x, y in ((a, b), (a.ravel(), b.ravel())):
+        assert abs(grad_edge_inner(x, y, grid) - edge_inner(a, b, grid)) <= 1e-13 * np.sqrt(aa * bb)
+
+
+@identity_settings
+@given(grid=random_grids)
+def test_edge_laplacians_are_the_kronecker_sums(grid):
+    """lap_neumann and lap_dirichlet, -W^{-1} E^T W_e E over all of the edge
+    matrix's columns and over its interior ones, are the Kronecker sums of
+    the 1D flux and three-point stencils: the same entries, within 1e-15 of
+    the largest, on any rectangle."""
+    for got, want in zip((grid.lap_neumann, grid.lap_dirichlet), kron_laplacians(grid)):
+        assert got.shape == want.shape and got.nnz == want.nnz
+        assert abs(got - want).max() <= 1e-15 * abs(want).max()
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 32, 48, 64])
+def test_edge_laplacians_are_bit_for_bit_on_unit_squares(n):
+    """On the unit squares that the benchmark and the acceptance runs use,
+    both Laplacians and the Lame matrix built on lap_dirichlet are bit for
+    bit those of the 1D Kronecker sums, so archives of those grids do not
+    move.  This is not so on every square: the two forms round 1/dx^2
+    differently, and on the unit squares 7^2 and 21^2 a last bit moves."""
+    g = Grid2D(n, n, 1.0, 1.0)
+    neumann, dirichlet = kron_laplacians(g)
+    lame = ((0.4 + 1.3) * g.grad_div - 1.3 * sparse.block_diag((dirichlet, dirichlet))).tocsr()
+    lame.sum_duplicates()
+    for got, want in ((g.lap_neumann, neumann), (g.lap_dirichlet, dirichlet),
+                      (lame_operator_matrix(g, 1.3, 0.4), lame)):
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 def test_neumann_laplacian_conserves_mass(grid):
@@ -179,7 +226,7 @@ def test_operator_matrices_are_canonical(nx, ny):
     duplicates, so no scipy operation that needs that form (abs, a shifted
     factorization) reorders it in place."""
     g = Grid2D(nx, ny, 1.0, 0.6)
-    for m in (g.ddx, g.ddy, g.lap_neumann, g.lap_dirichlet, g.grad_div,
+    for m in (g.ddx, g.ddy, g.edges[0], g.lap_neumann, g.lap_dirichlet, g.grad_div,
               neumann_laplacian_matrix(g), lame_operator_matrix(g, 1.0, 0.7)):
         assert m.format == "csr" and m.has_canonical_format
 
@@ -239,8 +286,8 @@ def test_closed_form_1d_modes_satisfy_stencils(grid):
     """Each 1D stencil maps its closed-form DCT-I / DST-I vectors to the
     vectors times -(2 - 2cos(k pi/n))/h^2."""
     for n, h, w in ((grid.nx, grid.dx, grid.wx), (grid.ny, grid.dy, grid.wy)):
-        for (vals, vecs), op in ((_cosine_modes(w, h), _flux_1d(w, h)),
-                                 (_sine_modes(n - 1, h), _second_difference(n - 1, h))):
+        for (vals, vecs), op in ((_cosine_modes(w, h), flux_1d(w, h)),
+                                 (_sine_modes(n - 1, h), second_difference(n - 1, h))):
             assert np.abs(op @ vecs + vecs * vals).max() <= 1e-12 * vals.max() * np.abs(vecs).max()
 
 

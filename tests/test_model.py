@@ -20,13 +20,13 @@ from melab.grid import (
     ScalarField,
     VectorField2,
     divergence,
-    grad_edge_inner,
     gradient,
     inner,
     lame_operator_matrix,
     mean,
     neumann_laplacian_matrix,
     norm_l2,
+    pack_interior,
     pin_boundary,
     unpack_interior,
 )
@@ -171,19 +171,39 @@ def test_material_validation():
 
 
 def test_dissipation_laws():
+    """The law on packed velocities is (linear_alpha + superlinear(v)) v."""
+    v = np.array([2.0, -1.0])
     lin = DissipationSpec(kind="linear", alpha=0.7)
-    zx, zy = lin.pointwise(np.array([2.0]), np.array([-1.0]))
-    assert zx[0] == pytest.approx(1.4) and zy[0] == pytest.approx(-0.7)
+    assert lin.superlinear(v) == 0.0
+    assert np.allclose((lin.linear_alpha + lin.superlinear(v)) * v, [1.4, -0.7])
     pw = DissipationSpec(kind="power", alpha=0.1, k1=1.0, p=3.0)
-    zx, zy = pw.pointwise(np.array([2.0]), np.array([-1.0]))
+    assert np.allclose(pw.superlinear(v), [5.0**1.5, 5.0**1.5])
     fac = 0.1 + 5.0**1.5
-    assert zx[0] == pytest.approx(2.0 * fac) and zy[0] == pytest.approx(-fac)
+    assert np.allclose((pw.linear_alpha + pw.superlinear(v)) * v, [2.0 * fac, -fac])
     with pytest.raises(ParameterError):
         DissipationSpec(kind="power", p=5.0)
     with pytest.raises(ParameterError):
         DissipationSpec(kind="power", k1=-1.0)
     with pytest.raises(ParameterError):
         DissipationSpec(kind="linear", alpha=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cells=st.tuples(st.integers(4, 24), st.integers(4, 24)),
+       sides=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+       kind=st.sampled_from(["none", "linear", "power"]), alpha=st.floats(0.01, 5.0),
+       k1=st.floats(0.0, 5.0), p=st.floats(3.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_packed_law_is_the_spelled_out_law(cells, sides, kind, alpha, k1, p, seed):
+    """(linear_alpha + superlinear(v)) v, the law that the step and the
+    energy balance both read on packed interior velocities, is bit for bit
+    the law spelled out per component on the nodal field."""
+    g, rng = Grid2D(*cells, *sides), np.random.default_rng(seed)
+    spec = DissipationSpec(kind=kind, alpha=alpha, k1=k1, p=p)
+    w = VectorField2(g, *(pin_boundary(rng.standard_normal(g.shape)) for _ in range(2)),
+                     bc="dirichlet_zero")
+    v = pack_interior(w)
+    got = (spec.linear_alpha + spec.superlinear(v)) * v
+    assert np.array_equal(got, pack_interior(field_reference.dissipation_eval(spec, w)))
 
 
 def test_forcing_profiles(grid):
@@ -215,15 +235,15 @@ def test_forcing_periodicity(grid):
 
 def test_forcing_norms_closed_form(grid):
     """One f1 term with constant g = a0 and profile phi: the L1-in-time L2
-    norm is T |a0| |phi|_W and the H1 one T |a0| sqrt(|phi|_W^2 +
-    grad_edge_inner(phi, phi))."""
+    norm is T |a0| |phi|_W and the H1 one T |a0| sqrt(|phi|_W^2 + the
+    nodal edge sum of phi)."""
     period, a0 = 1.7, -0.6
     f = Forcing(period=period, terms=[
         {"target": "f1", "g": {"a0": a0}, "shape": {"jx": 2, "jy": 1, "amplitude": 0.8}}])
     x, y = grid.xy
     phi = 0.8 * np.cos(2 * np.pi * x / grid.lx) * np.cos(np.pi * y / grid.ly)
     l2_sq = np.sum(grid.weights * phi * phi)
-    h1_sq = l2_sq + grad_edge_inner(phi, phi, grid)
+    h1_sq = l2_sq + field_reference.edge_inner(phi, phi, grid)
     assert f.l1_l2_norm(grid) == pytest.approx(period * abs(a0) * np.sqrt(l2_sq), rel=1e-14)
     assert f.l1_h1_norm(grid) == pytest.approx(period * abs(a0) * np.sqrt(h1_sq), rel=1e-14)
 
